@@ -12,7 +12,16 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .field import Prime, FpScalar, ZeroInverse, binom_mod, fp_inv, is_prime, verify_identities
-from .linalg import NotAComplex, Subspace, nullspace, quotient_dim, rank, rref
+from .linalg import (
+    InvariantFailure,
+    NotAComplex,
+    SparseMatrix,
+    Subspace,
+    nullspace,
+    quotient_dim,
+    rank,
+    rref,
+)
 from .liealg import (
     DimensionMismatch,
     EmptySequence,

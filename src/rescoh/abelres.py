@@ -24,14 +24,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
-from .linalg import matmul_mod, quotient_dim, rank, zeros
+from .linalg import InvariantFailure, SparseMatrix, matmul_mod, quotient_dim, rank, zeros
 from .ures import TooLarge, Ures
 
 SLICE_BOUND = 20_000
@@ -57,7 +57,7 @@ class ChainComplexSlice:
 
     degree: int
     basis: list[ChainBasisElement]
-    d: np.ndarray | None  # matrix into degree-1 coordinates; None at degree 0
+    d: SparseMatrix | None  # map into degree-1 coordinates; None at degree 0
 
 
 @dataclass
@@ -65,24 +65,23 @@ class Resolution:
     """Slices 0..k_max of the augmented complex, plus one hidden slice.
 
     The extra slice at k_max+1 exists so homology at k_max itself can be
-    computed; it is not part of the public sequence interface.
+    computed; it is not part of ``slices``.
     """
 
     algebra: RestrictedLieAlgebra
     ures: Ures
     k_max: int
     slices: list[ChainComplexSlice]
-    eps: np.ndarray
+    eps: SparseMatrix
     _extra: ChainComplexSlice
+    _ranks: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
-    def __len__(self) -> int:
-        return len(self.slices)
-
-    def __getitem__(self, k: int) -> ChainComplexSlice:
-        return self.slices[k]
-
-    def __iter__(self):
-        return iter(self.slices)
+    def d_rank(self, k: int) -> int:
+        """Rank of the differential out of degree k (1 <= k <= k_max+1), computed once."""
+        if k not in self._ranks:
+            d = self._extra.d if k == self.k_max + 1 else self.slices[k].d
+            self._ranks[k] = rank(d, self.algebra.p)
+        return self._ranks[k]
 
 
 def _multidegrees(n: int, total: int):
@@ -128,18 +127,19 @@ def _wedge_insert(I: tuple, l: int):
 
 
 def _differential(L: RestrictedLieAlgebra, U: Ures, src: list[ChainBasisElement],
-                  dst_index: dict[ChainBasisElement, int]) -> np.ndarray:
+                  dst_index: dict[ChainBasisElement, int]) -> SparseMatrix:
     """Matrix of d from the src basis into the indexed target basis."""
     p, n = L.p, L.n
-    d = zeros(len(dst_index), len(src))
-    for col, (mu, I, r) in enumerate(src):
+    cols = []
+    for mu, I, r in src:
+        col: dict[int, int] = {}
         # wedge slot into U_res; left and right products agree (abelian)
         for a, i in enumerate(I):
             sgn = -1 if a % 2 else 1
             rest = I[:a] + I[a + 1 :]
             for mono, cf in U.mono_times_gen(r, i).items():
                 row = dst_index[ChainBasisElement(mu, rest, mono)]
-                d[row, col] = (d[row, col] + sgn * cf) % p
+                col[row] = col.get(row, 0) + sgn * cf
         for j in range(n):
             if mu[j] == 0:
                 continue
@@ -154,7 +154,7 @@ def _differential(L: RestrictedLieAlgebra, U: Ures, src: list[ChainBasisElement]
                     continue
                 I2, sgn = ins
                 row = dst_index[ChainBasisElement(mu2, I2, r)]
-                d[row, col] = (d[row, col] + mu[j] * cf * sgn) % p
+                col[row] = col.get(row, 0) + mu[j] * cf * sgn
             # symmetric slot moved to the wedge, (p-1)-st power into U_res
             ins = _wedge_insert(I, j)
             if ins is None:
@@ -163,8 +163,9 @@ def _differential(L: RestrictedLieAlgebra, U: Ures, src: list[ChainBasisElement]
             pw = {_power_mono(n, j, p - 1): 1}
             for mono, cf in U.multiply(pw, {r: 1}).items():
                 row = dst_index[ChainBasisElement(mu2, I2, mono)]
-                d[row, col] = (d[row, col] - mu[j] * cf * sgn) % p
-    return d
+                col[row] = col.get(row, 0) - mu[j] * cf * sgn
+        cols.append({row: v % p for row, v in col.items() if v % p})
+    return SparseMatrix((len(dst_index), len(src)), cols, p)
 
 
 def _build_slices(L: RestrictedLieAlgebra, U: Ures, top: int) -> list[ChainComplexSlice]:
@@ -183,12 +184,13 @@ def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
     """Slices 0..k_max of the augmented complex, with d² and ε∘d₁ checked.
 
     One further slice is built internally so that homology can be taken
-    at k_max itself.
+    at k_max itself.  Each composite is checked once, sparsely, here.
 
     Raises:
         NotAbelian: nonzero bracket.
         DegreeTooHigh: k_max >= p, where exactness is not available.
         TooLarge: a slice dimension exceeds SLICE_BOUND.
+        NotAComplex: ε∘d₁ or some d_{k-1}∘d_k is nonzero.
     """
     if not L.is_abelian:
         raise NotAbelian("resolution is defined for abelian algebras only")
@@ -198,27 +200,26 @@ def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
         raise DegreeTooHigh(f"k_max={k_max} not below p={L.p}")
     U = Ures(L)
     slices = _build_slices(L, U, k_max + 1)
-    eps = zeros(1, U.dim())
-    eps[0, U.mono_rank(U.unit_mono)] = 1
-    assert not matmul_mod(eps, slices[1].d, L.p).any(), "augmentation does not kill d1"
+    eps_cols: list[dict[int, int]] = [{} for _ in range(U.dim())]
+    eps_cols[U.mono_rank(U.unit_mono)] = {0: 1}
+    eps = SparseMatrix((1, U.dim()), eps_cols, L.p)
+    eps.check_composite(slices[1].d, "eps d_1")
     for k in range(2, k_max + 2):
-        prod = matmul_mod(slices[k - 1].d, slices[k].d, L.p)
-        assert not prod.any(), f"d_{k-1} d_{k} is nonzero"
+        slices[k - 1].d.check_composite(slices[k].d, f"d_{k-1} d_{k}")
     return Resolution(L, U, k_max, slices[: k_max + 1], eps, slices[k_max + 1])
 
 
 def resolution_homology(res: Resolution, k: int) -> int:
     """Homology dimension of the augmented complex at degree k <= k_max.
 
-    Degree 0 uses ker ε in place of ker d₀.  Expected 0 for 0 <= k < p.
+    dim C_k − rank d_k − rank d_{k+1}, where degree 0 uses ker ε in place
+    of ker d₀ (ε is onto GF(p), so its rank is 1).  The complex was
+    checked when it was built.  Expected 0 for 0 <= k < p.
     """
     if k < 0 or k > res.k_max:
         raise ValueError(f"k={k} outside built range 0..{res.k_max}")
-    p = res.algebra.p
-    d_up = res._extra.d if k + 1 > res.k_max else res.slices[k + 1].d
-    if k == 0:
-        return quotient_dim(d_up, res.eps, p)
-    return quotient_dim(d_up, res.slices[k].d, p)
+    rank_out = 1 if k == 0 else res.d_rank(k)
+    return len(res.slices[k].basis) - rank_out - res.d_rank(k + 1)
 
 
 def _aux_basis(n: int, k: int, monos: list[tuple]):
@@ -300,15 +301,18 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
         else:
             mono = tuple(p - 1 if j in I else 0 for j in range(n))
             reps[row, basis_index[(I, mono)]] = 1
-    if d_out is not None:
-        assert not matmul_mod(d_out, reps.T, p).any(), "representative is not a cycle"
+    if d_out is not None and matmul_mod(d_out, reps.T, p).any():
+        raise InvariantFailure(f"aux_C_homology(k={k}): a representative is not a cycle")
     if d_in is not None:
         base = rank(d_in.T, p)
         joint = rank(np.vstack([d_in.T, reps]), p)
     else:
         base, joint = 0, rank(reps, p)
-    assert joint == base + reps.shape[0], "representatives dependent mod boundaries"
-    assert reps.shape[0] == dim
+    if joint != base + reps.shape[0]:
+        raise InvariantFailure(f"aux_C_homology(k={k}): representatives dependent mod boundaries")
+    if reps.shape[0] != dim:
+        raise InvariantFailure(f"aux_C_homology(k={k}): {reps.shape[0]} representatives "
+                               f"for homology of dimension {dim}")
     return dim, reps
 
 
@@ -439,13 +443,8 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
         k = _elem_degree(next(iter(elem)))
         if k == 0:
             return {}
-        vec = np.zeros(len(slices[k].basis), dtype=np.int64)
-        for x, c in elem.items():
-            vec[idx[k][x]] = c
-        out_vec = matmul_mod(slices[k].d, vec.reshape(-1, 1), p).ravel()
-        return {
-            slices[k - 1].basis[i]: int(v) for i, v in enumerate(out_vec) if v
-        }
+        image = slices[k].d.matvec({idx[k][x]: c for x, c in elem.items()})
+        return {slices[k - 1].basis[i]: v for i, v in image.items()}
 
     def leibniz_gap(a: dict, b: dict, ka: int) -> dict:
         lhs = diff(_elem_product(U, p, a, b))
@@ -558,7 +557,9 @@ def abelian_cochain_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule,
     slices = _build_slices(L, U, k + 1)
     pairs = [_formal_basis(n, j) for j in range(k + 2)]
     pair_idx = [{b: i for i, b in enumerate(pj)} for pj in pairs]
-    assert len(pairs[k]) * m == math.comb(n + k - 1, k) * m, "cochain dimension off"
+    if len(pairs[k]) != math.comb(n + k - 1, k):
+        raise InvariantFailure(f"degree-{k} cochain space has {len(pairs[k])} generators, "
+                               f"not C({n + k - 1},{k})")
 
     def delta(j: int) -> np.ndarray:
         """Hom(d_{j+1}): block (target pair, source pair) = Σ coeff · action."""
@@ -567,10 +568,8 @@ def abelian_cochain_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule,
         for (mu, I) in pairs[j + 1]:
             col_of_gen = gen_col[ChainBasisElement(mu, I, U.unit_mono)]
             row0 = pair_idx[j + 1][(mu, I)] * m
-            column = slices[j + 1].d[:, col_of_gen]
-            for tgt_i in np.nonzero(column)[0]:
-                tmu, tI, tmono = slices[j].basis[int(tgt_i)]
-                cf = int(column[tgt_i])
+            for tgt_i, cf in slices[j + 1].d.cols[col_of_gen].items():
+                tmu, tI, tmono = slices[j].basis[tgt_i]
                 block = (cf * U.mono_action_matrix(tmono, M.rho)) % p
                 col0 = pair_idx[j][(tmu, tI)] * m
                 out[row0 : row0 + m, col0 : col0 + m] = (

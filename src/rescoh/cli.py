@@ -3,7 +3,8 @@
 Every subcommand prints one JSON object: tool_version, input_digest,
 command, results, and a checks list.  Exit code 0 means every check
 passed, 1 means some check failed, 2 means the invocation or input
-file was unusable.
+file was unusable, 3 means an internal invariant failed (a bug, not a
+bad input; the message goes to stderr and no report is printed).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .dsl import (
 from .field import verify_identities
 from .gmod import adjoint_module, trivial_module, verify_module
 from .interp import NotACocycle, deformation_check, inner_derivations, restricted_derivations
+from .linalg import InvariantFailure
 from .liealg import (
     NotRestrictable,
     RestrictedLieAlgebra,
@@ -354,6 +356,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         results, checks, digest_parts = args.func(args)
+    except InvariantFailure as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ import numpy as np
 from .gmod import RestrictedModule, adjoint_module, hom_module, trivial_module, verify_module
 from .liealg import RestrictedLieAlgebra, _r3_gap, verify_restricted
 from .linalg import (
+    InvariantFailure,
     Subspace,
     identity,
     mat_pow_mod,
@@ -226,10 +227,12 @@ def algebra_extension_roundtrip(L: RestrictedLieAlgebra, h_dim: int, c2: Cochain
                 ej = np.eye(n, dtype=np.int64)[j]
                 br = E.bracket(split(ei), split(ej))
                 br = (br - split(L.bracket(ei, ej))) % p
-                assert not br[h_dim:].any()
+                if br[h_dim:].any():
+                    raise InvariantFailure(f"extension bracket of basis {i},{j} leaves the kernel h")
                 ph[i, j] = br[:h_dim]
             om_i = (E.p_power(split(ei)) - split(L.p_power(ei))) % p
-            assert not om_i[h_dim:].any()
+            if om_i[h_dim:].any():
+                raise InvariantFailure(f"extension p-power of basis {i} leaves the kernel h")
             om[i] = om_i[:h_dim]
         return ph, om
 

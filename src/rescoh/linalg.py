@@ -1,8 +1,10 @@
-"""Dense exact linear algebra over GF(p).
+"""Exact linear algebra over GF(p).
 
 Matrices are numpy int64 arrays with entries reduced mod p; a matrix
 maps coordinate column vectors, so composition is the ordinary ``@``
-followed by a reduction.  Elimination is deterministic (leftmost pivot
+followed by a reduction.  Very sparse matrices, such as the abelian
+resolution's differentials, are kept as a SparseMatrix instead; ``rank``
+takes either form.  Echelon forms are deterministic (leftmost pivot
 column, first nonzero row) so every basis this module returns is
 reproducible across runs and platforms.
 """
@@ -10,15 +12,25 @@ reproducible across runs and platforms.
 from __future__ import annotations
 
 import hashlib
+import heapq
 
 import numpy as np
 
 
-class NotAComplex(Exception):
+class InvariantFailure(Exception):
+    """A computed object broke an identity the mathematics guarantees.
+
+    Hitting this means a bug upstream, not bad input, so it is never
+    an ``assert`` (those vanish under ``python -O``).
+    """
+
+
+class NotAComplex(InvariantFailure):
     """Composite of consecutive differentials is nonzero.
 
-    Raised by quotient_dim; hitting this means a coboundary matrix is
-    wrong upstream, so it is deliberately loud.
+    Raised by quotient_dim and SparseMatrix.check_composite; hitting
+    this means a differential or coboundary matrix is wrong upstream,
+    so it is deliberately loud.
     """
 
 
@@ -33,6 +45,51 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
+
+
+class SparseMatrix:
+    """GF(p) matrix stored as one {row: value} dict per column.
+
+    Only nonzero entries reduced mod p are kept.  ``np.asarray`` gives
+    the dense int64 form, so dense consumers (``matmul_mod``, tests)
+    take a SparseMatrix unchanged.
+    """
+
+    __slots__ = ("shape", "cols", "p")
+
+    def __init__(self, shape: tuple[int, int], cols: list[dict[int, int]], p: int):
+        if len(cols) != shape[1]:
+            raise ValueError("one column dict per column is required")
+        self.shape = shape
+        self.cols = cols
+        self.p = p
+
+    def __array__(self, dtype=None, copy=None):
+        out = zeros(*self.shape)
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                out[r, c] = v
+        return out if dtype is None else out.astype(dtype)
+
+    def matvec(self, x: dict[int, int]) -> dict[int, int]:
+        """self @ x for x given as {column: value}; zeros are dropped."""
+        out: dict[int, int] = {}
+        for c, xv in x.items():
+            for r, v in self.cols[c].items():
+                out[r] = (out.get(r, 0) + v * xv) % self.p
+        return {r: v for r, v in out.items() if v}
+
+    def check_composite(self, inner: SparseMatrix, label: str) -> None:
+        """Raise NotAComplex unless self @ inner == 0.
+
+        Costs one sparse mat-vec per column of ``inner``; the message
+        names the first column whose image is nonzero.
+        """
+        if inner.shape[0] != self.shape[1]:
+            raise ValueError(f"{label}: shapes {self.shape} and {inner.shape} do not compose")
+        for c, col in enumerate(inner.cols):
+            if self.matvec(col):
+                raise NotAComplex(f"{label} is nonzero on column {c}")
 
 
 def rref(a, p: int):
@@ -72,34 +129,69 @@ def rref(a, p: int):
     return R, len(pivots), pivots
 
 
-def rank(a, p: int) -> int:
-    """Rank over GF(p) by forward elimination only.
-
-    Skips the back-substitution that rref does; on the large
-    resolution differentials that halves the work and the echelon
-    form is not needed, only the pivot count.
-    """
-    R = as_fp(a, p).copy()
-    if R.ndim != 2:
+def _row_dicts(a, p: int) -> dict[int, dict[int, int]]:
+    """Nonzero rows of a dense array or a SparseMatrix as {col: value} dicts."""
+    rows: dict[int, dict[int, int]] = {}
+    if isinstance(a, SparseMatrix):
+        for c, col in enumerate(a.cols):
+            for r, v in col.items():
+                v %= p
+                if v:
+                    rows.setdefault(r, {})[c] = v
+        return rows
+    A = as_fp(a, p)
+    if A.ndim != 2:
         raise ValueError("rank expects a 2-d array")
-    rows, cols = R.shape
+    r_idx, c_idx = np.nonzero(A)
+    for r, c, v in zip(r_idx.tolist(), c_idx.tolist(), A[r_idx, c_idx].tolist()):
+        rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def rank(a, p: int) -> int:
+    """Rank over GF(p) of a dense matrix or a SparseMatrix.
+
+    Exact elimination on row dicts with Python-int arithmetic, so no
+    product overflows whatever the size of p.  Each step pivots on a
+    row of least weight and, within it, on the column held by the
+    fewest rows (Markowitz), which keeps fill-in low on the sparse
+    resolution differentials.  Only the pivot count is needed, so a
+    pivot row is dropped once it has cleared its column.
+    """
+    rows = _row_dicts(a, p)
+    holders: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
     r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), -1, p)
-        R[r, c:] = (R[r, c:] * inv) % p
-        below = np.nonzero(R[r + 1 :, c])[0] + r + 1
-        if below.size:
-            R[np.ix_(below, range(c, cols))] = (
-                R[np.ix_(below, range(c, cols))] - np.outer(R[below, c], R[r, c:])
-            ) % p
+    while heap:
+        weight, i = heapq.heappop(heap)
+        row = rows.get(i)
+        if row is None or len(row) != weight:
+            continue  # stale heap entry
+        del rows[i]
+        for c in row:
+            holders[c].discard(i)
+        c = min(row, key=lambda j: len(holders[j]))
+        inv = pow(row[c], -1, p)
+        for k in list(holders[c]):
+            other = rows[k]
+            f = other[c] * inv % p
+            for j, v in row.items():
+                w = (other.get(j, 0) - f * v) % p
+                if w:
+                    if j not in other:
+                        holders[j].add(k)
+                    other[j] = w
+                elif j in other:
+                    del other[j]
+                    holders[j].discard(k)
+            if other:
+                heapq.heappush(heap, (len(other), k))
+            else:
+                del rows[k]
         r += 1
     return r
 

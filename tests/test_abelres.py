@@ -1,10 +1,13 @@
 """Explicit resolution over abelian algebras and its consequences."""
 
 import math
+import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
+from rescoh import abelres
 from rescoh.abelres import (
     DegreeTooHigh,
     NotAbelian,
@@ -17,7 +20,7 @@ from rescoh.abelres import (
 )
 from rescoh.gmod import adjoint_module, trivial_module
 from rescoh.liealg import abelian_algebra, heisenberg_algebra, witt_algebra
-from rescoh.linalg import matmul_mod
+from rescoh.linalg import NotAComplex, matmul_mod
 from rescoh.rescochain import restricted_cohomology
 from rescoh.ures import TooLarge
 
@@ -47,15 +50,57 @@ def test_resolution_is_complex(abelian_entry):
     tag, L = abelian_entry
     k_max = min(L.p - 1, 3)
     res = build_resolution(L, k_max)
-    assert len(res) == k_max + 1
-    assert res[0].d is None
+    assert len(res.slices) == k_max + 1
+    assert res.slices[0].d is None
     assert res.eps.shape == (1, L.p**L.n)
     for k in range(1, k_max + 1):
-        assert res[k].d.shape == (len(res[k - 1].basis), len(res[k].basis))
+        assert res.slices[k].d.shape == (len(res.slices[k - 1].basis), len(res.slices[k].basis))
         if k >= 2:
-            assert not matmul_mod(res[k - 1].d, res[k].d, L.p).any()
-    assert not matmul_mod(res.eps, res[1].d, L.p).any()
-    assert not matmul_mod(res._extra.d, np.eye(len(res._extra.basis), dtype=np.int64), L.p).any() or True
+            assert not matmul_mod(res.slices[k - 1].d, res.slices[k].d, L.p).any()
+    assert not matmul_mod(res.eps, res.slices[1].d, L.p).any()
+    assert res._extra.d.shape == (len(res.slices[-1].basis), len(res._extra.basis))
+    assert not matmul_mod(res.slices[-1].d, res._extra.d, L.p).any()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_corrupted_differential_is_refused(monkeypatch, degree):
+    # Row 0 of C_{degree-1} is e_0 ⊗ 1 (or 1 at degree 0); its image under
+    # d_{degree-1} (or ε) is nonzero, so one extra entry there breaks the complex.
+    L = abelian_algebra(2, 3, pi=nonzero_pi(2))
+    original = abelres._differential
+
+    def corrupted(L_, U, src, dst_index):
+        d = original(L_, U, src, dst_index)
+        if 2 * sum(src[0].mu) + len(src[0].I) == degree:
+            d.cols[0][0] = (d.cols[0].get(0, 0) + 1) % L_.p
+        return d
+
+    monkeypatch.setattr(abelres, "_differential", corrupted)
+    with pytest.raises(NotAComplex):
+        build_resolution(L, 2)
+
+
+def test_corrupted_differential_is_refused_under_optimize():
+    # The check must not be an assert: it has to survive python -O.
+    code = (
+        "import sys, pytest, rescoh.abelres as ar\n"
+        "from rescoh.liealg import abelian_algebra\n"
+        "from rescoh.linalg import NotAComplex\n"
+        "orig = ar._differential\n"
+        "def bad(*a):\n"
+        "    d = orig(*a)\n"
+        "    d.cols[0][0] = (d.cols[0].get(0, 0) + 1) % d.p\n"
+        "    return d\n"
+        "ar._differential = bad\n"
+        "with pytest.raises(NotAComplex):\n"
+        "    ar.build_resolution(abelian_algebra(2, 3), 2)\n"
+        "print('refused', sys.flags.optimize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused 1"
 
 
 def test_resolution_exact(abelian_entry):

@@ -172,6 +172,24 @@ def test_resolve(tmp_path, capsys):
     assert code == 2 and "abelian" in err
 
 
+def test_internal_failure_exits_three(tmp_path, capsys, monkeypatch):
+    import rescoh.abelres as abelres
+
+    original = abelres._differential
+
+    def corrupted(*args):
+        d = original(*args)
+        d.cols[0][0] = (d.cols[0].get(0, 0) + 1) % d.p
+        return d
+
+    monkeypatch.setattr(abelres, "_differential", corrupted)
+    path = write(tmp_path, "flat.alg", ABELIAN)
+    code, report, err = run_cli(capsys, "resolve", path, "--kmax", "2")
+    assert code == 3 and report is None
+    assert err.startswith("error: internal: NotAComplex:")
+    assert "Traceback" not in err
+
+
 def test_deform_check(tmp_path, capsys):
     wpath = write(tmp_path, "witt3.alg", emit(witt_file(3)))
     zero = write(tmp_path, "zero.coc", "phi [D0,D1] = 0\n")

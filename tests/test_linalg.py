@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from rescoh.linalg import (
     NotAComplex,
+    SparseMatrix,
     Subspace,
     as_fp,
     identity,
@@ -43,10 +46,73 @@ def test_rref_degenerate_shapes():
         rref(np.arange(4), 5)
 
 
+def to_sparse(a, p):
+    a = as_fp(a, p)
+    cols = [{int(r): int(a[r, c]) for r in np.nonzero(a[:, c])[0]} for c in range(a.shape[1])]
+    return SparseMatrix(a.shape, cols, p)
+
+
 def test_rank_agrees_with_rref():
-    for p in (2, 3, 7):
-        for a in random_matrices(p, [(4, 6), (6, 4), (5, 5), (1, 8)], "rank"):
-            assert rank(a, p) == rref(a, p)[1]
+    shapes = [(4, 6), (6, 4), (5, 5), (1, 8), (8, 1), (12, 9), (0, 4), (4, 0), (0, 0)]
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in random_matrices(p, shapes, "rank"):
+            assert rank(a, p) == rref(a, p)[1], (p, a.shape)
+        # low-rank and sparse inputs exercise dependent rows and fill-in
+        rng = np.random.default_rng(p)
+        for r in (1, 3):
+            a = (rng.integers(0, p, size=(7, r)) @ rng.integers(0, p, size=(r, 9))) % p
+            assert rank(a, p) == rref(a, p)[1] <= r
+        a = rng.integers(0, p, size=(20, 30)) * (rng.random((20, 30)) < 0.1)
+        assert rank(a, p) == rref(a, p)[1]
+    with pytest.raises(ValueError):
+        rank(np.arange(4), 5)
+
+
+def test_sparse_matrix_rank_matches_dense():
+    for p in (2, 3, 5, 7):
+        rng = np.random.default_rng(100 + p)
+        for shape in [(6, 9), (9, 6), (15, 15), (0, 3), (3, 0)]:
+            a = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.3)
+            sa = to_sparse(a, p)
+            assert (np.asarray(sa) == a).all()
+            assert rank(sa, p) == rank(a, p) == rref(a, p)[1]
+
+
+def test_sparse_matrix_matvec_and_composite_check():
+    p = 5
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, p, size=(4, 6)) * (rng.random((4, 6)) < 0.5)
+    b = rng.integers(0, p, size=(6, 3)) * (rng.random((6, 3)) < 0.5)
+    sa, sb = to_sparse(a, p), to_sparse(b, p)
+    for c in range(3):
+        want = (a @ b[:, c]) % p
+        assert sa.matvec(sb.cols[c]) == {r: int(v) for r, v in enumerate(want) if v}
+    # incoming maps into the kernel of d_out, so the composite vanishes
+    d_out = to_sparse([[0, 0, 1]], 3)
+    d_in = to_sparse([[1, 2], [2, 0], [0, 0]], 3)
+    d_out.check_composite(d_in, "ok")
+    with pytest.raises(NotAComplex, match="bad is nonzero on column 1"):
+        d_out.check_composite(to_sparse([[1, 0], [0, 0], [0, 2]], 3), "bad")
+    with pytest.raises(ValueError):
+        d_out.check_composite(sa, "shapes")
+    assert (matmul_mod(sa, sb, p) == (a @ b) % p).all()
+
+
+def test_rank_exact_near_the_int64_bound():
+    # Entries near 2**32 make every product in elimination exceed int64.
+    p = 4294967291
+    rng = random.Random(p)
+    for rows, cols, r in [(6, 7, 3), (8, 5, 5), (5, 9, 1), (4, 4, 4)]:
+        # B = [I_r; X] and C = [I_r | Y] give B @ C of rank exactly r.
+        B = [[int(i == j) for j in range(r)] for i in range(r)]
+        B += [[rng.randrange(p) for _ in range(r)] for _ in range(rows - r)]
+        C = [[int(i == j) for j in range(r)] + [rng.randrange(p) for _ in range(cols - r)]
+             for i in range(r)]
+        prod = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(cols)]
+                for i in range(rows)]
+        a = np.array(prod, dtype=np.int64)
+        assert rank(a, p) == r
+        assert rank(to_sparse(a, p), p) == r
 
 
 def test_rref_is_idempotent_and_row_equivalent():
