@@ -25,9 +25,9 @@ from .linalg import (
 from .liealg import (
     DimensionMismatch,
     EmptySequence,
+    ModulusTooLarge,
     NotRestrictable,
     RestrictedLieAlgebra,
-    UnsupportedPrime,
     VerificationFailed,
     abelian_algebra,
     heisenberg_algebra,

@@ -45,9 +45,9 @@ from .gmod import adjoint_module, trivial_module, verify_module
 from .interp import NotACocycle, deformation_check, inner_derivations, restricted_derivations
 from .linalg import InvariantFailure
 from .liealg import (
+    ModulusTooLarge,
     NotRestrictable,
     RestrictedLieAlgebra,
-    UnsupportedPrime,
     VerificationFailed,
     infer_p_operator,
     verify_restricted,
@@ -64,7 +64,7 @@ _USAGE_ERRORS = (
     NotAbelian,
     DegreeTooHigh,
     NotACocycle,
-    UnsupportedPrime,
+    ModulusTooLarge,
     VerificationFailed,
     TooLarge,
     FileNotFoundError,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .field import is_prime
 from .gmod import RestrictedModule
-from .liealg import RestrictedLieAlgebra
+from .liealg import MODULUS_LIMIT, ModulusTooLarge, RestrictedLieAlgebra
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _INT = r"-?[0-9]+"
@@ -186,6 +186,8 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
             p = int(cur.expect(_INT, "prime modulus"))
             cur.expect(r"\)", "')'")
             cur.done()
+            if p >= MODULUS_LIMIT:  # before the trial-division primality test
+                raise ModulusTooLarge(f"GF({p}): modulus is not below {MODULUS_LIMIT}")
             if p < 2 or not is_prime(p):
                 raise NonPrimeModulus(f"GF({p}) is not a prime field")
         elif kw == "basis":

@@ -3,19 +3,26 @@
 An algebra is the data (p, c, pi): c[i, j] is the coordinate vector of
 the bracket of basis elements i and j, pi[i] the coordinate vector of
 the p-th power of basis element i.  The p-power of a general element is
-computed by peeling off basis components and applying the semilinear
-additivity law, whose correction terms run over all 2^(p-2) choices of
-arguments in the length-p left-normed brackets.  Multiple brackets are
-always left-normed: [g1, g2, ..., gk] = [[...[g1 g2] ...] gk].
+computed by peeling off basis components and applying Jacobson's
+additivity law, whose correction sums the length-p brackets [a, b, ...]
+with tail entries in {a, b}, each weighted by 1/#(a); see quadrature.
+Multiple brackets are always left-normed: [g1, g2, ..., gk] =
+[[...[g1 g2] ...] gk].
+
+Every int64 kernel in the package multiplies two residues reduced mod p
+and sums the products along one axis before reducing again.  Below
+MODULUS_LIMIT = 2^16 a product is below 2^32, so a sum of up to 2^31
+products (a 16 GiB axis) is exact; larger moduli are refused.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from .field import inv_mod, is_prime
+from .field import is_prime
 from .linalg import as_fp, mat_pow_mod, sample_vectors
 
 
@@ -27,8 +34,8 @@ class EmptySequence(ValueError):
     pass
 
 
-class UnsupportedPrime(ValueError):
-    """Raised when the 2^(p-2) correction enumeration would be too large."""
+class ModulusTooLarge(ValueError):
+    """The modulus is at least MODULUS_LIMIT, where int64 sums stop being exact."""
 
 
 class NotRestrictable(ValueError):
@@ -39,8 +46,38 @@ class VerificationFailed(ValueError):
     pass
 
 
-NONABELIAN_P_BOUND = 13
+MODULUS_LIMIT = 1 << 16
 EXHAUSTIVE_BOUND = 3**5
+
+
+def _check_modulus(p) -> int:
+    """p as an int, if it is a prime below MODULUS_LIMIT."""
+    p = int(p)
+    if p >= MODULUS_LIMIT:
+        raise ModulusTooLarge(f"modulus {p} is not below {MODULUS_LIMIT}")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def quadrature(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w with sum_t w_t f(t) = sum_j f_j / (j + 1) over
+    GF(p), for every polynomial f(t) = sum_j f_j t^j of degree below p - 1.
+
+    As sum_t t^e over GF(p) is -1 when p - 1 divides e > 0 and 0 otherwise,
+    w_t = sum_{k=1}^{p-1} t^k / k = (1 + (-t)^p - (1 - t)^p) / p works;
+    nodes of weight zero (t = 0, and t = 1 for p > 2) are dropped.  A sum
+    over tails {a, b}^(p-2) weighted by 1/(1 + #a), of terms multilinear in
+    the tail, is then sum_t w_t F(t a + b), with t a + b in every tail slot
+    (Jacobson, Lie Algebras, 1962, ch. V: the s_i(a, b) expansion).
+    """
+    q = p * p
+    w = np.array([(1 + pow(-t, p, q) - pow(1 - t, p, q)) % q // p for t in range(p)])
+    nodes = np.flatnonzero(w)
+    weights = w[nodes]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 class RestrictedLieAlgebra:
@@ -54,14 +91,13 @@ class RestrictedLieAlgebra:
     """
 
     def __init__(self, p: int, c, pi, check: bool = True):
-        p = int(p)
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        p = _check_modulus(p)
         self.p = p
         self.c = as_fp(c, p)
         if self.c.ndim != 3 or self.c.shape[0] != self.c.shape[1] or self.c.shape[0] != self.c.shape[2]:
             raise DimensionMismatch("structure constants must have shape (n, n, n)")
         self.n = self.c.shape[0]
+        self._c_right = self.c.transpose(1, 0, 2).reshape(self.n, -1)
         self.pi = as_fp(pi, p)
         if self.pi.shape != (self.n, self.n):
             raise DimensionMismatch("p-operator table must have shape (n, n)")
@@ -108,7 +144,7 @@ class RestrictedLieAlgebra:
     def bracket(self, x, y) -> np.ndarray:
         x = self._check_vec(x)
         y = self._check_vec(y)
-        return np.einsum("i,j,ijk->k", x, y, self.c) % self.p
+        return x @ self._right_ad(y) % self.p
 
     def multibracket(self, gs) -> np.ndarray:
         gs = list(gs)
@@ -127,55 +163,47 @@ class RestrictedLieAlgebra:
     def ad_basis(self) -> list[np.ndarray]:
         return [self.c[i].T % self.p for i in range(self.n)]
 
-    def _bracket_rows(self, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("si,j,ijk->sk", rows, y, self.c) % self.p
+    def _right_ad(self, ys: np.ndarray) -> np.ndarray:
+        """Matrix of u -> [u, y] acting on row vectors u, one per row y of ys.
+
+        The unchecked kernel behind bracket and every bracket chain.
+        """
+        n = self.n
+        return (ys @ self._c_right % self.p).reshape(ys.shape[:-1] + (n, n))
 
     def _r2_correction(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over all length-p brackets starting [a, b, ...] with tail
-        entries drawn from {a, b}, each weighted by 1/#(a)."""
+        entries drawn from {a, b}, each weighted by 1/#(a): the quadrature
+        sum over the nodes x = t a + b of [a, b, x, ..., x]."""
         p = self.p
-        states = self.bracket(a, b).reshape(1, -1)
-        counts = np.array([1], dtype=np.int64)
+        u = a[None] @ self._right_ad(b) % p
+        if not u.any():
+            return u[0]
+        ts, ws = quadrature(p)
+        ad_x = self._right_ad((np.outer(ts, a) + b) % p)
         for _ in range(p - 2):
-            with_a = self._bracket_rows(states, a)
-            with_b = self._bracket_rows(states, b)
-            states = np.vstack([with_a, with_b])
-            counts = np.concatenate([counts + 1, counts])
-        total = self.zero()
-        for v, cnt in zip(states, counts):
-            total = (total + inv_mod(int(cnt), p) * v) % p
-        return total
+            u = u @ ad_x % p
+            if not u.any():
+                return self.zero()
+        return ws @ u.reshape(-1, self.n) % p
 
     def p_power(self, x, order: str = "asc") -> np.ndarray:
         """x^[p], by peeling basis components off x.
 
-        The peel order ("asc" or "desc" index) must not change the
-        result; verify_restricted tests that as a property.
+        Peeling a = lam e_i off x = a + r adds lam^p e_i^[p] = lam e_i^[p]
+        and the correction r2(a, r); the peel order ("asc" or "desc"
+        index) must not change the result, and verify_restricted tests
+        that as a property.
         """
         x = self._check_vec(x)
-        p = self.p
-        if self.is_abelian:
-            lam = np.array([pow(int(v), p, p) for v in x], dtype=np.int64)
-            return (lam @ self.pi) % p
-        if p > NONABELIAN_P_BOUND:
-            raise UnsupportedPrime(
-                f"nonabelian p-power enumerates 2^(p-2) sequences; p={p} exceeds bound {NONABELIAN_P_BOUND}"
-            )
-        nz = np.nonzero(x)[0]
-        if nz.size == 0:
-            return self.zero()
-        i = int(nz[0] if order == "asc" else nz[-1])
-        lam = int(x[i])
-        head = (pow(lam, p, p) * self.pi[i]) % p
-        if nz.size == 1:
-            return head
-        a = self.zero()
-        a[i] = lam
+        out = x @ self.pi % self.p
+        order_idx = np.nonzero(x)[0]
         r = x.copy()
-        r[i] = 0
-        rest = self.p_power(r, order)
-        corr = self._r2_correction(a, r)
-        return (head + rest + corr) % p
+        for i in order_idx[:-1] if order == "asc" else order_idx[:0:-1]:
+            a = self.zero()
+            a[i], r[i] = r[i], 0
+            out += self._r2_correction(a, r)
+        return out % self.p
 
     def all_elements(self) -> np.ndarray:
         """Every coordinate vector, for exhaustive checks (p^n rows)."""
@@ -191,9 +219,7 @@ def _r3_gap(L: RestrictedLieAlgebra, h: np.ndarray):
     """[e_g, h^[p]] minus the p-fold bracket [e_g, h, ..., h], all g at once."""
     hp = L.p_power(h)
     lhs = np.tensordot(hp, L.c, axes=([0], [1])) % L.p
-    rhs = np.tensordot(h, L.c, axes=([0], [1])) % L.p
-    for _ in range(L.p - 1):
-        rhs = L._bracket_rows(rhs, h)
+    rhs = mat_pow_mod(L._right_ad(h), L.p, L.p)
     return (lhs - rhs) % L.p
 
 
@@ -310,9 +336,7 @@ def witt_algebra(p: int):
     constructor asserts the bracket and the p-power against them and is
     used as the oracle throughout the test-suite.
     """
-    p = int(p)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _check_modulus(p)
     rep = []
     for j in range(p):
         M = np.zeros((p, p), dtype=np.int64)

@@ -13,7 +13,11 @@ The *-correction for omega(g+h) sums over all length-p sequences
 (g_1 = g, g_2 = h, rest free in {g, h}), weighting each by the inverse
 of the number of g's; the **-correction additionally splits the trailing
 action positions into an acting part and a part bracketed onto the first
-argument.  Both correction formulas are pinned down by the
+argument.  Every summand is multilinear in the free entries, so
+liealg.quadrature evaluates both sums exactly from fewer than p
+sequences, each with every free entry equal to one x = t g + h; there
+the 2^j splits collapse into j applications of the action of x on
+Hom(L, M).  Both correction formulas are pinned down by the
 delta2.delta1 = 0 matrix identity and by the closure tests.
 """
 
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import binom_mod, inv_mod
 from .linalg import (
     mat_pow_mod,
     nullspace,
@@ -32,11 +35,9 @@ from .linalg import (
     quotient_representatives,
     rank,
 )
-from .liealg import RestrictedLieAlgebra, UnsupportedPrime
+from .liealg import RestrictedLieAlgebra, quadrature
 from .gmod import RestrictedModule, invariants
 from .classical import class_coordinates, classical_cohomology, delta_cl_matrix
-
-STAR_P_BOUND = 7
 
 
 @dataclass
@@ -130,63 +131,56 @@ def c3_to_vec(L, M, c3: Cochain3) -> np.ndarray:
     return np.concatenate([out, c3.beta_basis.reshape(-1) % L.p])
 
 
+def _fix_first(form: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+    """A form with its first argument set to the reduced vector u; a
+    stack of vectors u gives a stack of forms."""
+    n = form.shape[0]
+    return (u @ form.reshape(n, -1) % p).reshape(u.shape[:-1] + form.shape[1:])
+
+
 def _phi_eval(phi: np.ndarray, u, v, p: int) -> np.ndarray:
-    return np.einsum("i,j,ijb->b", u % p, v % p, phi) % p
+    return v @ _fix_first(phi, u, p) % p
 
 
 def _alpha_eval(alpha: np.ndarray, u, v, w, p: int) -> np.ndarray:
-    return np.einsum("i,j,k,ijkb->b", u % p, v % p, w % p, alpha) % p
+    return _phi_eval(_fix_first(alpha, u, p), v, w, p)
 
 
-def _guard_prime(L) -> None:
-    if not L.is_abelian and L.p > STAR_P_BOUND:
-        raise UnsupportedPrime(
-            f"sequence enumeration is 2^(p-2); p={L.p} exceeds bound {STAR_P_BOUND} for nonabelian algebras"
-        )
+def _tail_nodes(L, M, a, b):
+    """Quadrature weights, the nodes x = t a + b, and per node the matrices
+    of u -> [u, x] and of v -> rho(x) v, both acting on row vectors."""
+    ts, ws = quadrature(L.p)
+    xs = (np.outer(ts, a) + b) % L.p
+    return ws, xs, L._right_ad(xs), _fix_first(M.rho.transpose(0, 2, 1), xs, L.p)
 
 
 def star_correction(L, M, phi: np.ndarray, a, b) -> np.ndarray:
-    """The *-property correction for omega(a + b), with g_1 = a, g_2 = b."""
-    p, m = L.p, M.m
+    """The *-property correction for omega(a + b), with g_1 = a, g_2 = b.
+
+    Per sequence (l_1, ..., l_p) it is the sum over k of (-1)^k
+    rho(l_p) ... rho(l_{p-k+1}) phi([l_1, ..., l_{p-k-1}], l_{p-k}).  At a
+    node x every free l equals x, so the k-sum is one Horner pass in
+    rho(x) along the chain [a, b, x, ..., x], stopped once both the chain
+    and the accumulated value vanish.
+    """
+    p = L.p
     a = L._check_vec(a)
     b = L._check_vec(b)
-    if L.is_abelian:
-        # every bracket of length >= 2 dies and the actions commute
-        base = _phi_eval(phi, a, b, p)
-        if not base.any():
-            return base
-        if p == 2:
-            return base
-        ra, rb = M.matrix_of(a), M.matrix_of(b)
-        sgn = (-1) ** (p - 2)
-        total = np.zeros(m, dtype=np.int64)
-        for ca in range(p - 1):
-            w = (binom_mod(p - 2, ca, p) * inv_mod(1 + ca, p)) % p
-            if w == 0:
-                continue
-            mat = (mat_pow_mod(ra, ca, p) @ mat_pow_mod(rb, p - 2 - ca, p)) % p
-            total = (total + w * (mat @ base)) % p
-        return (sgn * total) % p
-    _guard_prime(L)
-    ra, rb = M.matrix_of(a), M.matrix_of(b)
-    total = np.zeros(m, dtype=np.int64)
-    for tail in itertools.product((0, 1), repeat=p - 2):
-        vecs = [a, b] + [a if t == 0 else b for t in tail]
-        mats = [ra, rb] + [ra if t == 0 else rb for t in tail]
-        weight = inv_mod(1 + tail.count(0), p)
-        prefixes = [vecs[0]]
-        for idx in range(1, p - 1):
-            prefixes.append(L.bracket(prefixes[-1], vecs[idx]))
-        acting = np.eye(m, dtype=np.int64)
-        term = np.zeros(m, dtype=np.int64)
-        for k in range(p - 1):
-            val = _phi_eval(phi, prefixes[p - k - 2], vecs[p - k - 1], p)
-            val = (acting @ val) % p
-            term = (term + (-1) ** k * val) % p
-            if k < p - 2:
-                acting = (acting @ mats[p - k - 1]) % p
-        total = (total + weight * term) % p
-    return total % p
+    acc, u = _phi_eval(phi, a, b, p)[None], a[None] @ L._right_ad(b) % p
+    if not (acc.any() or u.any()):
+        return acc[0]
+    ws, xs, ad_x, rho_x = _tail_nodes(L, M, a, b)
+    phi_x = _fix_first(phi.transpose(1, 0, 2), xs, p)  # row u: phi(u, x)
+    for _ in range(p - 2):
+        acc = -(acc @ rho_x)
+        live = u.any()
+        if live:
+            acc += u @ phi_x
+            u = u @ ad_x % p
+        acc %= p
+        if not (live or acc.any()):
+            break
+    return ws @ acc.reshape(-1, M.m) % p
 
 
 def star_star_correction(L, M, alpha: np.ndarray, g, h1, h2) -> np.ndarray:
@@ -195,54 +189,32 @@ def star_star_correction(L, M, alpha: np.ndarray, g, h1, h2) -> np.ndarray:
     For each sequence (l_1 = h1, l_2 = h2, rest free) and each j, the
     last j positions split into an acting set A and a set B bracketed
     onto g; both the action product and the bracket tail run through
-    their positions in descending order.
+    their positions in descending order.  At a node x every free l
+    equals x, and the 2^j splits sum to (T^j F_j)(g), where
+    F_j = alpha(., [l_1, ..., l_{p-j-1}], l_{p-j}) and
+    T F = rho(x) F + F([., x]) is the action of x on Hom(L, M).  The
+    alternating j-sum is a Horner pass in T on n x m matrices.
     """
-    p, m = L.p, M.m
+    p, n, m = L.p, L.n, M.m
     g = L._check_vec(g)
     h1 = L._check_vec(h1)
     h2 = L._check_vec(h2)
-    if L.is_abelian:
-        base = _alpha_eval(alpha, g, h1, h2, p)
-        if not base.any():
-            return base
-        if p == 2:
-            return base
-        r1, r2 = M.matrix_of(h1), M.matrix_of(h2)
-        sgn = (-1) ** (p - 2)
-        total = np.zeros(m, dtype=np.int64)
-        for ca in range(p - 1):
-            w = (binom_mod(p - 2, ca, p) * inv_mod(1 + ca, p)) % p
-            if w == 0:
-                continue
-            mat = (mat_pow_mod(r1, ca, p) @ mat_pow_mod(r2, p - 2 - ca, p)) % p
-            total = (total + w * (mat @ base)) % p
-        return (sgn * total) % p
-    _guard_prime(L)
-    r1, r2 = M.matrix_of(h1), M.matrix_of(h2)
-    total = np.zeros(m, dtype=np.int64)
-    for tail in itertools.product((0, 1), repeat=p - 2):
-        vecs = [h1, h2] + [h1 if t == 0 else h2 for t in tail]
-        mats = [r1, r2] + [r1 if t == 0 else r2 for t in tail]
-        weight = inv_mod(1 + tail.count(0), p)
-        prefixes = [vecs[0]]
-        for idx in range(1, p - 1):
-            prefixes.append(L.bracket(prefixes[-1], vecs[idx]))
-        for j in range(p - 1):
-            sgn = (-1) ** j
-            positions = list(range(p - j, p))
-            mid = prefixes[p - j - 2]
-            last = vecs[p - j - 1]
-            for split in range(1 << j):
-                u = g
-                for t in reversed(range(j)):
-                    if not (split >> t) & 1:
-                        u = L.bracket(u, vecs[positions[t]])
-                val = _alpha_eval(alpha, u, mid, last, p)
-                for t in range(j):
-                    if (split >> t) & 1:
-                        val = (mats[positions[t]] @ val) % p
-                total = (total + weight * sgn * val) % p
-    return total % p
+    wvu = alpha.transpose(2, 1, 0, 3)
+    acc, u = _fix_first(_fix_first(wvu, h2, p), h1, p), h1[None] @ L._right_ad(h2) % p
+    if not (acc.any() or u.any()):
+        return np.zeros(m, dtype=np.int64)
+    ws, xs, ad_x, rho_x = _tail_nodes(L, M, h1, h2)
+    alpha_x = _fix_first(wvu, xs, p).reshape(len(ws), n, n * m)  # row v: alpha(., v, x)
+    for _ in range(p - 2):
+        acc = -(acc @ rho_x + ad_x @ acc)
+        live = u.any()
+        if live:
+            acc += (u @ alpha_x).reshape(len(ws), n, m)
+            u = u @ ad_x % p
+        acc %= p
+        if not (live or acc.any()):
+            break
+    return g @ (ws @ acc.reshape(len(ws), -1) % p).reshape(n, m) % p
 
 
 def _peel_index(L, x, order: str) -> int:
@@ -279,7 +251,7 @@ def eval_beta(L, M, c3: Cochain3, g, h, order: str = "asc") -> np.ndarray:
         return np.zeros(M.m, dtype=np.int64)
     i = _peel_index(L, h, order)
     lam = int(h[i])
-    base = (pow(lam, p, p) * np.einsum("t,tb->b", g, c3.beta_basis[:, i, :])) % p
+    base = (pow(lam, p, p) * ((g @ c3.beta_basis[:, i, :]) % p)) % p
     rest = h.copy()
     rest[i] = 0
     if not rest.any():

@@ -90,6 +90,24 @@ def test_non_prime_field_exits_two(tmp_path, capsys):
     assert "GF(4)" in err
 
 
+def test_modulus_ceiling(tmp_path, capsys):
+    # 65521 is the largest prime below the int64 ceiling 2^16, 65537 the next
+    path = write(tmp_path, "borel.alg", SOLVABLE.replace("GF(5)", "GF(65521)"))
+    code, report, _ = run_cli(capsys, "cohomology", path, "--degree", "1")
+    assert code == 0
+    assert (report["results"]["restricted_dim"], report["results"]["classical_dim"]) == (0, 1)
+    path = write(tmp_path, "big.alg", SOLVABLE.replace("GF(5)", "GF(65537)"))
+    # a 19-digit prime is refused before its primality is tested
+    huge = write(tmp_path, "huge.alg", SOLVABLE.replace("GF(5)", "GF(2305843009213693951)"))
+    code, report, err = run_cli(capsys, "validate", huge)
+    assert code == 2 and report is None and "2305843009213693951" in err
+    for argv in (("validate", path), ("cohomology", path, "--degree", "1"),
+                 ("witt", "--p", "65537")):
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 2 and report is None
+        assert "65537" in err
+
+
 def test_cohomology_degree_one(tmp_path, capsys):
     path = write(tmp_path, "borel.alg", SOLVABLE)
     code, report, _ = run_cli(capsys, "cohomology", path, "--degree", "1")

@@ -4,18 +4,28 @@ import pytest
 from rescoh.liealg import (
     DimensionMismatch,
     EmptySequence,
+    MODULUS_LIMIT,
+    ModulusTooLarge,
     NotRestrictable,
     RestrictedLieAlgebra,
-    UnsupportedPrime,
     VerificationFailed,
     abelian_algebra,
     heisenberg_algebra,
     infer_p_operator,
+    quadrature,
     solvable2_algebra,
     verify_restricted,
     witt_algebra,
 )
+from rescoh.field import inv_mod, is_prime
 from rescoh.linalg import mat_pow_mod, sample_vectors
+
+from conftest import CORPUS, nonzero_pi
+from enumerations import r2_enumeration
+
+# The largest prime below MODULUS_LIMIT and the next prime above it.
+LARGEST_PRIME = 65521
+NEXT_PRIME = 65537
 
 
 def test_constructor_rejects_bad_shapes():
@@ -112,10 +122,12 @@ def test_solvable2_p_power_closed_form():
 
 
 def test_p_power_matches_matrix_power_in_witt_representation():
-    for p in (3, 5):
+    # the faithful representation is an oracle independent of the
+    # correction, also past the old prime bound: rep(x)^p = rep(x^[p])
+    for p, count in ((3, 20), (5, 20), (11, 6), (13, 4), (17, 3)):
         L, rep = witt_algebra(p)
         mats = np.stack(rep)
-        for x in sample_vectors(p, p, 20, "rep-power"):
+        for x in sample_vectors(p, p, count, "rep-power"):
             m = np.tensordot(x, mats, axes=([0], [0])) % p
             lhs = mat_pow_mod(m, p, p)
             rhs = np.tensordot(L.p_power(x), mats, axes=([0], [0])) % p
@@ -128,13 +140,48 @@ def test_peel_order_independent():
         assert (L.p_power(x, "asc") == L.p_power(x, "desc")).all()
 
 
-def test_nonabelian_large_prime_guard():
+def test_nonabelian_p_power_past_the_old_bound():
     L = heisenberg_algebra(17)
-    with pytest.raises(UnsupportedPrime):
-        L.p_power([1, 1, 0])
-    # basis vectors peel without corrections but still hit the guard first
-    with pytest.raises(UnsupportedPrime):
-        L.p_power([1, 0, 0])
+    assert not L.p_power([1, 1, 0]).any()
+    assert not L.p_power([1, 0, 0]).any()
+    S = solvable2_algebra(17)
+    assert (S.p_power([1, 1]) == [1, 1]).all()
+
+
+def test_quadrature_integrates_monomials():
+    # sum_t w_t t^j = 1/(j+1) for j <= p - 2, nodes distinct and weights nonzero
+    for p in (2, 3, 5, 7, 11, 13, 17, 31):
+        ts, ws = quadrature(p)
+        assert len(set(ts.tolist())) == len(ts) <= p - 1
+        assert ws.all()
+        for j in range(p - 1):
+            lhs = sum(int(w) * pow(int(t), j, p) for t, w in zip(ts, ws)) % p
+            assert lhs == inv_mod(j + 1, p), (p, j)
+
+
+def test_r2_correction_matches_enumeration():
+    # the quadrature reproduces the 2^(p-2) tail sum exactly
+    for tag, L in CORPUS + [("abelian3nz_p7", abelian_algebra(3, 7, pi=nonzero_pi(3)))]:
+        n = L.n
+        for ab in sample_vectors(L.p, 2 * n, 6, f"r2-oracle-{tag}"):
+            a, b = ab[:n], ab[n:]
+            assert np.array_equal(L._r2_correction(a, b), r2_enumeration(L, a, b)), (tag, ab)
+
+
+def test_modulus_ceiling():
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[0, 1, 2], c[1, 0, 2] = 1, -1
+    L = RestrictedLieAlgebra(LARGEST_PRIME, c, np.zeros((3, 3)))
+    q = LARGEST_PRIME - 1
+    assert (L.bracket([q, q, q], [q, 0, 0]) == [0, 0, (-q * q) % LARGEST_PRIME]).all()
+    assert not L.p_power([q, q, q]).any()
+    assert is_prime(LARGEST_PRIME) and is_prime(NEXT_PRIME)
+    assert not any(is_prime(k) for k in range(LARGEST_PRIME + 1, NEXT_PRIME))
+    assert LARGEST_PRIME < MODULUS_LIMIT < NEXT_PRIME
+    with pytest.raises(ModulusTooLarge):
+        RestrictedLieAlgebra(NEXT_PRIME, c, np.zeros((3, 3)))
+    with pytest.raises(ModulusTooLarge):
+        witt_algebra(NEXT_PRIME)  # refused before any p x p matrix is built
 
 
 def test_verify_restricted_corpus(corpus_entry):

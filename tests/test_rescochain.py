@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from rescoh.gmod import adjoint_module, invariants, trivial_module
+from rescoh.gmod import RestrictedModule, adjoint_module, invariants, trivial_module
 from rescoh.liealg import (
-    UnsupportedPrime,
     abelian_algebra,
     heisenberg_algebra,
     solvable2_algebra,
@@ -13,8 +12,9 @@ from rescoh.liealg import (
 )
 from rescoh.linalg import Subspace, matmul_mod, nullspace, sample_vectors
 from rescoh.rescochain import (
-    STAR_P_BOUND,
     Cochain2,
+    _alpha_eval,
+    _phi_eval,
     beta_induced,
     c2_from_vec,
     c2_to_vec,
@@ -32,10 +32,12 @@ from rescoh.rescochain import (
     psi_tilde,
     restricted_cohomology,
     star_correction,
+    star_star_correction,
     triple_tuples,
 )
 
-from conftest import coefficient_modules, nonzero_pi
+from conftest import CORPUS, coefficient_modules, nonzero_pi
+from enumerations import star_enumeration, star_star_enumeration
 
 
 def random_c2(L, M, tag):
@@ -143,6 +145,41 @@ def test_delta1_omega_is_psi_tilde_on_basis():
                 assert (c2.omega_basis[i] == expect).all()
 
 
+def _oracle_modules(L):
+    # trivial and adjoint, plus an arbitrary action: the quadrature is an
+    # identity of multilinear sums, so it must hold for any matrices, and
+    # over an abelian algebra only a nonzero action leaves p > 2 terms alive
+    p, n = L.p, L.n
+    rho = sample_vectors(p, n * 4, 1, f"oracle-rho-{p}-{n}")[0].reshape(n, 2, 2)
+    return coefficient_modules(L) + [("arbitrary", RestrictedModule(L, rho))]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    CORPUS + [("abelian3nz_p7", abelian_algebra(3, 7, pi=nonzero_pi(3)))],
+    ids=lambda e: e[0],
+)
+def test_corrections_match_enumeration(entry):
+    tag, L = entry
+    p, n = L.p, L.n
+    for mname, M in _oracle_modules(L):
+        m = M.m
+        phis = sample_vectors(p, n * n * m, 3, f"or-phi-{tag}-{mname}")
+        alphas = sample_vectors(p, n ** 3 * m, 3, f"or-alpha-{tag}-{mname}")
+        points = sample_vectors(p, 3 * n, 3, f"or-pts-{tag}-{mname}")
+        for phi, alpha, pts in zip(phis, alphas, points):
+            phi = phi.reshape(n, n, m)
+            alpha = alpha.reshape(n, n, n, m)
+            g, a, b = pts[:n], pts[n : 2 * n], pts[2 * n :]
+            assert np.array_equal(
+                star_correction(L, M, phi, a, b), star_enumeration(L, M, phi, a, b)
+            ), (tag, mname, pts)
+            assert np.array_equal(
+                star_star_correction(L, M, alpha, g, a, b),
+                star_star_enumeration(L, M, alpha, g, a, b),
+            ), (tag, mname, pts)
+
+
 def test_star_property_of_psi_tilde():
     # psi~(a+b) - psi~(a) - psi~(b) equals the *-correction for delta_cl(psi)
     for L in (witt_algebra(3)[0], witt_algebra(5)[0], solvable2_algebra(5)):
@@ -180,8 +217,6 @@ def test_star_closure(corpus_entry):
 def test_star_star_closure(corpus_entry):
     tag, L = corpus_entry
     p, n = L.p, L.n
-    if p > 5:
-        pytest.skip("quadratic sequence blow-up above p=5")
     for mname, M in coefficient_modules(L):
         c2 = random_c2(L, M, f"ss-{tag}-{mname}")
         c3 = delta2(L, M, c2)
@@ -370,13 +405,36 @@ def test_eval_beta_linear_in_first_slot():
         assert (lhs == rhs).all()
 
 
-def test_large_prime_guard():
+def test_closure_past_the_old_bound():
+    # Witt p = 11: the star property of psi~ and one star-star closure point
     L, _ = witt_algebra(11)
-    M = trivial_module(L, 1)
-    phi = np.zeros((11, 11, 1), dtype=np.int64)
-    phi[0, 1, 0], phi[1, 0, 0] = 1, 10
-    with pytest.raises(UnsupportedPrime):
-        star_correction(L, M, phi, L.basis_vector(0), L.basis_vector(1))
+    p, n = L.p, L.n
+    for mname, M in coefficient_modules(L):
+        psi = random_psi(L, M, f"big-star-{mname}")
+        phi = delta1(L, M, psi).phi
+        a, b = sample_vectors(p, n, 2, f"big-star-ab-{mname}")
+        lhs = (
+            psi_tilde(L, M, psi, (a + b) % p) - psi_tilde(L, M, psi, a) - psi_tilde(L, M, psi, b)
+        ) % p
+        assert np.array_equal(lhs, star_correction(L, M, phi, a, b)), mname
+        c2 = random_c2(L, M, f"big-ss-{mname}")
+        c3 = delta2(L, M, c2)
+        g, h = sample_vectors(p, n, 2, f"big-ss-gh-{mname}")
+        assert np.array_equal(eval_beta(L, M, c3, g, h), beta_induced(L, M, c2, g, h)), mname
+
+
+def test_forms_exact_at_the_largest_modulus():
+    # the widest int64 product-sums: every entry p - 1, so a single unreduced
+    # four-factor product would already overflow
+    p = 65521
+    q = p - 1
+    assert abelian_algebra(3, p).p == p  # accepted
+    full = np.full(3, q, dtype=np.int64)
+    alpha = np.full((3, 3, 3, 1), q, dtype=np.int64)
+    phi = np.full((3, 3, 1), q, dtype=np.int64)
+    assert _alpha_eval(alpha, full, full, full, p).tolist() == [27 * q**4 % p]
+    assert _phi_eval(phi, full, full, p).tolist() == [9 * q**3 % p]
+    assert 27 * q**4 % p == 27
 
 
 def test_restricted_cohomology_known_values():
