@@ -12,11 +12,18 @@ same index in the wedge weighted by a (p-1)-st power in U_res.  The
 complex is exact in degrees below p, which turns cohomology with any
 restricted coefficient module into finite linear algebra over GF(p).
 
+U_res is commutative here, so d is U_res-linear: d_k = Σ_i A_i ⊗ x_i +
+B ⊗ 1 + Σ_j C_j ⊗ x_j^{p-1}, small tables on the free generators times
+2n+1 right multiplications, straightened once and assembled by array
+index arithmetic.  The dual complex pairs the same tables with the
+operators' matrices on the module.
+
 Two auxiliary complexes support the exactness argument and are checked
-directly here: the wedge-only complex on Λ^k ⊗ U_res whose homology has
-dimension C(n,k), and a formal complex on symbols e^mu ⊗ c_I carrying a
-contracting homotopy with eigenvalue t+s.  The resolution also carries
-a graded-commutative product for which the differential is a derivation.
+directly here: the wedge-only complex on Λ^k ⊗ U_res (the A_i part of
+d) whose homology has dimension C(n,k), and a formal complex on symbols
+e^mu ⊗ c_I carrying a contracting homotopy with eigenvalue t+s.  The
+resolution also carries a graded-commutative product for which the
+differential is a derivation.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import numpy as np
 
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
-from .linalg import InvariantFailure, SparseMatrix, matmul_mod, quotient_dim, rank, zeros
+from .linalg import (InvariantFailure, SparseMatrix, identity, mat_pow_mod, matmul_mod,
+                     quotient_dim, rank, zeros)
 from .ures import TooLarge, Ures
 
 SLICE_BOUND = 20_000
@@ -98,16 +106,20 @@ def _bidegrees(k: int) -> list[tuple[int, int]]:
     return [(t, k - 2 * t) for t in range(k // 2 + 1)]
 
 
-def _slice_basis(n: int, k: int, monos: list[tuple]) -> list[ChainBasisElement]:
+def _formal_basis(n: int, k: int, wedge_only: bool = False):
+    """Free generators (mu, I) of C_k, 2|mu| + |I| = k; mu = 0 only if wedge_only."""
     out = []
-    for t, s in _bidegrees(k):
+    for t, s in [(0, k)] if wedge_only else _bidegrees(k):
         if s > n:
             continue
         for mu in _multidegrees(n, t):
             for I in itertools.combinations(range(n), s):
-                for r in monos:
-                    out.append(ChainBasisElement(mu, I, r))
+                out.append((mu, I))
     return out
+
+
+def _slice_basis(n: int, k: int, monos: list[tuple]) -> list[ChainBasisElement]:
+    return [ChainBasisElement(mu, I, r) for mu, I in _formal_basis(n, k) for r in monos]
 
 
 def _power_mono(n: int, i: int, k: int) -> tuple:
@@ -126,57 +138,99 @@ def _wedge_insert(I: tuple, l: int):
     return tuple(sorted(I + (l,))), sign
 
 
-def _differential(L: RestrictedLieAlgebra, U: Ures, src: list[ChainBasisElement],
-                  dst_index: dict[ChainBasisElement, int]) -> SparseMatrix:
-    """Matrix of d from the src basis into the indexed target basis."""
-    p, n = L.p, L.n
-    cols = []
-    for mu, I, r in src:
-        col: dict[int, int] = {}
-        # wedge slot into U_res; left and right products agree (abelian)
+def _generator_terms(L: RestrictedLieAlgebra, src: list, dst: list) -> list[tuple]:
+    """d on free generators as (target, source, coefficient, operator) terms.
+
+    Generators are indexed by their place in src and dst; operators are
+    numbered as in _right_operators (x_o for o < n, 1, then x_j^{p-1}).
+    """
+    n = L.n
+    index = {b: i for i, b in enumerate(dst)}
+    out = []
+    for g, (mu, I) in enumerate(src):
+        # wedge slot into u; left and right products agree (abelian)
         for a, i in enumerate(I):
-            sgn = -1 if a % 2 else 1
-            rest = I[:a] + I[a + 1 :]
-            for mono, cf in U.mono_times_gen(r, i).items():
-                row = dst_index[ChainBasisElement(mu, rest, mono)]
-                col[row] = col.get(row, 0) + sgn * cf
+            out.append((index[(mu, I[:a] + I[a + 1 :])], g, -1 if a % 2 else 1, i))
         for j in range(n):
             if mu[j] == 0:
                 continue
             mu2 = mu[:j] + (mu[j] - 1,) + mu[j + 1 :]
             # symmetric slot replaced by its p-power inside the wedge
             for l in range(n):
-                cf = int(L.pi[j, l])
-                if cf == 0:
-                    continue
                 ins = _wedge_insert(I, l)
-                if ins is None:
-                    continue
-                I2, sgn = ins
-                row = dst_index[ChainBasisElement(mu2, I2, r)]
-                col[row] = col.get(row, 0) + mu[j] * cf * sgn
-            # symmetric slot moved to the wedge, (p-1)-st power into U_res
+                if L.pi[j, l] and ins:
+                    out.append((index[(mu2, ins[0])], g, mu[j] * int(L.pi[j, l]) * ins[1], n))
+            # symmetric slot moved to the wedge, (p-1)-st power into u
             ins = _wedge_insert(I, j)
-            if ins is None:
-                continue
-            I2, sgn = ins
-            pw = {_power_mono(n, j, p - 1): 1}
-            for mono, cf in U.multiply(pw, {r: 1}).items():
-                row = dst_index[ChainBasisElement(mu2, I2, mono)]
-                col[row] = col.get(row, 0) - mu[j] * cf * sgn
-        cols.append({row: v % p for row, v in col.items() if v % p})
-    return SparseMatrix((len(dst_index), len(src)), cols, p)
+            if ins:
+                out.append((index[(mu2, ins[0])], g, -mu[j] * ins[1], n + 1 + j))
+    return out
+
+
+def _fold(rows, cols, vals, n_rows: int, p: int):
+    """Sum entries at equal (row, col) mod p and drop zeros; sorted by column, then row."""
+    key = cols * n_rows + rows
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, vals = key[first], np.add.reduceat(vals, first) % p
+    keep = vals != 0
+    return key[keep] % n_rows, key[keep] // n_rows, vals[keep]
+
+
+def _right_operators(U: Ures) -> list[tuple]:
+    """Right multiplication on u by x_0..x_{n-1}, by 1 and by x_0^{p-1}..x_{n-1}^{p-1}.
+
+    Each operator is a (rows, cols, values) triple of arrays over PBW
+    ranks, straightened once.  u is commutative, so these are also the
+    left multiplications.
+    """
+    monos, n = U.basis(), U.n
+    images = [[U.mono_times_gen(m, i) for m in monos] for i in range(n)]
+    images.append([{m: 1} for m in monos])
+    images += [[U.multiply({m: 1}, {_power_mono(n, j, U.p - 1): 1}) for m in monos]
+               for j in range(n)]
+    weights = U.p ** np.arange(n - 1, -1, -1)
+    ops = []
+    for table in images:
+        cols, targets, vals = zip(*((c, m, v) for c, im in enumerate(table) for m, v in im.items()))
+        ops.append((np.array(targets, dtype=np.int64) @ weights, np.array(cols), np.array(vals)))
+    return ops
+
+
+def _assemble(L: RestrictedLieAlgebra, ops: list[tuple], k: int,
+              wedge_only: bool = False) -> SparseMatrix:
+    """d_k = Σ_i A_i ⊗ x_i + B ⊗ 1 + Σ_j C_j ⊗ x_j^{p-1} as a SparseMatrix.
+
+    Index g·p^n + mono rank, as in _slice_basis; wedge_only restricts to
+    the summand Λ^k ⊗ u.
+    """
+    p, n = L.p, L.n
+    size = p**n
+    src, dst = _formal_basis(n, k, wedge_only), _formal_basis(n, k - 1, wedge_only)
+    terms = np.array(_generator_terms(L, src, dst), dtype=np.int64).reshape(-1, 4)
+    parts = []
+    for o, (orow, ocol, oval) in enumerate(ops):
+        tgt, s, cf = terms[terms[:, 3] == o, :3].T
+        parts.append(((tgt[:, None] * size + orow).ravel(), (s[:, None] * size + ocol).ravel(),
+                      ((cf % p)[:, None] * oval).ravel()))
+    n_rows, n_cols = len(dst) * size, len(src) * size
+    rows, cols, vals = _fold(*(np.concatenate(x) for x in zip(*parts)), n_rows, p)
+    out: list[dict[int, int]] = [{} for _ in range(n_cols)]
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out[c][r] = v
+    return SparseMatrix((n_rows, n_cols), out, p)
 
 
 def _build_slices(L: RestrictedLieAlgebra, U: Ures, top: int) -> list[ChainComplexSlice]:
     monos = U.basis()
+    ops = _right_operators(U)
     slices = [ChainComplexSlice(0, _slice_basis(L.n, 0, monos), None)]
     for k in range(1, top + 1):
         basis = _slice_basis(L.n, k, monos)
         if len(basis) > SLICE_BOUND:
             raise TooLarge(f"degree-{k} slice has dimension {len(basis)}")
-        below = {b: i for i, b in enumerate(slices[k - 1].basis)}
-        slices.append(ChainComplexSlice(k, basis, _differential(L, U, basis, below)))
+        slices.append(ChainComplexSlice(k, basis, _assemble(L, ops, k)))
     return slices
 
 
@@ -220,26 +274,6 @@ def resolution_homology(res: Resolution, k: int) -> int:
         raise ValueError(f"k={k} outside built range 0..{res.k_max}")
     rank_out = 1 if k == 0 else res.d_rank(k)
     return len(res.slices[k].basis) - rank_out - res.d_rank(k + 1)
-
-
-def _aux_basis(n: int, k: int, monos: list[tuple]):
-    return [(I, r) for I in itertools.combinations(range(n), k) for r in monos]
-
-
-def _aux_differential(L, U, k: int, monos) -> np.ndarray:
-    """Wedge-only boundary on Λ^k ⊗ U_res."""
-    src = _aux_basis(L.n, k, monos)
-    dst = {b: i for i, b in enumerate(_aux_basis(L.n, k - 1, monos))}
-    d = zeros(len(dst), len(src))
-    p = L.p
-    for col, (I, r) in enumerate(src):
-        for a, i in enumerate(I):
-            sgn = -1 if a % 2 else 1
-            rest = I[:a] + I[a + 1 :]
-            for mono, cf in U.mono_times_gen(r, i).items():
-                row = dst[(rest, mono)]
-                d[row, col] = (d[row, col] + sgn * cf) % p
-    return d
 
 
 def _c_product_vector(L, U, I: tuple, basis_index: dict) -> np.ndarray:
@@ -290,10 +324,16 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     p, n = L.p, L.n
     U = Ures(L)
     monos = U.basis()
-    d_out = _aux_differential(L, U, k, monos) if k >= 1 else None
-    d_in = _aux_differential(L, U, k + 1, monos) if k + 1 <= n else None
-    dim = quotient_dim(d_in, d_out, p)
-    basis_index = {b: i for i, b in enumerate(_aux_basis(n, k, monos))}
+    ops = _right_operators(U)
+    d_out = _assemble(L, ops, k, wedge_only=True) if k >= 1 else None
+    d_in = _assemble(L, ops, k + 1, wedge_only=True) if k + 1 <= n else None
+    if d_out is not None and d_in is not None:
+        d_out.check_composite(d_in, f"aux d_{k} d_{k + 1}")
+    rank_out = rank(d_out, p) if d_out is not None else 0
+    rank_in = rank(d_in, p) if d_in is not None else 0
+    dim = math.comb(n, k) * len(monos) - rank_out - rank_in
+    basis_index = {b: i for i, b in enumerate(itertools.product(
+        itertools.combinations(range(n), k), monos))}
     reps = zeros(math.comb(n, k), len(basis_index))
     for row, I in enumerate(itertools.combinations(range(n), k)):
         if L.pi.any():
@@ -301,31 +341,18 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
         else:
             mono = tuple(p - 1 if j in I else 0 for j in range(n))
             reps[row, basis_index[(I, mono)]] = 1
-    if d_out is not None and matmul_mod(d_out, reps.T, p).any():
+    rep_cols = [dict(zip(np.flatnonzero(r).tolist(), r[r != 0].tolist())) for r in reps]
+    if d_out is not None and any(d_out.matvec(c) for c in rep_cols):
         raise InvariantFailure(f"aux_C_homology(k={k}): a representative is not a cycle")
-    if d_in is not None:
-        base = rank(d_in.T, p)
-        joint = rank(np.vstack([d_in.T, reps]), p)
-    else:
-        base, joint = 0, rank(reps, p)
-    if joint != base + reps.shape[0]:
+    in_cols = d_in.cols if d_in is not None else []
+    joint = rank(SparseMatrix((len(basis_index), len(in_cols) + len(rep_cols)),
+                              in_cols + rep_cols, p), p)
+    if joint != rank_in + reps.shape[0]:
         raise InvariantFailure(f"aux_C_homology(k={k}): representatives dependent mod boundaries")
     if reps.shape[0] != dim:
         raise InvariantFailure(f"aux_C_homology(k={k}): {reps.shape[0]} representatives "
                                f"for homology of dimension {dim}")
     return dim, reps
-
-
-def _formal_basis(n: int, k: int):
-    """(mu, I) symbols of total degree 2|mu| + |I| = k."""
-    out = []
-    for t, s in _bidegrees(k):
-        if s > n:
-            continue
-        for mu in _multidegrees(n, t):
-            for I in itertools.combinations(range(n), s):
-                out.append((mu, I))
-    return out
 
 
 def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
@@ -346,16 +373,11 @@ def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
     idx = [{b: i for i, b in enumerate(bk)} for bk in bases]
 
     def bdry(k: int) -> np.ndarray:
+        """Minus the C_j tables of the resolution differential."""
         d = zeros(len(bases[k - 1]), len(bases[k]))
-        for col, (mu, I) in enumerate(bases[k]):
-            for j in range(n):
-                if mu[j] == 0 or j in I:
-                    continue
-                ins = _wedge_insert(I, j)
-                I2, sgn = ins
-                mu2 = mu[:j] + (mu[j] - 1,) + mu[j + 1 :]
-                row = idx[k - 1][(mu2, I2)]
-                d[row, col] = (d[row, col] + mu[j] * sgn) % p
+        for tgt, src, cf, op in _generator_terms(L, bases[k], bases[k - 1]):
+            if op > n:
+                d[tgt, src] = (d[tgt, src] - cf) % p
         return d
 
     def homot(k: int) -> np.ndarray:
@@ -553,29 +575,20 @@ def abelian_cochain_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule,
     if not allow_unproven and k + 1 >= L.p:
         raise DegreeTooHigh(f"k={k} needs k+1 < p={L.p}")
     p, n, m = L.p, L.n, M.m
-    U = Ures(L)
-    slices = _build_slices(L, U, k + 1)
     pairs = [_formal_basis(n, j) for j in range(k + 2)]
-    pair_idx = [{b: i for i, b in enumerate(pj)} for pj in pairs]
     if len(pairs[k]) != math.comb(n + k - 1, k):
         raise InvariantFailure(f"degree-{k} cochain space has {len(pairs[k])} generators, "
                                f"not C({n + k - 1},{k})")
+    # ρ of each operator of _right_operators: x_i, 1, x_j^{p-1}
+    rhos = [M.rho[i] % p for i in range(n)] + [identity(m)]
+    rhos += [mat_pow_mod(M.rho[j], p - 1, p) for j in range(n)]
 
     def delta(j: int) -> np.ndarray:
-        """Hom(d_{j+1}): block (target pair, source pair) = Σ coeff · action."""
+        """Hom(d_{j+1}): block (source pair, target pair) += coefficient · ρ(operator)."""
         out = zeros(len(pairs[j + 1]) * m, len(pairs[j]) * m)
-        gen_col = {b: i for i, b in enumerate(slices[j + 1].basis)}
-        for (mu, I) in pairs[j + 1]:
-            col_of_gen = gen_col[ChainBasisElement(mu, I, U.unit_mono)]
-            row0 = pair_idx[j + 1][(mu, I)] * m
-            for tgt_i, cf in slices[j + 1].d.cols[col_of_gen].items():
-                tmu, tI, tmono = slices[j].basis[tgt_i]
-                block = (cf * U.mono_action_matrix(tmono, M.rho)) % p
-                col0 = pair_idx[j][(tmu, tI)] * m
-                out[row0 : row0 + m, col0 : col0 + m] = (
-                    out[row0 : row0 + m, col0 : col0 + m] + block
-                ) % p
-        return out
+        for tgt, src, cf, op in _generator_terms(L, pairs[j + 1], pairs[j]):
+            out[src * m : (src + 1) * m, tgt * m : (tgt + 1) * m] += (cf % p) * rhos[op]
+        return out % p
 
     d_out = delta(k)
     d_in = delta(k - 1) if k >= 1 else None

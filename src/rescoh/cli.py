@@ -297,6 +297,12 @@ def _cmd_infer(args):
     return results, [{"name": "p_operator_exists", "pass": True}], [data]
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rescoh",
                                  description="restricted Lie algebra cohomology")
@@ -310,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--module", default="trivial",
                     help="module name from the file, or trivial/adjoint")
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=_nonnegative_int, required=True)
     sp.add_argument("--classical", action="store_true",
                     help="classical cohomology only (any degree)")
     sp.set_defaults(func=_cmd_cohomology)
@@ -325,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("resolve", help="abelian resolution homology")
     sp.add_argument("file")
-    sp.add_argument("--kmax", type=int, required=True)
+    sp.add_argument("--kmax", type=_nonnegative_int, required=True)
     sp.set_defaults(func=_cmd_resolve)
 
     sp = sub.add_parser("deform-check", help="deformation vs cocycle predicate")

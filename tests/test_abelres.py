@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rescoh import abelres
@@ -22,9 +23,10 @@ from rescoh.gmod import adjoint_module, trivial_module
 from rescoh.liealg import abelian_algebra, heisenberg_algebra, witt_algebra
 from rescoh.linalg import NotAComplex, matmul_mod
 from rescoh.rescochain import restricted_cohomology
-from rescoh.ures import TooLarge
+from rescoh.ures import TooLarge, Ures
 
-from conftest import coefficient_modules, nonzero_pi
+from conftest import ABELIAN, coefficient_modules, nonzero_pi
+from elementwise import differential_by_element
 
 
 def expected_slice_dim(n: int, p: int, k: int) -> int:
@@ -62,20 +64,54 @@ def test_resolution_is_complex(abelian_entry):
     assert not matmul_mod(res.slices[-1].d, res._extra.d, L.p).any()
 
 
+# seeded p-operator tables with every entry nonzero
+DENSE_PI = [
+    (f"abelian{n}dense_p{p}",
+     abelian_algebra(n, p, pi=np.random.default_rng(100 * n + p).integers(1, p, (n, n))))
+    for n, p in [(1, 2), (3, 2), (2, 3), (3, 3), (2, 5), (3, 5), (2, 7), (1, 11), (2, 11)]
+]
+
+
+@pytest.mark.parametrize("tag,L", ABELIAN + DENSE_PI, ids=[tag for tag, _ in ABELIAN + DENSE_PI])
+def test_assembly_matches_elementwise_oracle(tag, L):
+    # every differential through degree min(p-1, 4)+1, bit for bit
+    top = min(L.p - 1, 4) + 1
+    slices = abelres._build_slices(L, Ures(L), top)
+    U = Ures(L)
+    for k in range(1, top + 1):
+        index = {b: i for i, b in enumerate(slices[k - 1].basis)}
+        want = differential_by_element(L, U, slices[k].basis, index)
+        assert slices[k].d.shape == want.shape, (tag, k)
+        assert slices[k].d.cols == want.cols, (tag, k)
+
+
+def test_wedge_only_assembly_is_the_mu_zero_block(abelian_entry):
+    tag, L = abelian_entry
+    n, size = L.n, L.p**L.n
+    ops = abelres._right_operators(Ures(L))
+    for k in range(1, n + 1):
+        full = np.asarray(abelres._assemble(L, ops, k))
+        wedge = abelres._assemble(L, ops, k, wedge_only=True)
+        rows, cols = wedge.shape
+        assert (rows, cols) == (math.comb(n, k - 1) * size, math.comb(n, k) * size)
+        assert np.array_equal(np.asarray(wedge), full[:rows, :cols]), (tag, k)
+        assert not full[rows:, :cols].any(), (tag, k)
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_corrupted_differential_is_refused(monkeypatch, degree):
     # Row 0 of C_{degree-1} is e_0 ⊗ 1 (or 1 at degree 0); its image under
     # d_{degree-1} (or ε) is nonzero, so one extra entry there breaks the complex.
     L = abelian_algebra(2, 3, pi=nonzero_pi(2))
-    original = abelres._differential
+    original = abelres._assemble
 
-    def corrupted(L_, U, src, dst_index):
-        d = original(L_, U, src, dst_index)
-        if 2 * sum(src[0].mu) + len(src[0].I) == degree:
+    def corrupted(L_, ops, k, *rest):
+        d = original(L_, ops, k, *rest)
+        if k == degree:
             d.cols[0][0] = (d.cols[0].get(0, 0) + 1) % L_.p
         return d
 
-    monkeypatch.setattr(abelres, "_differential", corrupted)
+    monkeypatch.setattr(abelres, "_assemble", corrupted)
     with pytest.raises(NotAComplex):
         build_resolution(L, 2)
 
@@ -86,12 +122,12 @@ def test_corrupted_differential_is_refused_under_optimize():
         "import sys, pytest, rescoh.abelres as ar\n"
         "from rescoh.liealg import abelian_algebra\n"
         "from rescoh.linalg import NotAComplex\n"
-        "orig = ar._differential\n"
+        "orig = ar._assemble\n"
         "def bad(*a):\n"
         "    d = orig(*a)\n"
         "    d.cols[0][0] = (d.cols[0].get(0, 0) + 1) % d.p\n"
         "    return d\n"
-        "ar._differential = bad\n"
+        "ar._assemble = bad\n"
         "with pytest.raises(NotAComplex):\n"
         "    ar.build_resolution(abelian_algebra(2, 3), 2)\n"
         "print('refused', sys.flags.optimize)\n"

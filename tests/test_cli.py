@@ -136,6 +136,18 @@ def test_cohomology_degree_zero_and_named_module(tmp_path, capsys):
     assert code == 2 and "nosuch" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--degree", "-1"),
+    ("cohomology", "--degree", "-2", "--classical"),
+    ("resolve", "--kmax", "-1"),
+])
+def test_negative_degree_is_a_usage_error(tmp_path, capsys, argv):
+    path = write(tmp_path, "flat.alg", ABELIAN)
+    code, report, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and report is None
+    assert f"argument {argv[1]}: must be a nonnegative integer" in err
+
+
 def test_cohomology_high_degree_needs_classical_flag(tmp_path, capsys):
     path = write(tmp_path, "borel.alg", SOLVABLE)
     code, _, err = run_cli(capsys, "cohomology", path, "--degree", "3")
@@ -193,14 +205,14 @@ def test_resolve(tmp_path, capsys):
 def test_internal_failure_exits_three(tmp_path, capsys, monkeypatch):
     import rescoh.abelres as abelres
 
-    original = abelres._differential
+    original = abelres._assemble
 
     def corrupted(*args):
         d = original(*args)
         d.cols[0][0] = (d.cols[0].get(0, 0) + 1) % d.p
         return d
 
-    monkeypatch.setattr(abelres, "_differential", corrupted)
+    monkeypatch.setattr(abelres, "_assemble", corrupted)
     path = write(tmp_path, "flat.alg", ABELIAN)
     code, report, err = run_cli(capsys, "resolve", path, "--kmax", "2")
     assert code == 3 and report is None
