@@ -11,20 +11,21 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .field import Prime, FpScalar, ZeroInverse, binom_mod, fp_inv, is_prime, verify_identities
+from .field import NonPrimeModulus, ZeroInverse, binom_mod, is_prime, verify_identities
 from .linalg import (
+    Cohomology,
     InvariantFailure,
     NotAComplex,
     SparseMatrix,
     Subspace,
+    UsageError,
+    cohomology,
     nullspace,
-    quotient_dim,
     rank,
     rref,
 )
 from .liealg import (
     DimensionMismatch,
-    EmptySequence,
     ModulusTooLarge,
     NotRestrictable,
     RestrictedLieAlgebra,
@@ -48,8 +49,9 @@ from .gmod import (
     trivial_module,
     verify_module,
 )
-from .classical import classical_cohomology, delta_cl_matrix
+from .classical import ClassicalComplex, classical_cohomology, delta_cl_matrix
 from .rescochain import (
+    RestrictedComplex,
     compare_classical,
     delta0_matrix,
     delta1_matrix,

@@ -38,18 +38,18 @@ import numpy as np
 
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
-from .linalg import (InvariantFailure, SparseMatrix, identity, mat_pow_mod, matmul_mod,
-                     quotient_dim, rank, zeros)
+from .linalg import (InvariantFailure, SparseMatrix, UsageError, cohomology, identity,
+                     mat_pow_mod, matmul_mod, rank, zeros)
 from .ures import TooLarge, Ures
 
 SLICE_BOUND = 20_000
 
 
-class NotAbelian(ValueError):
+class NotAbelian(UsageError):
     """The construction only applies to algebras with zero bracket."""
 
 
-class DegreeTooHigh(ValueError):
+class DegreeTooHigh(UsageError):
     """Requested degree is outside the range where exactness holds."""
 
 
@@ -409,7 +409,7 @@ def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
     checks.append({"name": "homotopy_identity", "pass": hom_pass, "counterexample": hom_ce})
     h_dims = {0: L.p ** n - rank(ds[1], p)}
     for k in range(1, k_max + 1):
-        h_dims[k] = quotient_dim(ds[k + 1], ds[k], p)
+        h_dims[k] = cohomology(ds[k + 1], ds[k], p).dim
     checks.append({"name": "h0_full", "pass": h_dims[0] == p ** n})
     checks.append({"name": "vanishing", "pass": all(h_dims[k] == 0 for k in range(1, k_max + 1))})
     return {
@@ -592,4 +592,4 @@ def abelian_cochain_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule,
 
     d_out = delta(k)
     d_in = delta(k - 1) if k >= 1 else None
-    return quotient_dim(d_in, d_out, p)
+    return cohomology(d_in, d_out, p).dim

@@ -10,6 +10,10 @@ uses the sign convention (1-indexed positions s < t)
       + sum_s    (-1)^s        g_s . f(..., no g_s, ...)
 
 so that in degree 0, (delta v)(g) = -g.v.
+
+A ClassicalComplex holds the coboundaries and cohomology groups of one
+(L, M), each computed on first use; the restricted complex of the same
+pair takes its classical blocks from it.
 """
 
 from __future__ import annotations
@@ -18,12 +22,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import (
-    nullspace,
-    quotient_dim,
-    quotient_representatives,
-    rank,
-)
+from .linalg import Cohomology, cohomology, nullspace  # noqa: F401  (perfbench wraps classical.nullspace)
 from .liealg import RestrictedLieAlgebra
 from .gmod import RestrictedModule
 
@@ -70,42 +69,31 @@ def delta_cl_matrix(L: RestrictedLieAlgebra, M: RestrictedModule, q: int) -> np.
     return D % p
 
 
+class ClassicalComplex:
+    """The Chevalley-Eilenberg complex of one (L, M).
+
+    Each coboundary matrix and each cohomology group is computed on
+    first use and kept for the life of the object.
+    """
+
+    def __init__(self, L: RestrictedLieAlgebra, M: RestrictedModule):
+        self.L, self.M = L, M
+        self._deltas: dict[int, np.ndarray] = {}
+        self._groups: dict[int, Cohomology] = {}
+
+    def delta(self, q: int) -> np.ndarray:
+        if q not in self._deltas:
+            self._deltas[q] = delta_cl_matrix(self.L, self.M, q)
+        return self._deltas[q]
+
+    def cohomology(self, q: int) -> Cohomology:
+        if q not in self._groups:
+            incoming = self.delta(q - 1) if q >= 1 else None
+            self._groups[q] = cohomology(incoming, self.delta(q), self.L.p)
+        return self._groups[q]
+
+
 def classical_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule, q: int):
     """Dimension and echelonized representative cocycles of H^q."""
-    if q < 0:
-        raise ValueError("negative cochain degree")
-    p = L.p
-    outgoing = delta_cl_matrix(L, M, q)
-    incoming = delta_cl_matrix(L, M, q - 1) if q >= 1 else None
-    dim = quotient_dim(incoming, outgoing, p)
-    cycles = nullspace(outgoing, p)
-    boundary_rows = incoming.T if incoming is not None else np.zeros((0, outgoing.shape[1]), dtype=np.int64)
-    reps = quotient_representatives(boundary_rows, cycles, p)
-    if reps.shape[0] != dim:
-        raise AssertionError("representative count disagrees with quotient dimension")
-    return dim, reps
-
-
-def class_coordinates(reps: np.ndarray, boundary_matrix, z: np.ndarray, p: int):
-    """Coordinates of the class of cocycle z in the representative basis
-    reps (rows), modulo the column space of boundary_matrix.  None when z
-    is not in the span (i.e. not a cocycle class of this space)."""
-    from .linalg import solve
-
-    d = reps.shape[0]
-    if boundary_matrix is None or boundary_matrix.size == 0:
-        A = reps.T
-    else:
-        A = np.hstack([reps.T, boundary_matrix]) if d else boundary_matrix
-    if A.size == 0:
-        return np.zeros(0, dtype=np.int64) if not z.any() else None
-    x = solve(A % p, z % p, p)
-    if x is None:
-        return None
-    return x[:d] % p
-
-
-def cocycle_dim(L, M, q) -> int:
-    """dim Z^q = dim ker of the outgoing coboundary."""
-    D = delta_cl_matrix(L, M, q)
-    return D.shape[1] - rank(D, L.p)
+    H = ClassicalComplex(L, M).cohomology(q)
+    return H.dim, H.reps

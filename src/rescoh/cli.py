@@ -19,19 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .abelres import (
-    DegreeTooHigh,
-    NotAbelian,
-    _formal_basis,
-    build_resolution,
-    resolution_homology,
-)
-from .classical import classical_cohomology, delta_cl_matrix
+from .abelres import _formal_basis, build_resolution, resolution_homology
+from .classical import classical_cohomology
 from .dsl import (
     AlgebraFile,
-    DslSyntaxError,
-    DuplicateLabel,
-    NonPrimeModulus,
     UnresolvedReference,
     build,
     emit,
@@ -42,34 +33,12 @@ from .dsl import (
 )
 from .field import verify_identities
 from .gmod import adjoint_module, trivial_module, verify_module
-from .interp import NotACocycle, deformation_check, inner_derivations, restricted_derivations
-from .linalg import InvariantFailure
-from .liealg import (
-    ModulusTooLarge,
-    NotRestrictable,
-    RestrictedLieAlgebra,
-    VerificationFailed,
-    infer_p_operator,
-    verify_restricted,
-    witt_algebra,
-)
-from .rescochain import Cochain2, compare_classical, restricted_cohomology
-from .ures import TooLarge
+from .interp import deformation_check, inner_derivations, restricted_derivations
+from .linalg import InvariantFailure, UsageError
+from .liealg import NotRestrictable, infer_p_operator, verify_restricted, witt_algebra
+from .rescochain import Cochain2, RestrictedComplex, compare_classical, restricted_cohomology
 
-_USAGE_ERRORS = (
-    DslSyntaxError,
-    NonPrimeModulus,
-    DuplicateLabel,
-    UnresolvedReference,
-    NotAbelian,
-    DegreeTooHigh,
-    NotACocycle,
-    ModulusTooLarge,
-    VerificationFailed,
-    TooLarge,
-    FileNotFoundError,
-    ValueError,
-)
+_USAGE_ERRORS = (UsageError, FileNotFoundError)
 
 
 def _jsonable(x):
@@ -103,9 +72,18 @@ def _clean_checks(checks: list[dict]) -> list[dict]:
     return out
 
 
-def _load(path: str) -> tuple[AlgebraFile, bytes]:
+def _read(path: str) -> tuple[str, bytes]:
+    """A file's text and its bytes; a file that is not UTF-8 is refused."""
     data = Path(path).read_bytes()
-    return parse(data.decode("utf-8")), data
+    try:
+        return data.decode("utf-8"), data
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def _load(path: str) -> tuple[AlgebraFile, bytes]:
+    text, data = _read(path)
+    return parse(text), data
 
 
 def _pick_module(L, af: AlgebraFile, modules: dict, name: str):
@@ -119,8 +97,7 @@ def _pick_module(L, af: AlgebraFile, modules: dict, name: str):
 
 
 def _cmd_validate(args):
-    data = Path(args.file).read_bytes()
-    af = parse(data.decode("utf-8"))
+    af, data = _load(args.file)
     L, modules = build(af, check=False)
     report = verify_restricted(L)
     checks = list(report["checks"])
@@ -148,19 +125,22 @@ def _cmd_cohomology(args):
         results = {"module": args.module, "degree": k, "classical_dim": dim}
         return results, checks, [data]
     if k > 2:
-        raise ValueError("restricted cohomology is available for degrees 0..2; "
+        raise UsageError("restricted cohomology is available for degrees 0..2; "
                          "use --classical for higher degrees")
-    rdim, _ = restricted_cohomology(L, M, k)
-    cdim, _ = classical_cohomology(L, M, k)
-    results = {"module": args.module, "degree": k,
-               "restricted_dim": rdim, "classical_dim": cdim}
     if k == 0:
+        rdim, _ = restricted_cohomology(L, M, k)
+        cdim, _ = classical_cohomology(L, M, k)
         checks.append({"name": "h0_matches_classical", "pass": rdim == cdim})
-    else:
-        _, kernel = compare_classical(L, M, k)
-        results["comparison_kernel_dim"] = kernel
-        if k == 1:
-            checks.append({"name": "h1_injects_into_classical", "pass": kernel == 0})
+        results = {"module": args.module, "degree": k,
+                   "restricted_dim": rdim, "classical_dim": cdim}
+        return results, checks, [data]
+    # The comparison map H^k -> H^k_cl has shape (dim H^k_cl, dim H^k).
+    map_matrix, kernel = compare_classical(L, M, k)
+    cdim, rdim = map_matrix.shape
+    results = {"module": args.module, "degree": k, "restricted_dim": rdim,
+               "classical_dim": cdim, "comparison_kernel_dim": kernel}
+    if k == 1:
+        checks.append({"name": "h1_injects_into_classical", "pass": kernel == 0})
     return results, checks, [data]
 
 
@@ -182,21 +162,18 @@ def _cmd_dims(args):
             entry["abelian_dual"] = [math.comb(n + k - 1, k) * m for k in range(p)]
         results["spaces"][name] = entry
     checks = []
-    T = coeffs["trivial"]
-    from .rescochain import delta1_matrix, delta2_matrix
-
+    cx = RestrictedComplex(L, coeffs["trivial"])
     checks.append({
         "name": "c2_dim_matches_matrix",
-        "pass": delta1_matrix(L, T).shape[0] == results["spaces"]["trivial"]["restricted_C2"],
+        "pass": cx.delta(1).shape[0] == results["spaces"]["trivial"]["restricted_C2"],
     })
     checks.append({
         "name": "c3_dim_matches_matrix",
-        "pass": delta2_matrix(L, T).shape[0] == results["spaces"]["trivial"]["restricted_C3"],
+        "pass": cx.delta(2).shape[0] == results["spaces"]["trivial"]["restricted_C3"],
     })
     checks.append({
         "name": "classical_dims_match_matrix",
-        "pass": delta_cl_matrix(L, T, 1).shape
-        == (math.comb(n, 2), math.comb(n, 1)),
+        "pass": cx.classical.delta(1).shape == (math.comb(n, 2), math.comb(n, 1)),
     })
     if L.is_abelian:
         checks.append({
@@ -245,8 +222,8 @@ def _cmd_resolve(args):
 def _cmd_deform_check(args):
     af, data = _load(args.file)
     L, _ = build(af)
-    cdata = Path(args.cocycle).read_bytes()
-    phi, omega = parse_cocycle(cdata.decode("utf-8"), af)
+    ctext, cdata = _read(args.cocycle)
+    phi, omega = parse_cocycle(ctext, af)
     rep = deformation_check(L, Cochain2(phi, omega))
     results = {
         "restricted": rep["restricted"],
@@ -279,8 +256,8 @@ def _cmd_witt(args):
 
 
 def _cmd_infer(args):
-    data = Path(args.file).read_bytes()
-    af = parse(data.decode("utf-8"), require_pmap=False)
+    text, data = _read(args.file)
+    af = parse(text, require_pmap=False)
     c = structure_constants(af)
     try:
         pi = infer_p_operator(c, af.p)

@@ -25,15 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import is_prime
+from .field import NonPrimeModulus, is_prime
 from .gmod import RestrictedModule
 from .liealg import MODULUS_LIMIT, ModulusTooLarge, RestrictedLieAlgebra
+from .linalg import UsageError
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _INT = r"-?[0-9]+"
 
 
-class DslSyntaxError(ValueError):
+class DslSyntaxError(UsageError):
     def __init__(self, line: int, col: int, expected: str):
         self.line = line
         self.col = col
@@ -41,15 +42,11 @@ class DslSyntaxError(ValueError):
         super().__init__(f"line {line}, col {col}: expected {expected}")
 
 
-class NonPrimeModulus(ValueError):
+class DuplicateLabel(UsageError):
     pass
 
 
-class DuplicateLabel(ValueError):
-    pass
-
-
-class UnresolvedReference(ValueError):
+class UnresolvedReference(UsageError):
     pass
 
 

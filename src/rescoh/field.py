@@ -1,7 +1,7 @@
 """Exact arithmetic in the prime field GF(p).
 
-Scalars, modular binomial coefficients, and exhaustive verifiers for the
-four families of binomial identities the cochain formulas depend on.
+Primality, inverses and modular binomial coefficients of plain ints, and
+exhaustive verifiers for the four families of binomial identities the cochain formulas depend on.
 Only prime fields are supported: over GF(p) the Frobenius map is the
 identity, so p-semilinear maps coincide with linear ones.  Formulas
 still raise scalars to the p-th power where the theory says so, in case
@@ -12,9 +12,15 @@ from __future__ import annotations
 
 import math
 
+from .linalg import UsageError
+
 
 class ZeroInverse(ZeroDivisionError):
     """Raised when inverting 0 in GF(p)."""
+
+
+class NonPrimeModulus(UsageError):
+    """A modulus that is not prime was given for GF(p)."""
 
 
 def is_prime(n: int) -> bool:
@@ -31,121 +37,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-class Prime:
-    """A validated prime modulus.
-
-    Thin wrapper so that a nonsense modulus fails loudly at construction
-    instead of corrupting arithmetic downstream.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        p = int(p)
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __index__(self) -> int:
-        return self.p
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Prime):
-            return self.p == other.p
-        return self.p == other
-
-    def __hash__(self) -> int:
-        return hash(self.p)
-
-    def __repr__(self) -> str:
-        return f"Prime({self.p})"
-
-
-class FpScalar:
-    """An element of GF(p) with operator overloads.
-
-    Most of the package works with plain ints and numpy arrays reduced
-    mod p; this class is the reference scalar type for places where an
-    explicit field element is clearer than a bare int.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        p = int(p)
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-        self.value = int(value) % p
-
-    def _coerce(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other
-        return FpScalar(other, self.p)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FpScalar(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FpScalar(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FpScalar(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.p)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return fp_inv(self) ** (-k)
-        return FpScalar(pow(self.value, k, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * fp_inv(self._coerce(other))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FpScalar):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FpScalar({self.value}, p={self.p})"
-
-
-def fp_inv(a: FpScalar) -> FpScalar:
-    """Multiplicative inverse in GF(p).
-
-    Raises:
-        ZeroInverse: if a is zero.
-    """
-    if a.value == 0:
-        raise ZeroInverse(f"0 has no inverse mod {a.p}")
-    return FpScalar(pow(a.value, -1, a.p), a.p)
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -194,9 +85,9 @@ def verify_identities(p: int, bound: int = IDENTITY_BOUND) -> list[dict]:
     """
     p = int(p)
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise NonPrimeModulus(f"{p} is not prime")
     if p > bound:
-        raise ValueError(f"p={p} above configured bound {bound}")
+        raise UsageError(f"p={p} above configured bound {bound}")
     checks = []
 
     cx = None

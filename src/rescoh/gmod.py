@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Subspace, as_fp, mat_pow_mod, nullspace
+from .linalg import Subspace, UsageError, as_fp, mat_pow_mod, nullspace
 from .liealg import RestrictedLieAlgebra, VerificationFailed
 
 
-class MixedAlgebras(ValueError):
+class MixedAlgebras(UsageError):
     """Two modules over different algebras were combined."""
 
 

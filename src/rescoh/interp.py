@@ -22,6 +22,7 @@ from .liealg import RestrictedLieAlgebra, _r3_gap, verify_restricted
 from .linalg import (
     InvariantFailure,
     Subspace,
+    UsageError,
     identity,
     mat_pow_mod,
     matmul_mod,
@@ -35,11 +36,11 @@ from .classical import delta_cl_matrix
 DERIVATION_EXHAUSTIVE_BOUND = 3 ** 5
 
 
-class NotACocycle(ValueError):
+class NotACocycle(UsageError):
     """Input cochain fails the degree-appropriate cocycle condition."""
 
 
-class NotStronglyAbelian(ValueError):
+class NotStronglyAbelian(UsageError):
     """Algebra extensions need coefficients with zero bracket and zero p-map."""
 
 

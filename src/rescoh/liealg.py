@@ -22,27 +22,23 @@ import itertools
 
 import numpy as np
 
-from .field import is_prime
-from .linalg import as_fp, mat_pow_mod, sample_vectors
+from .field import NonPrimeModulus, is_prime
+from .linalg import UsageError, as_fp, mat_pow_mod, sample_vectors
 
 
 class DimensionMismatch(ValueError):
     pass
 
 
-class EmptySequence(ValueError):
-    pass
-
-
-class ModulusTooLarge(ValueError):
+class ModulusTooLarge(UsageError):
     """The modulus is at least MODULUS_LIMIT, where int64 sums stop being exact."""
 
 
-class NotRestrictable(ValueError):
+class NotRestrictable(UsageError):
     """Some (ad e_j)^p is not an inner derivation."""
 
 
-class VerificationFailed(ValueError):
+class VerificationFailed(UsageError):
     pass
 
 
@@ -56,7 +52,7 @@ def _check_modulus(p) -> int:
     if p >= MODULUS_LIMIT:
         raise ModulusTooLarge(f"modulus {p} is not below {MODULUS_LIMIT}")
     if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+        raise NonPrimeModulus(f"modulus {p} is not prime")
     return p
 
 
@@ -145,15 +141,6 @@ class RestrictedLieAlgebra:
         x = self._check_vec(x)
         y = self._check_vec(y)
         return x @ self._right_ad(y) % self.p
-
-    def multibracket(self, gs) -> np.ndarray:
-        gs = list(gs)
-        if not gs:
-            raise EmptySequence("multibracket of an empty sequence")
-        acc = self._check_vec(gs[0])
-        for g in gs[1:]:
-            acc = self.bracket(acc, g)
-        return acc
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad x, acting on coordinate columns."""

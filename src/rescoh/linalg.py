@@ -6,7 +6,9 @@ followed by a reduction.  Very sparse matrices, such as the abelian
 resolution's differentials, are kept as a SparseMatrix instead; ``rank``
 takes either form.  Echelon forms are deterministic (leftmost pivot
 column, first nonzero row) so every basis this module returns is
-reproducible across runs and platforms.
+reproducible across runs and platforms.  ``cohomology`` turns a pair of
+composable maps into their quotient ker/im with canonical
+representatives, eliminating each map once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import hashlib
 import heapq
 
 import numpy as np
+
+
+class UsageError(ValueError):
+    """An input or argument the library refuses; the CLI exits 2 on it."""
 
 
 class InvariantFailure(Exception):
@@ -28,7 +34,7 @@ class InvariantFailure(Exception):
 class NotAComplex(InvariantFailure):
     """Composite of consecutive differentials is nonzero.
 
-    Raised by quotient_dim and SparseMatrix.check_composite; hitting
+    Raised by cohomology and SparseMatrix.check_composite; hitting
     this means a differential or coboundary matrix is wrong upstream,
     so it is deliberately loud.
     """
@@ -103,7 +109,7 @@ def rref(a, p: int):
         (R, rank, pivots): the reduced form, its rank and the strictly
         increasing list of pivot columns.
     """
-    R = as_fp(a, p).copy()
+    R = as_fp(a, p)  # a fresh array: the reduction mod p copies
     if R.ndim != 2:
         raise ValueError("rref expects a 2-d array")
     rows, cols = R.shape
@@ -203,9 +209,8 @@ def nullspace(a, p: int) -> np.ndarray:
     zeros in every other free column, which makes the row set reduced
     echelon after sorting by f.
     """
-    a = as_fp(a, p)
-    rows, cols = a.shape
     R, rk, pivots = rref(a, p)
+    cols = R.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros(len(free), cols)
     for row, f in enumerate(free):
@@ -270,40 +275,6 @@ def mat_pow_mod(m, k: int, p: int) -> np.ndarray:
     return result
 
 
-def quotient_dim(incoming, outgoing, p: int) -> int:
-    """dim ker(outgoing) - rank(incoming), after checking the complex.
-
-    ``incoming`` maps into the middle space (its image is the boundary
-    subspace) and ``outgoing`` maps out of it.  ``None`` stands for a
-    zero map on either side.
-
-    Raises:
-        NotAComplex: if outgoing @ incoming != 0.
-    """
-    if outgoing is None and incoming is None:
-        raise ValueError("need at least one map to fix the middle dimension")
-    if outgoing is not None:
-        outgoing = as_fp(outgoing, p)
-        mid = outgoing.shape[1]
-    else:
-        mid = as_fp(incoming, p).shape[0]
-    if incoming is not None:
-        incoming = as_fp(incoming, p)
-        if incoming.shape[0] != mid:
-            raise ValueError("incoming/outgoing dimensions disagree")
-    if (
-        outgoing is not None
-        and incoming is not None
-        and outgoing.size
-        and incoming.size
-        and matmul_mod(outgoing, incoming, p).any()
-    ):
-        raise NotAComplex("outgoing @ incoming is nonzero")
-    kdim = mid - rank(outgoing, p) if outgoing is not None else mid
-    bdim = rank(incoming, p) if incoming is not None else 0
-    return kdim - bdim
-
-
 class Subspace:
     """Row span of a matrix, stored in reduced echelon form."""
 
@@ -346,42 +317,82 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, p={self.p})"
 
 
-def quotient_representatives(boundary_rows, cycle_rows, p: int) -> np.ndarray:
-    """Cycle vectors spanning cycles/boundaries, canonically reduced.
+class Cohomology:
+    """ker(outgoing) / im(incoming) over GF(p), as computed by ``cohomology``.
 
-    Greedily keeps the cycle basis rows that grow the rank over the
-    boundary span, reduces each survivor by the boundary pivots, then
-    echelonizes the survivors for a reproducible answer.
+    ``cycles`` is the nullspace basis of the outgoing map, ``boundaries``
+    the reduced echelon basis of the incoming map's image (one vector per
+    row) with pivot columns ``boundary_pivots``.  ``reps`` is the reduced
+    echelon basis of the cycles that vanish on those pivot columns.  That
+    subspace complements the boundaries among the cycles and involves no
+    choice, so the representatives are canonical.
     """
-    boundary_rows = as_fp(boundary_rows, p)
-    cycle_rows = as_fp(cycle_rows, p)
-    if cycle_rows.size == 0:
-        return zeros(0, boundary_rows.shape[1] if boundary_rows.size else 0)
-    B = row_space(boundary_rows, p) if boundary_rows.size else zeros(0, cycle_rows.shape[1])
-    # Incremental elimination: pivot column -> normalized row of the running span.
-    echelon: dict[int, np.ndarray] = {}
-    for row in B:
-        lead = int(np.nonzero(row)[0][0])
-        echelon[lead] = row
-    kept = []
-    for v in cycle_rows:
-        w = v.copy()
-        for c in sorted(echelon):
-            if w[c]:
-                w = (w - w[c] * echelon[c]) % p
-        nz = np.nonzero(w)[0]
-        if nz.size:
-            kept.append(v)
-            lead = int(nz[0])
-            echelon[lead] = (w * pow(int(w[lead]), -1, p)) % p
-    if not kept:
-        return zeros(0, cycle_rows.shape[1])
-    kept_m = np.array(kept, dtype=np.int64)
-    # Reduce by boundary pivots so representatives do not carry boundary components.
-    Bred, brk, bpiv = rref(B, p) if B.size else (B, 0, [])
-    for r_i, c in enumerate(bpiv):
-        kept_m = (kept_m - np.outer(kept_m[:, c], Bred[r_i])) % p
-    return row_space(kept_m, p)
+
+    __slots__ = ("cycles", "boundaries", "boundary_pivots", "reps", "p")
+
+    def __init__(self, cycles, boundaries, boundary_pivots, reps, p: int):
+        self.cycles = cycles
+        self.boundaries = boundaries
+        self.boundary_pivots = boundary_pivots
+        self.reps = reps
+        self.p = p
+
+    @property
+    def dim(self) -> int:
+        return self.reps.shape[0]
+
+    def coordinates(self, z) -> np.ndarray | None:
+        """Class coordinates of each row of z in the ``reps`` basis, one
+        row each; None if some row is not a cycle.
+
+        A cycle's boundary part is fixed by its entries on the boundary
+        pivot columns.  What is left lies in the span of ``reps`` and is
+        read off their pivot columns.  Both bases are reduced already, so
+        this takes no further elimination.
+        """
+        p = self.p
+        z = as_fp(z, p)
+        rest = (z - z[:, self.boundary_pivots] @ self.boundaries) % p
+        coords = rest[:, [int(np.flatnonzero(r)[0]) for r in self.reps]]
+        if ((rest - coords @ self.reps) % p).any():
+            return None
+        return coords
+
+
+def cohomology(incoming, outgoing, p: int) -> Cohomology:
+    """ker(outgoing) / im(incoming), after checking the complex.
+
+    ``incoming`` maps into the middle space (its image is the boundary
+    subspace) and ``outgoing`` maps out of it.  ``None`` stands for a
+    zero map on either side.  One elimination of the outgoing map gives
+    the cycles and one of the incoming map's transpose the boundaries;
+    stripping each cycle of its boundary part and reducing the result
+    gives the representatives.
+
+    Stripping kills exactly the cycles in the boundary span, so the rank
+    falls by the number of boundaries iff every boundary is a cycle, that
+    is iff outgoing @ incoming = 0: the check needs no matrix product.
+
+    Raises:
+        NotAComplex: if outgoing @ incoming != 0.
+    """
+    if outgoing is None and incoming is None:
+        raise ValueError("need at least one map to fix the middle dimension")
+    # The maps are only read: each elimination reduces its own copy.
+    mid = np.shape(outgoing)[1] if outgoing is not None else np.shape(incoming)[0]
+    if incoming is None:
+        boundaries, pivots = zeros(0, mid), []
+    else:
+        if np.shape(incoming)[0] != mid:
+            raise ValueError("incoming/outgoing dimensions disagree")
+        R, rk, pivots = rref(np.transpose(incoming), p)
+        boundaries = R[:rk]
+    cycles = nullspace(outgoing, p) if outgoing is not None else identity(mid)
+    stripped = (cycles - cycles[:, pivots] @ boundaries) % p
+    R, dim, _ = rref(stripped, p)
+    if dim != cycles.shape[0] - len(pivots):
+        raise NotAComplex("outgoing @ incoming is nonzero: a boundary is not a cycle")
+    return Cohomology(cycles, boundaries, pivots, R[:dim], p)
 
 
 def sample_vectors(p: int, dim: int, count: int, tag: str) -> np.ndarray:

@@ -19,6 +19,10 @@ sequences, each with every free entry equal to one x = t g + h; there
 the 2^j splits collapse into j applications of the action of x on
 Hom(L, M).  Both correction formulas are pinned down by the
 delta2.delta1 = 0 matrix identity and by the closure tests.
+
+A RestrictedComplex holds the coboundary matrices and cohomology groups
+of one (L, M) over its ClassicalComplex, so restricted H^k, classical
+H^k and the comparison map between them share every matrix.
 """
 
 from __future__ import annotations
@@ -28,16 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    mat_pow_mod,
-    nullspace,
-    quotient_dim,
-    quotient_representatives,
-    rank,
-)
+from .linalg import Cohomology, InvariantFailure, cohomology, mat_pow_mod, rank
 from .liealg import RestrictedLieAlgebra, quadrature
 from .gmod import RestrictedModule, invariants
-from .classical import class_coordinates, classical_cohomology, delta_cl_matrix
+from .classical import ClassicalComplex, delta_cl_matrix
 
 
 @dataclass
@@ -309,9 +307,11 @@ def delta1(L, M, psi: np.ndarray) -> Cochain2:
     return Cochain2(phi=pair_vec_to_tensor(L, M, phi_flat), omega_basis=om)
 
 
-def delta1_matrix(L, M) -> np.ndarray:
+def delta1_matrix(L, M, cl=None) -> np.ndarray:
+    """Matrix of delta1: the classical block delta_cl(1), given as ``cl``
+    when already built, over the psi-tilde block."""
     n, m, p = L.n, M.m, L.p
-    top = delta_cl_matrix(L, M, 1)
+    top = delta_cl_matrix(L, M, 1) if cl is None else cl
     bottom = np.zeros((n * m, n * m), dtype=np.int64)
     eye = np.eye(m, dtype=np.int64)
     for i in range(n):
@@ -353,8 +353,9 @@ def delta2(L, M, c2: Cochain2) -> Cochain3:
     return Cochain3(alpha=triple_vec_to_tensor(L, M, alpha_flat), beta_basis=beta)
 
 
-def delta2_matrix(L, M) -> np.ndarray:
-    """Matrix of delta2 on (phi pairs | omega basis) coordinates."""
+def delta2_matrix(L, M, cl=None) -> np.ndarray:
+    """Matrix of delta2 on (phi pairs | omega basis) coordinates; ``cl`` is
+    its classical block delta_cl(2) when already built."""
     n, m, p = L.n, M.m, L.p
     ps = pair_tuples(n)
     pr = {t: r for r, t in enumerate(ps)}
@@ -362,7 +363,7 @@ def delta2_matrix(L, M) -> np.ndarray:
     nom = n * m
     nalpha = len(triple_tuples(n)) * m
     D = np.zeros((nalpha + n * n * m, nphi + nom), dtype=np.int64)
-    D[:nalpha, :nphi] = delta_cl_matrix(L, M, 2)
+    D[:nalpha, :nphi] = delta_cl_matrix(L, M, 2) if cl is None else cl
 
     def phi_col(a: int, b: int):
         """Column block and sign of the phi coordinate at (a, b), a != b."""
@@ -407,44 +408,71 @@ def delta2_matrix(L, M) -> np.ndarray:
     return D % p
 
 
+class RestrictedComplex:
+    """The restricted complex of one (L, M) in degrees 0..3, over the
+    classical complex of the same pair.
+
+    delta0 and the classical blocks of delta1 and delta2 come from
+    ``classical``, so the two complexes and the comparison map between
+    their cohomology build each coboundary once.  Matrices and groups are
+    kept for the life of the object.
+    """
+
+    def __init__(self, L: RestrictedLieAlgebra, M: RestrictedModule):
+        self.L, self.M = L, M
+        self.classical = ClassicalComplex(L, M)
+        self._deltas: dict[int, np.ndarray] = {}
+        self._groups: dict[int, Cohomology] = {}
+
+    def delta(self, k: int) -> np.ndarray:
+        """Matrix of delta_k, k in {0, 1, 2}."""
+        if k == 0:
+            return self.classical.delta(0)
+        if k not in self._deltas:
+            build = {1: delta1_matrix, 2: delta2_matrix}[k]
+            self._deltas[k] = build(self.L, self.M, cl=self.classical.delta(k))
+        return self._deltas[k]
+
+    def cohomology(self, k: int) -> Cohomology:
+        """Restricted H^k for k in {1, 2}."""
+        if k not in (1, 2):
+            raise ValueError("restricted cohomology is defined here for k <= 2 only")
+        if k not in self._groups:
+            self._groups[k] = cohomology(self.delta(k - 1), self.delta(k), self.L.p)
+        return self._groups[k]
+
+    def compare(self, k: int):
+        """Matrix of the induced map H^k -> H^k_cl in the representative
+        bases, and its kernel dimension.
+
+        The map forgets omega (k = 2); the class coordinates of every
+        forgotten representative are read off at once.
+        """
+        if k not in (1, 2):
+            raise ValueError("comparison maps exist for k in {1, 2}")
+        H = self.cohomology(k)
+        forgotten = H.reps if k == 1 else H.reps[:, : len(pair_tuples(self.L.n)) * self.M.m]
+        coords = self.classical.cohomology(k).coordinates(forgotten)
+        if coords is None:
+            raise InvariantFailure("forgetful image of a restricted cocycle is not a classical class")
+        map_matrix = coords.T.copy()
+        return map_matrix, H.dim - rank(map_matrix, self.L.p)
+
+
 def restricted_cohomology(L, M, k: int):
     """(dimension, representative rows) of restricted H^k, k in {0, 1, 2}."""
-    p = L.p
     if k == 0:
         inv = invariants(M)
         return inv.dim, inv.basis
-    if k == 1:
-        incoming = delta0_matrix(L, M)
-        outgoing = delta1_matrix(L, M)
-    elif k == 2:
-        incoming = delta1_matrix(L, M)
-        outgoing = delta2_matrix(L, M)
-    else:
-        raise ValueError("restricted cohomology is defined here for k <= 2 only")
-    dim = quotient_dim(incoming, outgoing, p)
-    reps = quotient_representatives(incoming.T, nullspace(outgoing, p), p)
-    if reps.shape[0] != dim:
-        raise AssertionError("representative count disagrees with quotient dimension")
-    return dim, reps
+    H = RestrictedComplex(L, M).cohomology(k)
+    return H.dim, H.reps
 
 
 def compare_classical(L, M, k: int):
     """Matrix of the induced map H^k -> H^k_cl in the computed
-    representative bases, together with its kernel dimension."""
-    if k not in (1, 2):
-        raise ValueError("comparison maps exist for k in {1, 2}")
-    p, m = L.p, M.m
-    d_res, reps_res = restricted_cohomology(L, M, k)
-    d_cl, reps_cl = classical_cohomology(L, M, k)
-    boundary = delta_cl_matrix(L, M, k - 1)
-    nphi = len(pair_tuples(L.n)) * m
-    map_matrix = np.zeros((d_cl, d_res), dtype=np.int64)
-    for col in range(d_res):
-        z = reps_res[col]
-        proj = z if k == 1 else z[:nphi]
-        coords = class_coordinates(reps_cl, boundary, proj % p, p)
-        if coords is None:
-            raise AssertionError("forgetful image of a restricted cocycle is not a classical class")
-        map_matrix[:, col] = coords
-    kernel_dim = d_res - rank(map_matrix, p)
-    return map_matrix, kernel_dim
+    representative bases, together with its kernel dimension.
+
+    The matrix has shape (dim H^k_cl, dim H^k), so this one call gives
+    both dimensions as well.
+    """
+    return RestrictedComplex(L, M).compare(k)

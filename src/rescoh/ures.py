@@ -15,11 +15,11 @@ import itertools
 
 import numpy as np
 
-from .linalg import mat_pow_mod
+from .linalg import UsageError, mat_pow_mod
 from .liealg import RestrictedLieAlgebra
 
 
-class TooLarge(ValueError):
+class TooLarge(UsageError):
     """Dense PBW enumeration would exceed the size bound."""
 
 
@@ -196,17 +196,4 @@ class Ures:
             k = int(mono[g])
             if k:
                 out = (out @ mat_pow_mod(rho[g], k, p)) % p
-        return out
-
-    def act(self, elem: Element, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Apply an enveloping-algebra element to a module vector."""
-        p = self.p
-        v = np.asarray(v, dtype=np.int64) % p
-        out = np.zeros_like(v)
-        for mono, coeff in elem.items():
-            w = v
-            for g in range(self.n - 1, -1, -1):
-                for _ in range(mono[g]):
-                    w = (rho[g] @ w) % p
-            out = (out + coeff * w) % p
         return out

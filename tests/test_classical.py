@@ -3,10 +3,9 @@ import math
 import numpy as np
 
 from rescoh.classical import (
-    class_coordinates,
+    ClassicalComplex,
     classical_cohomology,
     cochain_tuples,
-    cocycle_dim,
     delta_cl_matrix,
 )
 from rescoh.gmod import adjoint_module, invariants, trivial_module
@@ -16,7 +15,7 @@ from rescoh.liealg import (
     solvable2_algebra,
     witt_algebra,
 )
-from rescoh.linalg import Subspace, matmul_mod
+from rescoh.linalg import Subspace, matmul_mod, nullspace, rank
 
 from conftest import coefficient_modules
 
@@ -99,11 +98,11 @@ def test_witt_adjoint_h1_vanishes():
 def test_cocycle_dim_matches_nullspace():
     L = heisenberg_algebra(3)
     M = adjoint_module(L)
+    cx = ClassicalComplex(L, M)
     for q in range(3):
         D = delta_cl_matrix(L, M, q)
-        from rescoh.linalg import nullspace
-
-        assert cocycle_dim(L, M, q) == nullspace(D, 3).shape[0]
+        assert cx.cohomology(q).cycles.shape[0] == nullspace(D, 3).shape[0]
+        assert cx.delta(q) is cx.delta(q)  # built once, then kept
 
 
 def test_representatives_are_cocycles_not_boundaries():
@@ -115,8 +114,6 @@ def test_representatives_are_cocycles_not_boundaries():
     for z in reps:
         assert not matmul_mod(out, z.reshape(-1, 1), 3).any()
     # no nonzero combination of reps is a boundary
-    from rescoh.linalg import rank
-
     if dim:
         stacked = np.vstack([inc.T, reps])
         assert rank(stacked, 3) == rank(inc.T, 3) + dim
@@ -125,13 +122,16 @@ def test_representatives_are_cocycles_not_boundaries():
 def test_class_coordinates():
     L = heisenberg_algebra(3)
     M = trivial_module(L, 1)
-    dim, reps = classical_cohomology(L, M, 1)
-    boundary = delta_cl_matrix(L, M, 0)
+    H = ClassicalComplex(L, M).cohomology(1)
+    reps = H.reps
     z = (2 * reps[0] + reps[1]) % 3
-    coords = class_coordinates(reps, boundary, z, 3)
-    assert (coords == [2, 1]).all()
-    # a non-cocycle direction is rejected when reps+boundaries cannot reach it
-    dimz, repsz = classical_cohomology(L, adjoint_module(L), 0)
-    bad = np.ones(3, dtype=np.int64)
-    got = class_coordinates(repsz, None, bad, 3)
-    assert got is None or (matmul_mod(repsz.T, got.reshape(-1, 1), 3).ravel() == bad).all()
+    assert (H.coordinates(z.reshape(1, -1)) == [[2, 1]]).all()
+    # boundaries do not change a class; several cocycles go in one call
+    A = ClassicalComplex(L, adjoint_module(L))
+    H1 = A.cohomology(1)
+    b = A.delta(0) @ np.array([1, 2, 0]) % 3
+    zs = np.vstack([H1.reps, (H1.reps + b) % 3])
+    assert (H1.coordinates(zs) == np.vstack([np.eye(H1.dim), np.eye(H1.dim)])).all()
+    # a non-cocycle direction is rejected
+    H0 = A.cohomology(0)
+    assert H0.coordinates(np.ones((1, 3), dtype=np.int64)) is None

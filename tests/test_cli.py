@@ -1,11 +1,24 @@
+import collections
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import rescoh.classical as classical
+import rescoh.cli as cli
+import rescoh.linalg as linalg
+import rescoh.rescochain as rescochain
+from rescoh.abelres import DegreeTooHigh, NotAbelian
 from rescoh.cli import main
-from rescoh.dsl import emit, parse, witt_file
+from rescoh.dsl import (DslSyntaxError, DuplicateLabel, NonPrimeModulus, UnresolvedReference,
+                        emit, parse, witt_file)
+from rescoh.gmod import MixedAlgebras
+from rescoh.interp import NotACocycle, NotStronglyAbelian
+from rescoh.liealg import ModulusTooLarge, NotRestrictable, VerificationFailed
+from rescoh.linalg import UsageError
+from rescoh.ures import TooLarge
 
 SOLVABLE = """\
 algebra borel over GF(5)
@@ -31,6 +44,13 @@ basis x y
 bracket [x,y] = 1*y
 pmap x^[p] = 1*x
 pmap y^[p] = 1*y
+"""
+
+FLAT_ZERO = """\
+algebra flat0 over GF(3)
+basis u v
+pmap u^[p] = 0
+pmap v^[p] = 0
 """
 
 FILIFORM = """\
@@ -218,6 +238,105 @@ def test_internal_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert code == 3 and report is None
     assert err.startswith("error: internal: NotAComplex:")
     assert "Traceback" not in err
+
+
+def test_cohomology_builds_each_matrix_once(tmp_path, capsys, monkeypatch):
+    # Restricted H^2, classical H^2 and the map between them share every
+    # coboundary; each complex computes one group, whose d∘d check reads
+    # the eliminations and takes no matrix product.
+    calls = collections.Counter()
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name if name != "delta_cl_matrix" else f"delta_cl_matrix({args[2]})"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    delta_cl = counted(classical.delta_cl_matrix, "delta_cl_matrix")
+    monkeypatch.setattr(classical, "delta_cl_matrix", delta_cl)
+    monkeypatch.setattr(rescochain, "delta_cl_matrix", delta_cl)
+    for name in ("delta1_matrix", "delta2_matrix"):
+        monkeypatch.setattr(rescochain, name, counted(getattr(rescochain, name), name))
+    monkeypatch.setattr(linalg, "matmul_mod", counted(linalg.matmul_mod, "matmul_mod"))
+    for module in (classical, rescochain):
+        monkeypatch.setattr(module, "cohomology", counted(linalg.cohomology, module.__name__))
+    path = write(tmp_path, "witt7.alg", emit(witt_file(7)))
+    code, report, _ = run_cli(capsys, "cohomology", path, "--module", "adjoint", "--degree", "2")
+    assert code == 0 and report["results"]["degree"] == 2
+    assert dict(calls) == {"delta_cl_matrix(1)": 1, "delta_cl_matrix(2)": 1,
+                           "delta1_matrix": 1, "delta2_matrix": 1,
+                           "rescoh.classical": 1, "rescoh.rescochain": 1}
+
+
+DROP_A_CLASSICAL_REP = """\
+import sys
+import rescoh.classical as classical
+from rescoh.cli import main
+original = classical.cohomology
+def corrupted(*args):
+    H = original(*args)
+    H.reps = H.reps[:-1]
+    return H
+classical.cohomology = corrupted
+print("optimize", sys.flags.optimize)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_forgetful_image_failure_exits_three(tmp_path, flags):
+    # Without one classical representative, the image of a restricted class
+    # has no coordinates: an internal failure, reported the same under -O.
+    path = write(tmp_path, "flat0.alg", FLAT_ZERO)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, *flags, "-c", DROP_A_CLASSICAL_REP,
+                           "cohomology", path, "--degree", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == f"optimize {len(flags)}\n"
+    assert proc.stderr == ("error: internal: InvariantFailure: forgetful image of a "
+                           "restricted cocycle is not a classical class\n")
+
+
+def test_refusals_are_usage_errors():
+    for cls in (DslSyntaxError, NonPrimeModulus, DuplicateLabel, UnresolvedReference,
+                NotAbelian, DegreeTooHigh, NotACocycle, NotStronglyAbelian, MixedAlgebras,
+                ModulusTooLarge, NotRestrictable, VerificationFailed, TooLarge):
+        assert issubclass(cls, UsageError) and issubclass(cls, ValueError), cls
+
+
+def test_plain_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # A ValueError from a bug propagates; only UsageError means exit 2.
+    def broken(args):
+        raise ValueError("a bug, not a bad input")
+
+    monkeypatch.setattr(cli, "_cmd_identities", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["identities", "--p", "3"])
+
+    def refusing(args):
+        raise UsageError("a bad input")
+
+    monkeypatch.setattr(cli, "_cmd_identities", refusing)
+    code, report, err = run_cli(capsys, "identities", "--p", "3")
+    assert code == 2 and report is None and err == "error: a bad input\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("witt", "--p", "4"), "modulus 4 is not prime"),
+    (("witt", "--p", "1"), "modulus 1 is not prime"),
+    (("identities", "--p", "17"), "p=17 above configured bound 13"),
+])
+def test_bad_modulus_arguments_exit_two(capsys, argv, message):
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2 and report is None and message in err
+
+
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "binary.alg"
+    path.write_bytes(b"algebra a over GF(3)\nbasis \xff\n")
+    code, report, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and report is None and "not UTF-8" in err
 
 
 def test_deform_check(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from rescoh.liealg import (
     DimensionMismatch,
-    EmptySequence,
     MODULUS_LIMIT,
     ModulusTooLarge,
     NotRestrictable,
@@ -62,17 +61,6 @@ def test_bracket_bilinear_antisymmetric():
             L.bracket((x + y) % 5, y) == (L.bracket(x, y) + L.bracket(y, y)) % 5
         ).all()
         assert not L.bracket(x, x).any()
-
-
-def test_multibracket_left_normed():
-    L, _ = witt_algebra(3)
-    D0, D1, D2 = np.eye(3, dtype=np.int64)
-    # [D0, D2] = 2 D2, then [2 D2, D1] = 2 (1 - 2) D0 = D0 at p = 3
-    assert (L.multibracket([D0, D2, D1]) == D0).all()
-    assert not L.multibracket([D0, D1, D1]).any()
-    assert (L.multibracket([D1]) == D1).all()
-    with pytest.raises(EmptySequence):
-        L.multibracket([])
 
 
 def test_ad_matrix_matches_bracket():

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from rescoh.linalg import (
+    InvariantFailure,
     NotAComplex,
     SparseMatrix,
     Subspace,
     as_fp,
+    cohomology,
     identity,
     mat_pow_mod,
     matmul_mod,
     nullspace,
-    quotient_dim,
-    quotient_representatives,
     rank,
     row_space,
     rref,
@@ -172,14 +172,17 @@ def test_quotient_dim():
     p = 3
     d_in = as_fp([[1], [0], [0]], p)  # image = e0
     d_out = as_fp([[0, 0, 1]], p)  # kernel = e0, e1
-    assert quotient_dim(d_in, d_out, p) == 1
-    assert quotient_dim(None, d_out, p) == 2
-    assert quotient_dim(d_in, None, p) == 2
+    assert cohomology(d_in, d_out, p).dim == 1
+    assert cohomology(None, d_out, p).dim == 2
+    assert cohomology(d_in, None, p).dim == 2
     with pytest.raises(ValueError):
-        quotient_dim(None, None, p)
+        cohomology(None, None, p)
+    with pytest.raises(ValueError):
+        cohomology(as_fp([[1], [0]], p), d_out, p)
     bad_in = as_fp([[0], [0], [1]], p)
     with pytest.raises(NotAComplex):
-        quotient_dim(bad_in, d_out, p)
+        cohomology(bad_in, d_out, p)
+    assert issubclass(NotAComplex, InvariantFailure)
 
 
 def test_subspace():
@@ -200,14 +203,56 @@ def test_subspace():
 
 def test_quotient_representatives():
     p = 3
-    cycles = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=np.int64)
-    boundaries = np.array([[0, 1, 0]], dtype=np.int64)
-    reps = quotient_representatives(boundaries, cycles, p)
-    assert reps.shape[0] == 1
-    # representative spans the quotient and avoids boundary coordinates
-    assert (reps == [[1, 0, 0]]).all()
-    none = quotient_representatives(cycles, cycles, p)
-    assert none.shape[0] == 0
+    d_out = as_fp([[0, 0, 1]], p)  # cycles e0, e1
+    d_in = as_fp([[1], [1], [0]], p)  # boundary e0 + e1
+    H = cohomology(d_in, d_out, p)
+    assert H.dim == 1
+    # the representative spans the quotient and avoids the boundary pivot
+    assert (H.boundaries == [[1, 1, 0]]).all() and H.boundary_pivots == [0]
+    assert (H.reps == [[0, 1, 0]]).all()
+    assert (H.cycles == [[1, 0, 0], [0, 1, 0]]).all()
+    none = cohomology(as_fp([[1, 0], [0, 1], [0, 0]], p), d_out, p)
+    assert none.dim == 0 and none.reps.shape == (0, 3)
+    # coordinates: the class of 2 e0 + e1 is -1 times the representative
+    assert (H.coordinates([[2, 1, 0], [1, 1, 0]]) == [[2], [0]]).all()
+    assert H.coordinates([[0, 0, 1]]) is None
+
+
+def test_complex_check_matches_the_product():
+    # The check reads no product, so compare it with one on random pairs.
+    rng = np.random.default_rng(11)
+    refused = 0
+    for p in (2, 3, 5):
+        for trial in range(40):
+            inner = rng.integers(0, p, size=(5, 2))
+            outer = nullspace(inner.T, p)[: rng.integers(0, 4)]
+            if trial % 2:
+                outer = (outer + (rng.random(outer.shape) < 0.2)) % p
+            if matmul_mod(outer, inner, p).any():
+                refused += 1
+                with pytest.raises(NotAComplex):
+                    cohomology(inner, outer, p)
+            else:
+                cohomology(inner, outer, p)
+    assert refused > 10
+
+
+def test_representatives_are_canonical():
+    # Changing the bases of the outer spaces leaves every output alone.
+    p = 5
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        inner = rng.integers(0, p, size=(8, 3))
+        outer = nullspace(inner.T, p)[:2]  # kills the image of inner
+        g_in, g_out = rng.integers(0, p, size=(2, 3, 3))
+        if rank(g_in, p) < 3 or rank(g_out[:2, :2], p) < 2:
+            continue
+        H = cohomology(inner, outer, p)
+        G = cohomology(matmul_mod(inner, g_in, p), matmul_mod(g_out[:2, :2], outer, p), p)
+        assert H.dim == 8 - rank(outer, p) - rank(inner, p), trial
+        for a, b in ((H.reps, G.reps), (H.boundaries, G.boundaries), (H.cycles, G.cycles)):
+            assert (a == b).all(), trial
+        assert not matmul_mod(outer, H.cycles.T, p).any()
 
 
 def test_sample_vectors_deterministic():

@@ -36,6 +36,9 @@ from rescoh.rescochain import (
     triple_tuples,
 )
 
+from rescoh.classical import classical_cohomology
+
+import quotients
 from conftest import CORPUS, coefficient_modules, nonzero_pi
 from enumerations import star_enumeration, star_star_enumeration
 
@@ -488,3 +491,25 @@ def test_comparison_kernel_degree_two_line():
         assert dim == 1
         _, kernel = compare_classical(L, M, 2)
         assert kernel == 1
+
+
+def _same(got, want) -> bool:
+    """Equal dtype and bytes, and equal shape unless both are empty (the
+    oracle gives an empty set of representatives shape (0, 0))."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            and (got.shape == want.shape or got.size == want.size == 0))
+
+
+def test_groups_match_quotient_oracle(corpus_entry):
+    tag, L = corpus_entry
+    for mname, M in coefficient_modules(L):
+        for k in range(3):
+            cases = [("classical", classical_cohomology, quotients.classical_cohomology),
+                     ("restricted", restricted_cohomology, quotients.restricted_cohomology)]
+            if k:
+                cases.append(("compare", compare_classical, quotients.compare_classical))
+            for name, fn, oracle in cases:
+                got, want = fn(L, M, k), oracle(L, M, k)
+                assert all(_same(a, b) for a, b in zip(got, want)), (tag, mname, k, name)
+
