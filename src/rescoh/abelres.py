@@ -14,8 +14,13 @@ restricted coefficient module into finite linear algebra over GF(p).
 
 U_res is commutative here, so d is U_res-linear: d_k = Σ_i A_i ⊗ x_i +
 B ⊗ 1 + Σ_j C_j ⊗ x_j^{p-1}, small tables on the free generators times
-2n+1 right multiplications, straightened once and assembled by array
-index arithmetic.  The dual complex pairs the same tables with the
+2n+1 right multiplications.  The x_i tables are straightened once, the
+x_j^{p-1} tables are their powers by sparse products, and each d_k is
+assembled by array index arithmetic into a SparseMatrix of index arrays;
+d∘d = 0 is checked with one sparse product per composite.  A slice
+carries only its dimension; the basis elements e^mu ⊗ e_I ⊗ r, in the
+order of the matrix coordinates, are built by _slice_basis for the few
+callers that read them.  The dual complex pairs the same tables with the
 operators' matrices on the module.
 
 Two auxiliary complexes support the exactness argument and are checked
@@ -61,10 +66,14 @@ class ChainBasisElement(NamedTuple):
 
 @dataclass
 class ChainComplexSlice:
-    """One degree of the complex: ordered basis plus the map down."""
+    """One degree of the complex: its dimension plus the map down.
+
+    Coordinates follow _slice_basis, which only callers that need the
+    basis elements build.
+    """
 
     degree: int
-    basis: list[ChainBasisElement]
+    dim: int
     d: SparseMatrix | None  # map into degree-1 coordinates; None at degree 0
 
 
@@ -167,38 +176,34 @@ def _generator_terms(L: RestrictedLieAlgebra, src: list, dst: list) -> list[tupl
     return out
 
 
-def _fold(rows, cols, vals, n_rows: int, p: int):
-    """Sum entries at equal (row, col) mod p and drop zeros; sorted by column, then row."""
-    key = cols * n_rows + rows
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    key, vals = key[first], np.add.reduceat(vals, first) % p
-    keep = vals != 0
-    return key[keep] % n_rows, key[keep] // n_rows, vals[keep]
-
-
-def _right_operators(U: Ures) -> list[tuple]:
+def _right_operators(U: Ures) -> list[SparseMatrix]:
     """Right multiplication on u by x_0..x_{n-1}, by 1 and by x_0^{p-1}..x_{n-1}^{p-1}.
 
-    Each operator is a (rows, cols, values) triple of arrays over PBW
-    ranks, straightened once.  u is commutative, so these are also the
-    left multiplications.
+    Each operator is a SparseMatrix over PBW ranks.  The x_i tables are
+    straightened once; the table of x_j^{p-1} is the (p-1)-st power of
+    the x_j table, p-2 sparse products.  u is commutative, so these are
+    also the left multiplications.
     """
-    monos, n = U.basis(), U.n
-    images = [[U.mono_times_gen(m, i) for m in monos] for i in range(n)]
-    images.append([{m: 1} for m in monos])
-    images += [[U.multiply({m: 1}, {_power_mono(n, j, U.p - 1): 1}) for m in monos]
-               for j in range(n)]
-    weights = U.p ** np.arange(n - 1, -1, -1)
-    ops = []
-    for table in images:
-        cols, targets, vals = zip(*((c, m, v) for c, im in enumerate(table) for m, v in im.items()))
-        ops.append((np.array(targets, dtype=np.int64) @ weights, np.array(cols), np.array(vals)))
-    return ops
+    monos, n, p, size = U.basis(), U.n, U.p, U.dim()
+    weights = p ** np.arange(n - 1, -1, -1)
+    xs = []
+    for i in range(n):
+        cols, targets, vals = zip(*((c, m, v) for c, mono in enumerate(monos)
+                                    for m, v in U.mono_times_gen(mono, i).items()))
+        xs.append(SparseMatrix((size, size), np.array(targets, dtype=np.int64) @ weights,
+                               cols, vals, p))
+    powers = []
+    for x in xs:
+        power = x
+        for _ in range(p - 2):
+            power = power @ x
+        powers.append(power)
+    diagonal = np.arange(size)
+    unit = SparseMatrix((size, size), diagonal, diagonal, np.ones(size, dtype=np.int64), p)
+    return xs + [unit] + powers
 
 
-def _assemble(L: RestrictedLieAlgebra, ops: list[tuple], k: int,
+def _assemble(L: RestrictedLieAlgebra, ops: list[SparseMatrix], k: int,
               wedge_only: bool = False) -> SparseMatrix:
     """d_k = Σ_i A_i ⊗ x_i + B ⊗ 1 + Σ_j C_j ⊗ x_j^{p-1} as a SparseMatrix.
 
@@ -210,28 +215,22 @@ def _assemble(L: RestrictedLieAlgebra, ops: list[tuple], k: int,
     src, dst = _formal_basis(n, k, wedge_only), _formal_basis(n, k - 1, wedge_only)
     terms = np.array(_generator_terms(L, src, dst), dtype=np.int64).reshape(-1, 4)
     parts = []
-    for o, (orow, ocol, oval) in enumerate(ops):
+    for o, op in enumerate(ops):
         tgt, s, cf = terms[terms[:, 3] == o, :3].T
-        parts.append(((tgt[:, None] * size + orow).ravel(), (s[:, None] * size + ocol).ravel(),
-                      ((cf % p)[:, None] * oval).ravel()))
-    n_rows, n_cols = len(dst) * size, len(src) * size
-    rows, cols, vals = _fold(*(np.concatenate(x) for x in zip(*parts)), n_rows, p)
-    out: list[dict[int, int]] = [{} for _ in range(n_cols)]
-    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        out[c][r] = v
-    return SparseMatrix((n_rows, n_cols), out, p)
+        parts.append(((tgt[:, None] * size + op.rows).ravel(),
+                      (s[:, None] * size + op.cols).ravel(), ((cf % p)[:, None] * op.vals).ravel()))
+    return SparseMatrix((len(dst) * size, len(src) * size),
+                        *(np.concatenate(x) for x in zip(*parts)), p)
 
 
 def _build_slices(L: RestrictedLieAlgebra, U: Ures, top: int) -> list[ChainComplexSlice]:
-    monos = U.basis()
+    dims = [len(_formal_basis(L.n, k)) * U.dim() for k in range(top + 1)]
+    for k, dim in enumerate(dims):
+        if dim > SLICE_BOUND:
+            raise TooLarge(f"degree-{k} slice has dimension {dim}")
     ops = _right_operators(U)
-    slices = [ChainComplexSlice(0, _slice_basis(L.n, 0, monos), None)]
-    for k in range(1, top + 1):
-        basis = _slice_basis(L.n, k, monos)
-        if len(basis) > SLICE_BOUND:
-            raise TooLarge(f"degree-{k} slice has dimension {len(basis)}")
-        slices.append(ChainComplexSlice(k, basis, _assemble(L, ops, k)))
-    return slices
+    return [ChainComplexSlice(k, dim, _assemble(L, ops, k) if k else None)
+            for k, dim in enumerate(dims)]
 
 
 def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
@@ -254,9 +253,7 @@ def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
         raise DegreeTooHigh(f"k_max={k_max} not below p={L.p}")
     U = Ures(L)
     slices = _build_slices(L, U, k_max + 1)
-    eps_cols: list[dict[int, int]] = [{} for _ in range(U.dim())]
-    eps_cols[U.mono_rank(U.unit_mono)] = {0: 1}
-    eps = SparseMatrix((1, U.dim()), eps_cols, L.p)
+    eps = SparseMatrix((1, U.dim()), [0], [U.mono_rank(U.unit_mono)], [1], L.p)
     eps.check_composite(slices[1].d, "eps d_1")
     for k in range(2, k_max + 2):
         slices[k - 1].d.check_composite(slices[k].d, f"d_{k-1} d_{k}")
@@ -273,7 +270,7 @@ def resolution_homology(res: Resolution, k: int) -> int:
     if k < 0 or k > res.k_max:
         raise ValueError(f"k={k} outside built range 0..{res.k_max}")
     rank_out = 1 if k == 0 else res.d_rank(k)
-    return len(res.slices[k].basis) - rank_out - res.d_rank(k + 1)
+    return res.slices[k].dim - rank_out - res.d_rank(k + 1)
 
 
 def _c_product_vector(L, U, I: tuple, basis_index: dict) -> np.ndarray:
@@ -341,12 +338,16 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
         else:
             mono = tuple(p - 1 if j in I else 0 for j in range(n))
             reps[row, basis_index[(I, mono)]] = 1
-    rep_cols = [dict(zip(np.flatnonzero(r).tolist(), r[r != 0].tolist())) for r in reps]
-    if d_out is not None and any(d_out.matvec(c) for c in rep_cols):
+    which, at = np.nonzero(reps)
+    rep_cols = SparseMatrix((len(basis_index), len(reps)), at, which, reps[which, at], p)
+    if d_out is not None and (d_out @ rep_cols).vals.size:
         raise InvariantFailure(f"aux_C_homology(k={k}): a representative is not a cycle")
-    in_cols = d_in.cols if d_in is not None else []
-    joint = rank(SparseMatrix((len(basis_index), len(in_cols) + len(rep_cols)),
-                              in_cols + rep_cols, p), p)
+    if d_in is None:
+        d_in = SparseMatrix((len(basis_index), 0), [], [], [], p)
+    joint = rank(SparseMatrix((len(basis_index), d_in.shape[1] + len(reps)),
+                              np.concatenate([d_in.rows, rep_cols.rows]),
+                              np.concatenate([d_in.cols, rep_cols.cols + d_in.shape[1]]),
+                              np.concatenate([d_in.vals, rep_cols.vals]), p), p)
     if joint != rank_in + reps.shape[0]:
         raise InvariantFailure(f"aux_C_homology(k={k}): representatives dependent mod boundaries")
     if reps.shape[0] != dim:
@@ -457,7 +458,9 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
     p, n = L.p, L.n
     U = Ures(L)
     slices = _build_slices(L, U, degree_bound)
-    idx = [{b: i for i, b in enumerate(s.basis)} for s in slices]
+    monos = U.basis()
+    bases = [_slice_basis(n, k, monos) for k in range(degree_bound + 1)]
+    idx = [{b: i for i, b in enumerate(basis)} for basis in bases]
 
     def diff(elem: dict) -> dict:
         if not elem:
@@ -466,7 +469,7 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
         if k == 0:
             return {}
         image = slices[k].d.matvec({idx[k][x]: c for x, c in elem.items()})
-        return {slices[k - 1].basis[i]: v for i, v in image.items()}
+        return {bases[k - 1][i]: v for i, v in image.items()}
 
     def leibniz_gap(a: dict, b: dict, ka: int) -> dict:
         lhs = diff(_elem_product(U, p, a, b))
@@ -501,10 +504,10 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
     for trial in range(100):
         ka = rng.randrange(degree_bound + 1)
         kb = rng.randrange(degree_bound + 1 - ka)
-        if not slices[ka].basis or not slices[kb].basis:
+        if not bases[ka] or not bases[kb]:
             continue
-        a = {rng.choice(slices[ka].basis): rng.randrange(1, p)}
-        b = {rng.choice(slices[kb].basis): rng.randrange(1, p)}
+        a = {rng.choice(bases[ka]): rng.randrange(1, p)}
+        b = {rng.choice(bases[kb]): rng.randrange(1, p)}
         gap = leibniz_gap(a, b, ka)
         if gap:
             ok, ce = False, {"trial": trial, "left": next(iter(a)), "right": next(iter(b))}

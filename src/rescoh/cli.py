@@ -210,7 +210,7 @@ def _cmd_resolve(args):
     hom = [resolution_homology(res, k) for k in range(args.kmax + 1)]
     results = {
         "kmax": args.kmax,
-        "slice_dims": [len(s.basis) for s in res.slices],
+        "slice_dims": [s.dim for s in res.slices],
         "homology": hom,
     }
     checks = [

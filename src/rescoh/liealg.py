@@ -23,15 +23,12 @@ import itertools
 import numpy as np
 
 from .field import NonPrimeModulus, is_prime
-from .linalg import UsageError, as_fp, mat_pow_mod, sample_vectors
+from .linalg import (MODULUS_LIMIT, ModulusTooLarge, UsageError, as_fp, mat_pow_mod,
+                     sample_vectors)
 
 
 class DimensionMismatch(ValueError):
     pass
-
-
-class ModulusTooLarge(UsageError):
-    """The modulus is at least MODULUS_LIMIT, where int64 sums stop being exact."""
 
 
 class NotRestrictable(UsageError):
@@ -42,7 +39,6 @@ class VerificationFailed(UsageError):
     pass
 
 
-MODULUS_LIMIT = 1 << 16
 EXHAUSTIVE_BOUND = 3**5
 
 

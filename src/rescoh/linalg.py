@@ -53,49 +53,114 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-class SparseMatrix:
-    """GF(p) matrix stored as one {row: value} dict per column.
+class ModulusTooLarge(UsageError):
+    """The modulus is at least MODULUS_LIMIT, where int64 sums stop being exact."""
 
-    Only nonzero entries reduced mod p are kept.  ``np.asarray`` gives
-    the dense int64 form, so dense consumers (``matmul_mod``, tests)
-    take a SparseMatrix unchanged.
+
+MODULUS_LIMIT = 1 << 16
+
+
+class SparseMatrix:
+    """GF(p) matrix stored as three int64 arrays ``rows``, ``cols``, ``vals``.
+
+    They list the nonzero entries sorted by column, then by row, with
+    values in [1, p).  The constructor takes entries in any order, sums
+    those at one position mod p and drops zeros, so a matrix has exactly
+    one form and equal matrices have equal arrays.  ``np.asarray`` gives
+    the dense int64 form, so dense consumers (``matmul_mod``, tests) take
+    a SparseMatrix unchanged.  The vectorised products (``@`` and
+    ``check_composite``) are refused from MODULUS_LIMIT up.
     """
 
-    __slots__ = ("shape", "cols", "p")
+    __slots__ = ("shape", "rows", "cols", "vals", "p")
 
-    def __init__(self, shape: tuple[int, int], cols: list[dict[int, int]], p: int):
-        if len(cols) != shape[1]:
-            raise ValueError("one column dict per column is required")
+    def __init__(self, shape: tuple[int, int], rows, cols, vals, p: int):
+        n_rows, n_cols = shape = (int(shape[0]), int(shape[1]))
+        rows, cols, vals = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (rows, cols, vals))
+        if not rows.size == cols.size == vals.size:
+            raise ValueError("rows, cols and vals must have one entry each")
+        if rows.size and (min(rows.min(), cols.min()) < 0
+                          or rows.max() >= n_rows or cols.max() >= n_cols):
+            raise ValueError(f"an entry index lies outside the shape {shape}")
+        key = cols * n_rows + rows
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, vals = key[first], np.add.reduceat(vals[order] % p, first) % p
+        keep = vals != 0
         self.shape = shape
-        self.cols = cols
+        self.cols, self.rows = np.divmod(key[keep], max(n_rows, 1))
+        self.vals = vals[keep]
         self.p = p
 
     def __array__(self, dtype=None, copy=None):
         out = zeros(*self.shape)
-        for c, col in enumerate(self.cols):
-            for r, v in col.items():
-                out[r, c] = v
+        out[self.rows, self.cols] = self.vals
         return out if dtype is None else out.astype(dtype)
 
+    def __matmul__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        blocks = list(_product_blocks(self, other))
+        parts = [np.concatenate(x) for x in zip(*blocks)] if blocks else [(), (), ()]
+        return SparseMatrix((self.shape[0], other.shape[1]), *parts, self.p)
+
     def matvec(self, x: dict[int, int]) -> dict[int, int]:
-        """self @ x for x given as {column: value}; zeros are dropped."""
+        """self @ x for x given as {column: value}; zeros are dropped.
+
+        Python-int arithmetic over the columns x names, for short x.
+        """
         out: dict[int, int] = {}
         for c, xv in x.items():
-            for r, v in self.cols[c].items():
+            lo, hi = np.searchsorted(self.cols, [c, c + 1]).tolist()
+            for r, v in zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()):
                 out[r] = (out.get(r, 0) + v * xv) % self.p
         return {r: v for r, v in out.items() if v}
 
     def check_composite(self, inner: SparseMatrix, label: str) -> None:
         """Raise NotAComplex unless self @ inner == 0.
 
-        Costs one sparse mat-vec per column of ``inner``; the message
-        names the first column whose image is nonzero.
+        Stops at the first block of the product with a nonzero entry;
+        the message names the first column whose image is nonzero.
         """
-        if inner.shape[0] != self.shape[1]:
-            raise ValueError(f"{label}: shapes {self.shape} and {inner.shape} do not compose")
-        for c, col in enumerate(inner.cols):
-            if self.matvec(col):
-                raise NotAComplex(f"{label} is nonzero on column {c}")
+        for _, cols, _ in _product_blocks(self, inner, label):
+            raise NotAComplex(f"{label} is nonzero on column {cols[0]}")
+
+
+_PRODUCT_BLOCK = 1 << 18
+
+
+def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
+    """The nonzero entries of a @ b as (rows, cols, vals) arrays, block by block.
+
+    Each entry (k, j, v) of b meets column k of a and gives the products
+    (i, j, a_ik·v) (Gustavson, ACM TOMS 4(3), 1978, column by column),
+    generated by index arithmetic.  Each product is below p² < 2^32 and
+    is reduced mod p before the sums by position.  A block covers whole
+    columns of b, in order, and about _PRODUCT_BLOCK products, which
+    bounds the memory held at once; only blocks with a nonzero entry are
+    yielded, each sorted by column, then row.
+    """
+    if a.shape[1] != b.shape[0] or a.p != b.p:
+        raise ValueError(f"{label}: GF({a.p}) {a.shape} and GF({b.p}) {b.shape} do not compose")
+    if a.p >= MODULUS_LIMIT:
+        raise ModulusTooLarge(f"{label}: GF({a.p}) products need p below {MODULUS_LIMIT}")
+    a_start = np.searchsorted(a.cols, b.rows)  # column b.rows[e] of a starts here
+    counts = np.searchsorted(a.cols, b.rows, side="right") - a_start
+    b_ptr = np.searchsorted(b.cols, np.arange(b.shape[1] + 1))
+    work = np.concatenate(([0], np.cumsum(counts)))[b_ptr]  # products before each column of b
+    lo = 0
+    while lo < b.shape[1]:
+        hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _PRODUCT_BLOCK, side="right")) - 1)
+        entries = np.arange(b_ptr[lo], b_ptr[hi])
+        run = counts[entries]
+        src = np.repeat(entries, run)
+        at = a_start[src] + np.arange(src.size) - np.repeat(np.cumsum(run) - run, run)
+        block = SparseMatrix((a.shape[0], hi - lo), a.rows[at], b.cols[src] - lo,
+                             a.vals[at] * b.vals[src], a.p)
+        if block.vals.size:
+            yield block.rows, block.cols + lo, block.vals
+        lo = hi
 
 
 def rref(a, p: int):
@@ -139,11 +204,16 @@ def _row_dicts(a, p: int) -> dict[int, dict[int, int]]:
     """Nonzero rows of a dense array or a SparseMatrix as {col: value} dicts."""
     rows: dict[int, dict[int, int]] = {}
     if isinstance(a, SparseMatrix):
-        for c, col in enumerate(a.cols):
-            for r, v in col.items():
-                v %= p
-                if v:
-                    rows.setdefault(r, {})[c] = v
+        order = np.argsort(a.rows, kind="stable")  # by row, then column
+        vals = a.vals[order] % p
+        keep = vals != 0
+        r = a.rows[order][keep]
+        # one int object per column, so dict lookups in rank hit on identity
+        c = np.arange(a.shape[1]).astype(object)[a.cols[order][keep]].tolist()
+        v = vals[keep].tolist()
+        starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist()
+        for s, e in zip(starts, starts[1:] + [r.size]):
+            rows[int(r[s])] = dict(zip(c[s:e], v[s:e]))
         return rows
     A = as_fp(a, p)
     if A.ndim != 2:

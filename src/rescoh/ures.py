@@ -49,6 +49,7 @@ class Ures:
         self.n = L.n
         self.basis_bound = basis_bound
         self.unit_mono = (0,) * L.n
+        self._commutative = L.is_abelian
         self._cache: dict = {}
 
     def dim(self) -> int:
@@ -84,23 +85,28 @@ class Ures:
         return r
 
     def to_vector(self, elem: Element) -> np.ndarray:
-        v = np.zeros(self.dim(), dtype=np.int64)
         if self.dim() > self.basis_bound:
             raise TooLarge(f"dense vector would have {self.dim()} entries")
+        v = np.zeros(self.dim(), dtype=np.int64)
         for mono, coeff in elem.items():
             v[self.mono_rank(mono)] = coeff % self.p
         return v
 
     def mono_times_gen(self, mono: tuple, g: int) -> Element:
         """Normal form of (ordered monomial) * e_g.  Results are cached;
-        callers must not mutate them."""
+        callers must not mutate them.
+
+        Over an abelian algebra e_g commutes with every factor, so the
+        product is one exponent bump or, at exponent p-1, one substitution
+        of e_g^p by its p-operator image.
+        """
         key = (mono, g)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         p, n, c = self.p, self.n, self.L.c
         out: dict = {}
-        tail = [h for h in range(g + 1, n) if mono[h] > 0]
+        tail = [] if self._commutative else [h for h in range(g + 1, n) if mono[h] > 0]
         if not tail:
             k = mono[g]
             if k + 1 < p:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rescoh.gmod import adjoint_module, trivial_module
+from rescoh.linalg import SparseMatrix
 from rescoh.liealg import (
     abelian_algebra,
     heisenberg_algebra,
@@ -23,6 +24,12 @@ from rescoh.liealg import (
 def nonzero_pi(n: int) -> np.ndarray:
     # reversal permutation; any table is admissible over an abelian algebra
     return np.eye(n, dtype=np.int64)[:, ::-1].copy()
+
+
+def add_one_at_origin(d: SparseMatrix) -> SparseMatrix:
+    """d with 1 added to its entry (0, 0): a corrupted differential."""
+    return SparseMatrix(d.shape, np.append(d.rows, 0), np.append(d.cols, 0),
+                        np.append(d.vals, 1), d.p)
 
 
 def make_corpus() -> list[tuple]:

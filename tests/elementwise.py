@@ -6,12 +6,17 @@ the target basis.  It serves only as an oracle for the U-linear
 assembly in abelres._assemble.
 """
 
+import numpy as np
+
 from rescoh.abelres import ChainBasisElement, _power_mono, _wedge_insert
-from rescoh.linalg import SparseMatrix
 
 
-def differential_by_element(L, U, src, dst_index) -> SparseMatrix:
-    """Matrix of d from the src basis into the indexed target basis."""
+def differential_by_element(L, U, src, dst_index):
+    """Matrix of d from the src basis into the indexed target basis.
+
+    Returned as its shape and the canonical (rows, cols, vals) arrays of
+    a SparseMatrix: nonzero entries sorted by column, then row.
+    """
     p, n = L.p, L.n
     cols = []
     for mu, I, r in src:
@@ -48,4 +53,6 @@ def differential_by_element(L, U, src, dst_index) -> SparseMatrix:
                 row = dst_index[ChainBasisElement(mu2, I2, mono)]
                 col[row] = col.get(row, 0) - mu[j] * cf * sgn
         cols.append({row: v % p for row, v in col.items() if v % p})
-    return SparseMatrix((len(dst_index), len(src)), cols, p)
+    entries = [(row, c, col[row]) for c, col in enumerate(cols) for row in sorted(col)]
+    rows, cs, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return (len(dst_index), len(src)), rows, cs, vals

@@ -50,8 +50,8 @@ from rescoh.ures import Ures
 
 from conftest import ABELIAN, CORPUS, coefficient_modules, nonzero_pi
 
-BUDGETS = {1: 1, 2: 1, 3: 2, 4: 25, 5: 5, 6: 10, 7: 10, 8: 10,
-           9: 2, 10: 20, 11: 30, 12: 10}
+BUDGETS = {1: 1, 2: 1, 3: 2, 4: 25, 5: 5, 6: 1, 7: 1, 8: 10,
+           9: 2, 10: 20, 11: 30, 12: 1}
 
 
 def _finish(num, ok, start, detail):

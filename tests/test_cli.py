@@ -1,9 +1,11 @@
 import collections
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rescoh.classical as classical
@@ -19,6 +21,8 @@ from rescoh.interp import NotACocycle, NotStronglyAbelian
 from rescoh.liealg import ModulusTooLarge, NotRestrictable, VerificationFailed
 from rescoh.linalg import UsageError
 from rescoh.ures import TooLarge
+
+from conftest import add_one_at_origin
 
 SOLVABLE = """\
 algebra borel over GF(5)
@@ -222,15 +226,48 @@ def test_resolve(tmp_path, capsys):
     assert code == 2 and "abelian" in err
 
 
+# The benchmark's resolve inputs (n, p, kmax), each with the zero p-operator
+# table and one seeded nonzero table, and the sha256 of each report as
+# printed before the differentials were held as index arrays.
+RESOLVE_REPORTS = {
+    (4, 5, 2, False): "f37128343faa61a5791288d0fb5be3993a0cf19e5341d914e67eb0856496dc63",
+    (4, 5, 2, True): "20bd8ac6cdd1efa649fdc976fe3e21ba0a9e6361d36a8193e6359e9c4d787c2b",
+    (3, 5, 3, False): "6d2c19039c4c428864373529a0211fc7c87815a67d6d67e2b0a95d5860339d9a",
+    (3, 5, 3, True): "812501eac80677f4d3ee8058d20c5bd90b0e1e319147a3a9507b699cdce15fde",
+    (4, 3, 2, False): "9a3213a01b6ff600c3972ec11225e9bafead10ac834761fcfd74f97ebb39b7cc",
+    (4, 3, 2, True): "e349ba508e1b599798e5705634b57772e1cd4794cab05facdcd394d1f70c0a1f",
+    (2, 7, 5, False): "84452c45f03faa84aba8794e0c5dc495a921f457d07e16b522d95b47365601b4",
+    (2, 7, 5, True): "115e45c3056712e02e2cf3e9ce7b352cf593df45cc2a187b477d52cf1331eba2",
+}
+
+
+def resolve_definition(n, p, nonzero):
+    labels = [f"x{i}" for i in range(n)]
+    pi = np.random.default_rng(10 * n + p).integers(0, p, (n, n)) * nonzero
+    lines = [f"algebra abelian{n}_p{p} over GF({p})", "basis " + " ".join(labels)]
+    for i in range(n):
+        terms = "+".join(f"{v}*{labels[k]}" for k, v in enumerate(pi[i].tolist()) if v)
+        lines.append(f"pmap {labels[i]}^[p] = {terms or 0}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,p,kmax,nonzero", list(RESOLVE_REPORTS),
+                         ids=[f"n{n}_p{p}_kmax{k}_{'pi' if z else 'zero'}"
+                              for n, p, k, z in RESOLVE_REPORTS])
+def test_resolve_reports_are_pinned(tmp_path, capsys, n, p, kmax, nonzero):
+    path = write(tmp_path, "abelian.alg", resolve_definition(n, p, nonzero))
+    assert main(["resolve", path, "--kmax", str(kmax)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RESOLVE_REPORTS[n, p, kmax, nonzero], out
+
+
 def test_internal_failure_exits_three(tmp_path, capsys, monkeypatch):
     import rescoh.abelres as abelres
 
     original = abelres._assemble
 
     def corrupted(*args):
-        d = original(*args)
-        d.cols[0][0] = (d.cols[0].get(0, 0) + 1) % d.p
-        return d
+        return add_one_at_origin(original(*args))
 
     monkeypatch.setattr(abelres, "_assemble", corrupted)
     path = write(tmp_path, "flat.alg", ABELIAN)

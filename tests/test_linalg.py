@@ -3,8 +3,11 @@ import random
 import numpy as np
 import pytest
 
+from rescoh import linalg
 from rescoh.linalg import (
+    MODULUS_LIMIT,
     InvariantFailure,
+    ModulusTooLarge,
     NotAComplex,
     SparseMatrix,
     Subspace,
@@ -48,8 +51,12 @@ def test_rref_degenerate_shapes():
 
 def to_sparse(a, p):
     a = as_fp(a, p)
-    cols = [{int(r): int(a[r, c]) for r in np.nonzero(a[:, c])[0]} for c in range(a.shape[1])]
-    return SparseMatrix(a.shape, cols, p)
+    r, c = np.nonzero(a)
+    return SparseMatrix(a.shape, r, c, a[r, c], p)
+
+
+def column_dict(a, c):
+    return {int(r): int(a[r, c]) for r in np.nonzero(a[:, c])[0]}
 
 
 def test_rank_agrees_with_rref():
@@ -86,7 +93,7 @@ def test_sparse_matrix_matvec_and_composite_check():
     sa, sb = to_sparse(a, p), to_sparse(b, p)
     for c in range(3):
         want = (a @ b[:, c]) % p
-        assert sa.matvec(sb.cols[c]) == {r: int(v) for r, v in enumerate(want) if v}
+        assert sa.matvec(column_dict(b, c)) == {r: int(v) for r, v in enumerate(want) if v}
     # incoming maps into the kernel of d_out, so the composite vanishes
     d_out = to_sparse([[0, 0, 1]], 3)
     d_in = to_sparse([[1, 2], [2, 0], [0, 0]], 3)
@@ -96,6 +103,86 @@ def test_sparse_matrix_matvec_and_composite_check():
     with pytest.raises(ValueError):
         d_out.check_composite(sa, "shapes")
     assert (matmul_mod(sa, sb, p) == (a @ b) % p).all()
+
+
+def test_sparse_matrix_canonical_form():
+    # entries in any order; equal positions summed mod p, zeros dropped
+    m = SparseMatrix((3, 4), [2, 0, 1, 2, 0, 1], [3, 1, 1, 3, 0, 1], [1, 4, 2, 2, 5, 5], 7)
+    assert m.rows.tolist() == [0, 0, 2]
+    assert m.cols.tolist() == [0, 1, 3]
+    assert m.vals.tolist() == [5, 4, 3]
+    assert (np.asarray(m) == [[5, 4, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3]]).all()
+    empty = SparseMatrix((0, 2), [], [], [], 3)
+    assert empty.vals.size == 0 and np.asarray(empty).shape == (0, 2)
+    with pytest.raises(ValueError):
+        SparseMatrix((2, 2), [2], [0], [1], 3)
+    with pytest.raises(ValueError):
+        SparseMatrix((2, 2), [0, 1], [0], [1], 3)
+    big = SparseMatrix((1, 1), [0], [0], [1], MODULUS_LIMIT + 1)
+    with pytest.raises(ModulusTooLarge):
+        big.check_composite(big, "big")
+
+
+def kernel_pair(rng, p, shape_a, inner_cols, density):
+    """A sparse a and a b whose columns lie in ker a, with some left empty."""
+    a = rng.integers(0, p, size=shape_a) * (rng.random(shape_a) < density)
+    basis = nullspace(a, p)
+    b = (basis.T @ rng.integers(0, p, size=(basis.shape[0], inner_cols))) % p
+    b[:, rng.random(inner_cols) < 0.3] = 0
+    return a, b
+
+
+def dense_verdict(a, b, p):
+    nonzero = np.flatnonzero(matmul_mod(a, b, p).any(axis=0))
+    return f"on column {nonzero[0]}" if nonzero.size else None
+
+
+def sparse_verdict(a, b, p):
+    try:
+        to_sparse(a, p).check_composite(to_sparse(b, p), "composite")
+    except NotAComplex as exc:
+        return str(exc).removeprefix("composite is nonzero ")
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_vectorised_composite_check_matches_dense_product(p):
+    rng = np.random.default_rng(p)
+    cases = []
+    for shape_a, inner_cols, density in [((4, 6), 5, 0.5), ((3, 9), 8, 0.3), ((7, 7), 6, 0.2),
+                                         ((5, 12), 10, 0.1), ((1, 4), 3, 0.9)]:
+        a, b = kernel_pair(rng, p, shape_a, inner_cols, density)
+        cases.append((a, b))
+        # one planted entry of b: the product becomes a scaled column of a
+        planted = b.copy()
+        k, j = rng.integers(shape_a[1]), rng.integers(inner_cols)
+        planted[k, j] = (planted[k, j] + rng.integers(1, p)) % p
+        cases.append((a, planted))
+        cases.append((a, rng.integers(0, p, size=b.shape) * (rng.random(b.shape) < density)))
+    single = zeros(4, 5)
+    single[2, 3] = p - 1
+    other = zeros(5, 6)
+    other[3, 4] = 1
+    cases += [(single, other), (single, zeros(5, 6)), (zeros(0, 3), zeros(3, 4)),
+              (zeros(3, 0), zeros(0, 4)), (zeros(4, 3), zeros(3, 0)), (zeros(0, 0), zeros(0, 0))]
+    verdicts = [dense_verdict(a, b, p) for a, b in cases]
+    assert None in verdicts and any(verdicts)
+    for (a, b), want in zip(cases, verdicts):
+        assert sparse_verdict(a, b, p) == want, (p, a.shape, b.shape)
+
+
+def test_sparse_product_in_small_blocks_matches_dense(monkeypatch):
+    # a block boundary inside the product must not split any column's sum
+    monkeypatch.setattr(linalg, "_PRODUCT_BLOCK", 3)
+    for p in (2, 5, 65521):
+        rng = np.random.default_rng(50 + p)
+        a = rng.integers(0, p, size=(9, 11)) * (rng.random((9, 11)) < 0.4)
+        b = rng.integers(0, p, size=(11, 13)) * (rng.random((11, 13)) < 0.4)
+        b[:, 4] = 0
+        assert (np.asarray(to_sparse(a, p) @ to_sparse(b, p)) == matmul_mod(a, b, p)).all()
+        assert sparse_verdict(a, b, p) == dense_verdict(a, b, p)
+        a, b = kernel_pair(rng, p, (6, 10), 12, 0.5)
+        assert sparse_verdict(a, b, p) is None and dense_verdict(a, b, p) is None
 
 
 def test_rank_exact_near_the_int64_bound():

@@ -9,6 +9,8 @@ from rescoh.liealg import abelian_algebra, solvable2_algebra, witt_algebra
 from rescoh.linalg import matmul_mod, sample_vectors
 from rescoh.ures import IndexOutOfRange, PBW_BOUND, TooLarge, Ures
 
+from conftest import ABELIAN, nonzero_pi
+
 
 def sample_elements(U, count, tag, support=3):
     """Deterministic sparse elements: `support` monomials each."""
@@ -45,6 +47,36 @@ def test_basis_bound_guard():
     wide = Ures(L, basis_bound=7**7)
     assert len(wide.basis()) == 7**7
     assert PBW_BOUND == 5**5
+
+
+def test_to_vector_refuses_past_the_bound():
+    L = abelian_algebra(2, 3)
+    U = Ures(L, basis_bound=8)
+    with pytest.raises(TooLarge):
+        U.to_vector(U.one())
+    assert Ures(L, basis_bound=9).to_vector(U.one()).tolist() == [1] + [0] * 8
+    # 65521^4 entries is more than numpy can allocate, so the bound must come first
+    huge = Ures(abelian_algebra(4, 65521))
+    with pytest.raises(TooLarge):
+        huge.to_vector(huge.one())
+
+
+# the zero table of the benchmark's n=4, p=5 run, and two nonzero tables
+ABELIAN_N4P5 = [("abelian4_p5", abelian_algebra(4, 5)),
+                ("abelian4nz_p5", abelian_algebra(4, 5, pi=nonzero_pi(4))),
+                ("abelian4dense_p5",
+                 abelian_algebra(4, 5, pi=np.random.default_rng(45).integers(0, 5, (4, 4))))]
+
+
+@pytest.mark.parametrize("tag,L", ABELIAN + ABELIAN_N4P5,
+                         ids=[tag for tag, _ in ABELIAN + ABELIAN_N4P5])
+def test_abelian_mono_times_gen_matches_general_path(tag, L):
+    fast, general = Ures(L), Ures(L)
+    general._commutative = False  # commute past higher-index factors, as for any algebra
+    for mono in fast.basis():
+        for g in range(L.n):
+            assert fast.mono_times_gen(mono, g) == general.mono_times_gen(mono, g), (tag, mono, g)
+    assert len(fast._cache) <= len(general._cache)
 
 
 def test_generator_and_unit():
