@@ -273,40 +273,6 @@ def resolution_homology(res: Resolution, k: int) -> int:
     return res.slices[k].dim - rank_out - res.d_rank(k + 1)
 
 
-def _c_product_vector(L, U, I: tuple, basis_index: dict) -> np.ndarray:
-    """Coordinates of c_{i1}···c_{ik} in the Λ^k ⊗ U_res basis.
-
-    c_i = e_i^{[p]} ⊗ 1 − e_i ⊗ e_i^{p−1}; the product expands over the
-    2^k choices, wedge factors sorted with sign, repeats dropped.
-    """
-    p, n = L.p, L.n
-    terms: dict[tuple, int] = {((), U.unit_mono): 1}
-    for i in I:
-        new: dict[tuple, int] = {}
-
-        def put(wedge, f, mono, cf):
-            if f in wedge:
-                return
-            above = sum(1 for w in wedge if w > f)
-            sgn = -1 if above % 2 else 1
-            key = (tuple(sorted(wedge + (f,))), mono)
-            new[key] = (new.get(key, 0) + sgn * cf) % p
-
-        for (wedge, mono), cf in terms.items():
-            for l in range(n):
-                v = int(L.pi[i, l])
-                if v:
-                    put(wedge, l, mono, cf * v)
-            prod = U.multiply({mono: 1}, {_power_mono(n, i, p - 1): 1})
-            for mono2, cf2 in prod.items():
-                put(wedge, i, mono2, -cf * cf2)
-        terms = new
-    vec = np.zeros(len(basis_index), dtype=np.int64)
-    for (wedge, mono), cf in terms.items():
-        vec[basis_index[(wedge, mono)]] = cf % p
-    return vec
-
-
 def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     """Homology of the wedge-only complex Λ^k ⊗ U_res at degree k.
 
@@ -334,7 +300,8 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     reps = zeros(math.comb(n, k), len(basis_index))
     for row, I in enumerate(itertools.combinations(range(n), k)):
         if L.pi.any():
-            reps[row] = _c_product_vector(L, U, I, basis_index)
+            for x, v in _c_product(L, U, I).items():
+                reps[row, basis_index[(x.I, x.r)]] = v
         else:
             mono = tuple(p - 1 if j in I else 0 for j in range(n))
             reps[row, basis_index[(I, mono)]] = 1
@@ -440,6 +407,23 @@ def _elem_product(U: Ures, p: int, a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _c_product(L: RestrictedLieAlgebra, U: Ures, S: tuple) -> dict:
+    """c_{s1}···c_{sk} as a chain element, c_i = Σ_l π_il e_l ⊗ 1 − e_i ⊗ x_i^{p−1}.
+
+    The cycle c_i is d of the degree-2 generator e_i ⊗ 1 ⊗ 1; the empty
+    product is 1 ⊗ 1 ⊗ 1.
+    """
+    p, n = L.p, L.n
+    zero_mu = (0,) * n
+    prod = {ChainBasisElement(zero_mu, (), U.unit_mono): 1}
+    for i in S:
+        c = {ChainBasisElement(zero_mu, (l,), U.unit_mono): int(L.pi[i, l])
+             for l in range(n) if L.pi[i, l]}
+        c[ChainBasisElement(zero_mu, (i,), _power_mono(n, i, p - 1))] = -1
+        prod = _elem_product(U, p, prod, c)
+    return prod
+
+
 def _elem_degree(x: ChainBasisElement) -> int:
     return 2 * sum(x.mu) + len(x.I)
 
@@ -514,37 +498,14 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
             break
     checks.append({"name": "leibniz_sampled", "pass": ok, "counterexample": ce})
 
-    def c_elem(i: int) -> dict:
-        out = {}
-        for l in range(n):
-            v = int(L.pi[i, l])
-            if v:
-                out[ChainBasisElement(zero_mu, (l,), U.unit_mono)] = v
-        key = ChainBasisElement(zero_mu, (i,), _power_mono(n, i, p - 1))
-        out[key] = (out.get(key, 0) - 1) % p
-        return {k: v for k, v in out.items() if v}
-
-    gen_ok = True
-    for i in range(n):
-        want = c_elem(i)
-        got = diff({_g2_key(n, i): 1})
-        if got != want:
-            gen_ok = False
-            break
+    gen_ok = all(diff({_g2_key(n, i): 1}) == _c_product(L, U, (i,)) for i in range(n))
     checks.append({"name": "d_of_degree2_generators", "pass": gen_ok})
 
-    cyc_ok, cyc_ce = True, None
-    for size in range(1, min(n, degree_bound) + 1):
-        for S in itertools.combinations(range(n), size):
-            prod = {ChainBasisElement(zero_mu, (), U.unit_mono): 1}
-            for i in S:
-                prod = _elem_product(U, p, prod, c_elem(i))
-            if diff(prod):
-                cyc_ok, cyc_ce = False, {"indices": S}
-                break
-        if not cyc_ok:
-            break
-    checks.append({"name": "c_products_are_cycles", "pass": cyc_ok, "counterexample": cyc_ce})
+    cyc_ce = next(({"indices": S} for size in range(1, min(n, degree_bound) + 1)
+                   for S in itertools.combinations(range(n), size) if diff(_c_product(L, U, S))),
+                  None)
+    checks.append({"name": "c_products_are_cycles", "pass": cyc_ce is None,
+                   "counterexample": cyc_ce})
     return {
         "pass": all(c["pass"] for c in checks),
         "p": p,

@@ -1,14 +1,14 @@
 """Exact linear algebra over GF(p).
 
-Matrices are numpy int64 arrays with entries reduced mod p; a matrix
-maps coordinate column vectors, so composition is the ordinary ``@``
-followed by a reduction.  Very sparse matrices, such as the abelian
-resolution's differentials, are kept as a SparseMatrix instead; ``rank``
-takes either form.  Echelon forms are deterministic (leftmost pivot
-column, first nonzero row) so every basis this module returns is
-reproducible across runs and platforms.  ``cohomology`` turns a pair of
-composable maps into their quotient ker/im with canonical
-representatives, eliminating each map once.
+Matrices are numpy int64 arrays with entries reduced mod p, acting on
+coordinate column vectors; very sparse ones, such as the abelian
+resolution's differentials, are kept as a SparseMatrix.  ``rref`` and
+``rank`` take either form and eliminate on {column: value} row dicts in
+Python ints, exact for any p; the products and ``cohomology`` sum in
+int64 and refuse p from MODULUS_LIMIT up.  A reduced echelon form is
+unique, so every basis returned here is reproducible.  ``cohomology``
+turns a pair of composable maps into their quotient ker/im with
+canonical representatives, eliminating each map once.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ class ModulusTooLarge(UsageError):
 
 
 MODULUS_LIMIT = 1 << 16
+
+
+def _check_modulus(p: int, label: str) -> None:
+    """Refuse p from MODULUS_LIMIT up, where int64 product sums stop being exact."""
+    if p >= MODULUS_LIMIT:
+        raise ModulusTooLarge(f"{label}: GF({p}) products need p below {MODULUS_LIMIT}")
 
 
 class SparseMatrix:
@@ -143,8 +149,7 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
     """
     if a.shape[1] != b.shape[0] or a.p != b.p:
         raise ValueError(f"{label}: GF({a.p}) {a.shape} and GF({b.p}) {b.shape} do not compose")
-    if a.p >= MODULUS_LIMIT:
-        raise ModulusTooLarge(f"{label}: GF({a.p}) products need p below {MODULUS_LIMIT}")
+    _check_modulus(a.p, label)
     a_start = np.searchsorted(a.cols, b.rows)  # column b.rows[e] of a starts here
     counts = np.searchsorted(a.cols, b.rows, side="right") - a_start
     b_ptr = np.searchsorted(b.cols, np.arange(b.shape[1] + 1))
@@ -163,65 +168,72 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
         lo = hi
 
 
+def _row_dicts(a, p: int):
+    """Shape and nonzero rows, in order, as {col: value} dicts keyed by row.
+
+    Each column is one shared int object, so the dict and set lookups of
+    the eliminations hit on identity."""
+    if isinstance(a, SparseMatrix):
+        order = np.argsort(a.rows, kind="stable")  # by row, then column
+        shape, r, c, v = a.shape, a.rows[order], a.cols[order], a.vals[order] % p
+        keep = v != 0
+        r, c, v = r[keep], c[keep], v[keep]
+    else:
+        A = as_fp(a, p)
+        if A.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        (r, c), shape = np.nonzero(A), A.shape
+        v = A[r, c]
+    bounds = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
+    r, c, v = r.tolist(), np.arange(shape[1]).astype(object)[c].tolist(), v.tolist()
+    return shape, {r[s]: dict(zip(c[s:e], v[s:e])) for s, e in zip(bounds, bounds[1:]) if s < e}
+
+
+def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int) -> None:
+    """row -= f * other in place, dropping the entries that vanish."""
+    for j, v in other.items():
+        w = (row.get(j, 0) - f * v) % p
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
 def rref(a, p: int):
     """Reduced row echelon form over GF(p).
 
+    Rows join a basis keyed by leading column one at a time, and the
+    basis stays reduced: a row first loses its entries on the basis
+    pivots, and a nonzero remainder, scaled to lead with 1, clears its
+    leading column from the basis rows before it joins.  Python-int
+    arithmetic, so no product overflows whatever the size of p.
+
     Args:
-        a: matrix-like, any shape including zero rows or columns.
+        a: matrix-like or SparseMatrix, any shape, zero rows or columns too.
         p: prime modulus.
 
     Returns:
-        (R, rank, pivots): the reduced form, its rank and the strictly
-        increasing list of pivot columns.
+        (R, rank, pivots): the reduced form as a dense array of a's
+        shape, its rank and the strictly increasing list of pivot columns.
     """
-    R = as_fp(a, p)  # a fresh array: the reduction mod p copies
-    if R.ndim != 2:
-        raise ValueError("rref expects a 2-d array")
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), -1, p)
-        R[r] = (R[r] * inv) % p
-        other = np.nonzero(R[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            R[other] = (R[other] - np.outer(R[other, c], R[r])) % p
-        pivots.append(c)
-        r += 1
+    shape, rows = _row_dicts(a, p)
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows.values():
+        for k in [j for j in row if j in basis]:
+            _subtract(row, row[k], basis[k], p)
+        if row:
+            lead = min(row)
+            inv = pow(row[lead], -1, p)
+            row = {j: v * inv % p for j, v in row.items()}
+            for other in basis.values():
+                if lead in other:
+                    _subtract(other, other[lead], row, p)
+            basis[lead] = row
+    pivots = sorted(basis)
+    R = zeros(*shape)
+    R[[i for i, c in enumerate(pivots) for _ in basis[c]],
+      [j for c in pivots for j in basis[c]]] = [v for c in pivots for v in basis[c].values()]
     return R, len(pivots), pivots
-
-
-def _row_dicts(a, p: int) -> dict[int, dict[int, int]]:
-    """Nonzero rows of a dense array or a SparseMatrix as {col: value} dicts."""
-    rows: dict[int, dict[int, int]] = {}
-    if isinstance(a, SparseMatrix):
-        order = np.argsort(a.rows, kind="stable")  # by row, then column
-        vals = a.vals[order] % p
-        keep = vals != 0
-        r = a.rows[order][keep]
-        # one int object per column, so dict lookups in rank hit on identity
-        c = np.arange(a.shape[1]).astype(object)[a.cols[order][keep]].tolist()
-        v = vals[keep].tolist()
-        starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist()
-        for s, e in zip(starts, starts[1:] + [r.size]):
-            rows[int(r[s])] = dict(zip(c[s:e], v[s:e]))
-        return rows
-    A = as_fp(a, p)
-    if A.ndim != 2:
-        raise ValueError("rank expects a 2-d array")
-    r_idx, c_idx = np.nonzero(A)
-    for r, c, v in zip(r_idx.tolist(), c_idx.tolist(), A[r_idx, c_idx].tolist()):
-        rows.setdefault(r, {})[c] = v
-    return rows
 
 
 def rank(a, p: int) -> int:
@@ -233,8 +245,15 @@ def rank(a, p: int) -> int:
     fewest rows (Markowitz), which keeps fill-in low on the sparse
     resolution differentials.  Only the pivot count is needed, so a
     pivot row is dropped once it has cleared its column.
+
+    The column rule is not rref's on purpose.  On the three
+    differentials of ``rescoh resolve`` for n=4, p=5, --kmax 2 with a
+    dense p-operator, leftmost-column pivots took 1.2 s and rref's row
+    by row insertion 29 s, against 0.27 s here; the other way round, the
+    holder sets peaked 1.8 MiB above rref on the 2575 x 25 derivations
+    system of Witt p=5 (tracemalloc; 2-core host, Python 3.11).
     """
-    rows = _row_dicts(a, p)
+    _, rows = _row_dicts(a, p)
     holders: dict[int, set[int]] = {}
     for i, row in rows.items():
         for c in row:
@@ -280,13 +299,10 @@ def nullspace(a, p: int) -> np.ndarray:
     echelon after sorting by f.
     """
     R, rk, pivots = rref(a, p)
-    cols = R.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(len(free), cols)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for r, c in enumerate(pivots):
-            basis[row, c] = (-int(R[r, f])) % p
+    free = sorted(set(range(R.shape[1])).difference(pivots))
+    basis = zeros(len(free), R.shape[1])
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[:rk, free].T) % p
     return basis
 
 
@@ -306,13 +322,11 @@ def solve(a, b, p: int):
     b = as_fp(b, p).reshape(-1)
     if a.shape[0] != b.shape[0]:
         raise ValueError("incompatible shapes")
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    R, rk, pivots = rref(aug, p)
+    R, rk, pivots = rref(np.hstack([a, b.reshape(-1, 1)]), p)
     if pivots and pivots[-1] == a.shape[1]:
         return None
     x = np.zeros(a.shape[1], dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, -1]
+    x[pivots] = R[:rk, -1]
     return x
 
 
@@ -321,8 +335,10 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
     Entries lie in [0, p), so every dot product is bounded by
     (p-1)^2 * inner; below 2**53 the float64 product is exact and an
-    order of magnitude faster than int64 on big matrices.
+    order of magnitude faster than int64 on big matrices.  Refused from
+    MODULUS_LIMIT up.
     """
+    _check_modulus(p, "matmul_mod")
     a = as_fp(a, p)
     b = as_fp(b, p)
     inner = a.shape[1]
@@ -333,7 +349,8 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
 
 def mat_pow_mod(m, k: int, p: int) -> np.ndarray:
-    """m**k with a reduction mod p after every product (no overflow)."""
+    """m**k with a reduction mod p after every product; refused from MODULUS_LIMIT up."""
+    _check_modulus(p, "mat_pow_mod")
     m = as_fp(m, p)
     result = identity(m.shape[0])
     base = m.copy()
@@ -445,7 +462,9 @@ def cohomology(incoming, outgoing, p: int) -> Cohomology:
 
     Raises:
         NotAComplex: if outgoing @ incoming != 0.
+        ModulusTooLarge: if p >= MODULUS_LIMIT.
     """
+    _check_modulus(p, "cohomology")
     if outgoing is None and incoming is None:
         raise ValueError("need at least one map to fix the middle dimension")
     # The maps are only read: each elimination reduces its own copy.

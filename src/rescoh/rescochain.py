@@ -298,13 +298,8 @@ def delta0_matrix(L, M) -> np.ndarray:
 
 def delta1(L, M, psi: np.ndarray) -> Cochain2:
     """Cochain-level delta1: psi -> (delta_cl psi, psi-tilde on basis)."""
-    p = L.p
-    psi = np.asarray(psi, dtype=np.int64) % p
-    phi_flat = (delta_cl_matrix(L, M, 1) @ psi.reshape(-1)) % p
-    om = np.zeros((L.n, M.m), dtype=np.int64)
-    for i in range(L.n):
-        om[i] = (L.pi[i] @ psi - mat_pow_mod(M.rho[i], p - 1, p) @ psi[i]) % p
-    return Cochain2(phi=pair_vec_to_tensor(L, M, phi_flat), omega_basis=om)
+    psi = np.asarray(psi, dtype=np.int64).reshape(-1) % L.p
+    return c2_from_vec(L, M, delta1_matrix(L, M) @ psi % L.p)
 
 
 def delta1_matrix(L, M, cl=None) -> np.ndarray:
@@ -330,27 +325,7 @@ def delta1_matrix(L, M, cl=None) -> np.ndarray:
 
 def delta2(L, M, c2: Cochain2) -> Cochain3:
     """Cochain-level delta2: (phi, omega) -> (delta_cl phi, induced beta)."""
-    p, n, m = L.p, L.n, M.m
-    alpha_flat = (delta_cl_matrix(L, M, 2) @ tensor_to_pair_vec(L, M, c2.phi)) % p
-    beta = np.zeros((n, n, m), dtype=np.int64)
-    for j in range(n):
-        ej = L.basis_vector(j)
-        rp = [np.eye(m, dtype=np.int64)]
-        for _ in range(p - 1):
-            rp.append((rp[-1] @ M.rho[j]) % p)
-        for i in range(n):
-            val = np.einsum("l,lb->b", L.pi[j], c2.phi[i]) % p
-            u = L.basis_vector(i)
-            vals = []
-            for b in range(p):
-                vals.append(_phi_eval(c2.phi, u, ej, p))
-                u = L.bracket(u, ej)
-            for a in range(p):
-                b = p - 1 - a
-                val = (val - (-1) ** a * (rp[a] @ vals[b])) % p
-            val = (val + M.rho[i] @ c2.omega_basis[j]) % p
-            beta[i, j] = val
-    return Cochain3(alpha=triple_vec_to_tensor(L, M, alpha_flat), beta_basis=beta)
+    return c3_from_vec(L, M, delta2_matrix(L, M) @ c2_to_vec(L, M, c2) % L.p)
 
 
 def delta2_matrix(L, M, cl=None) -> np.ndarray:

@@ -4,16 +4,23 @@ Reference implementation of classical and restricted H^k and of the
 comparison map: a dimension from ranks, a nullspace for the cycles, a
 greedy choice of cycles independent modulo the boundaries, and one
 linear solve per restricted representative for its class coordinates.
-Every coboundary is rebuilt wherever it is needed.  It serves only as
-an oracle for linalg.cohomology and the complexes built on it.
+Every coboundary is rebuilt wherever it is needed, and every
+elimination is the numpy one of dense_rref.  It serves only as an
+oracle for linalg.cohomology and the complexes built on it.
 """
 
 import numpy as np
 
 from rescoh.classical import delta_cl_matrix
 from rescoh.gmod import invariants
-from rescoh.linalg import NotAComplex, as_fp, matmul_mod, nullspace, rank, row_space, rref, solve, zeros
+from rescoh.linalg import NotAComplex, as_fp, matmul_mod, zeros
 from rescoh.rescochain import delta0_matrix, delta1_matrix, delta2_matrix, pair_tuples
+
+from dense_rref import nullspace, row_space, rref, solve
+
+
+def rank(a, p: int) -> int:
+    return rref(a, p)[1]
 
 
 def quotient_dim(incoming, outgoing, p: int) -> int:

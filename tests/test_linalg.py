@@ -3,6 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rescoh import linalg
 from rescoh.linalg import (
     MODULUS_LIMIT,
@@ -24,6 +27,8 @@ from rescoh.linalg import (
     solve,
     zeros,
 )
+
+import dense_rref
 
 
 def random_matrices(p, shapes, tag):
@@ -200,6 +205,60 @@ def test_rank_exact_near_the_int64_bound():
         a = np.array(prod, dtype=np.int64)
         assert rank(a, p) == r
         assert rank(to_sparse(a, p), p) == r
+        # C is already reduced with pivots 0..r-1 and spans the row space
+        R, rk, pivots = rref(a, p)
+        assert rk == r and pivots == list(range(r))
+        assert R[:r].tolist() == C and not R[r:].any()
+        ns = nullspace(a, p)
+        assert ns.shape == (cols - r, cols)
+        assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in prod for v in ns.tolist())
+        # a consistent right-hand side, and for rows > r the unit vector
+        # e_r, off the column space {(y, X y)} of a
+        x0 = [rng.randrange(p) for _ in range(cols)]
+        b = [sum(x * y for x, y in zip(row, x0)) % p for row in prod]
+        x = solve(a, b, p).tolist()
+        assert [sum(u * v for u, v in zip(row, x)) % p for row in prod] == b
+        if rows > r:
+            assert solve(a, [int(i == r) for i in range(rows)], p) is None
+
+
+def test_products_refuse_a_large_modulus():
+    # (p-1)^2 = 1 mod p, but the int64 product wraps and gives 4294967267
+    p = 4294967291
+    with pytest.raises(ModulusTooLarge):
+        matmul_mod([[p - 1]], [[p - 1]], p)
+    with pytest.raises(ModulusTooLarge):
+        mat_pow_mod([[p - 1]], 2, p)
+
+
+def test_cohomology_refuses_a_large_modulus():
+    # a genuine complex: (p-2)(p-1) + (p-2) = (p-2) p, which int64 misreads
+    p = 4294967291
+    incoming, outgoing = [[p - 1], [p - 2]], [[p - 2, 1]]
+    assert sum(u * v[0] for u, v in zip(outgoing[0], incoming)) % p == 0
+    with pytest.raises(ModulusTooLarge):
+        cohomology(incoming, outgoing, p)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 7, 65521]), rows=st.integers(0, 9), cols=st.integers(0, 9),
+       density=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_eliminations_match_the_dense_oracle(p, rows, cols, density, seed):
+    # rref, nullspace and solve byte-identical to numpy elimination
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+
+    def same(x, y):
+        return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+    (R, rk, piv), (R0, rk0, piv0) = rref(a, p), dense_rref.rref(a, p)
+    assert same(R, R0) and rk == rk0 and piv == piv0
+    assert rref(to_sparse(a, p), p)[1:] == (rk0, piv0)
+    assert same(nullspace(a, p), dense_rref.nullspace(a, p))
+    x0 = rng.integers(0, p, size=cols)
+    for b in ((a @ x0) % p, rng.integers(0, p, size=rows)):
+        x, want = solve(a, b, p), dense_rref.solve(a, b, p)
+        assert (x is None and want is None) or same(x, want)
 
 
 def test_rref_is_idempotent_and_row_equivalent():
