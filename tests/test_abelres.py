@@ -1,5 +1,6 @@
 """Explicit resolution over abelian algebras and its consequences."""
 
+import functools
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rescoh import abelres
+from rescoh import abelres, linalg
 from rescoh.abelres import (
     DegreeTooHigh,
     NotAbelian,
@@ -21,12 +22,13 @@ from rescoh.abelres import (
 )
 from rescoh.gmod import adjoint_module, trivial_module
 from rescoh.liealg import abelian_algebra, heisenberg_algebra, witt_algebra
-from rescoh.linalg import NotAComplex, matmul_mod
+from rescoh.linalg import NotAComplex, matmul_mod, rank
 from rescoh.rescochain import restricted_cohomology
 from rescoh.ures import TooLarge, Ures
 
 from conftest import ABELIAN, add_one_at_origin, coefficient_modules, nonzero_pi
 from elementwise import differential_by_element
+import markowitz
 
 
 def expected_slice_dim(n: int, p: int, k: int) -> int:
@@ -150,6 +152,44 @@ def test_resolution_exact(abelian_entry):
         resolution_homology(res, k_max + 1)
     with pytest.raises(ValueError):
         resolution_homology(res, -1)
+
+
+# The (n, p, kmax) of the pinned resolve reports in test_cli.py; each runs
+# with the zero table and with the seeded table those reports use.
+RESOLVE_SHAPES = [(4, 5, 2), (3, 5, 3), (4, 3, 2), (2, 7, 5)]
+
+
+@functools.cache
+def resolve_differentials(n: int, p: int, k_max: int, nonzero: bool):
+    """d_1 .. d_{k_max+1} of the resolution that ``rescoh resolve`` builds."""
+    pi = np.random.default_rng(10 * n + p).integers(0, p, (n, n)) * nonzero
+    res = build_resolution(abelian_algebra(n, p, pi=pi), k_max)
+    return [s.d for s in res.slices[1:]] + [res._extra.d]
+
+
+def test_rank_matches_the_markowitz_oracle(abelian_entry):
+    tag, L = abelian_entry
+    res = build_resolution(L, min(L.p - 1, 3))
+    for s in res.slices[1:] + [res._extra]:
+        assert rank(s.d, L.p) == markowitz.rank(s.d, L.p), (tag, s.degree)
+
+
+@pytest.mark.parametrize("nonzero", [False, True], ids=["zero", "pi"])
+@pytest.mark.parametrize("n,p,k_max", RESOLVE_SHAPES)
+def test_resolve_ranks_match_the_markowitz_oracle(n, p, k_max, nonzero):
+    # d_3 of the north star is 6250 x 12500, past the dense oracle
+    for k, d in enumerate(resolve_differentials(n, p, k_max, nonzero), 1):
+        assert rank(d, p) == markowitz.rank(d, p), k
+
+
+def test_peel_counts_on_the_north_star():
+    # Columns-first rounds take these pivots off d_1, d_2, d_3 of the
+    # north-star resolve (n=4, p=5, --kmax 2, zero table) before any
+    # arithmetic, and clear d_1; counts, not times, so that losing the
+    # peel shows.
+    peels = [linalg._peel(*linalg._nonzeros(d, 5)) for d in resolve_differentials(4, 5, 2, False)]
+    assert [peeled for peeled, *_ in peels] == [624, 596, 2454]
+    assert [left.size for _, left, _, _ in peels] == [0, 4608, 7296]
 
 
 def test_resolution_guards():

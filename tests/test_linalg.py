@@ -29,6 +29,7 @@ from rescoh.linalg import (
 )
 
 import dense_rref
+import markowitz
 
 
 def random_matrices(p, shapes, tag):
@@ -194,6 +195,7 @@ def test_rank_exact_near_the_int64_bound():
     # Entries near 2**32 make every product in elimination exceed int64.
     p = 4294967291
     rng = random.Random(p)
+    products = []
     for rows, cols, r in [(6, 7, 3), (8, 5, 5), (5, 9, 1), (4, 4, 4)]:
         # B = [I_r; X] and C = [I_r | Y] give B @ C of rank exactly r.
         B = [[int(i == j) for j in range(r)] for i in range(r)]
@@ -203,6 +205,7 @@ def test_rank_exact_near_the_int64_bound():
         prod = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(cols)]
                 for i in range(rows)]
         a = np.array(prod, dtype=np.int64)
+        products.append(a)
         assert rank(a, p) == r
         assert rank(to_sparse(a, p), p) == r
         # C is already reduced with pivots 0..r-1 and spans the row space
@@ -220,6 +223,39 @@ def test_rank_exact_near_the_int64_bound():
         assert [sum(u * v for u, v in zip(row, x)) % p for row in prod] == b
         if rows > r:
             assert solve(a, [int(i == r) for i in range(rows)], p) is None
+    # A border of singletons around the 6 x 7 product of rank 3: column 7
+    # holds one entry, in row 6, which spans columns 0..7, and row 7 holds
+    # one entry, in column 8, which meets rows 0..5 too.  The peel takes
+    # both pivots and leaves the product whole.
+    bordered = np.zeros((8, 9), dtype=np.int64)
+    bordered[:6, :7] = products[0]
+    bordered[6, :8] = [rng.randrange(1, p) for _ in range(8)]
+    bordered[:6, 8] = [rng.randrange(1, p) for _ in range(6)]
+    bordered[7, 8] = p - 2
+    peeled, left, _, _ = linalg._peel(*linalg._nonzeros(bordered, p))
+    assert peeled == 2 and left.size == np.count_nonzero(products[0])
+    # It clears a staircase, one pivot per round, by columns or by rows.
+    stair = np.zeros((5, 6), dtype=np.int64)
+    stair[range(5), range(5)] = [p - 1 - i for i in range(5)]
+    stair[range(5), range(1, 6)] = [p - 7 - i for i in range(5)]
+    for m in (stair, stair.T):
+        peeled, left, _, _ = linalg._peel(*linalg._nonzeros(m, p))
+        assert peeled == 5 and left.size == 0
+    for m in (bordered, stair, stair.T):
+        assert rank(m, p) == rank(to_sparse(m, p), p) == markowitz.rank(m, p) == rref(m, p)[1]
+    assert rank(bordered, p) == 3 + 2
+
+
+def test_peel_stops_on_a_chain():
+    # A bidiagonal matrix yields one singleton column per round, so its
+    # first round finds too few pivots to go on; Markowitz takes the rest.
+    n, p = 300, 5
+    i = np.arange(n)
+    a = SparseMatrix((n, n), np.r_[i, i[:-1]], np.r_[i, i[1:]],
+                     np.r_[np.full(n, 2), np.full(n - 1, 3)], p)
+    peeled, left, _, _ = linalg._peel(*linalg._nonzeros(a, p))
+    assert peeled == 1 and left.size == 2 * n - 3
+    assert rank(a, p) == markowitz.rank(a, p) == n
 
 
 def test_products_refuse_a_large_modulus():
@@ -259,6 +295,26 @@ def test_eliminations_match_the_dense_oracle(p, rows, cols, density, seed):
     for b in ((a @ x0) % p, rng.integers(0, p, size=rows)):
         x, want = solve(a, b, p), dense_rref.solve(a, b, p)
         assert (x is None and want is None) or same(x, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 7, 65521]), rows=st.integers(0, 12), cols=st.integers(0, 12),
+       density=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_rank_with_planted_singletons_matches_the_dense_oracle(p, rows, cols, density, seed):
+    # weight-1 rows and columns planted in a random matrix feed the peel;
+    # a column planted later may empty a planted row or add to it
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    for i in rng.permutation(rows)[: rng.integers(0, rows + 1)]:
+        a[i] = 0
+        if cols:
+            a[i, rng.integers(cols)] = rng.integers(1, p)
+    for j in rng.permutation(cols)[: rng.integers(0, cols + 1)]:
+        a[:, j] = 0
+        if rows:
+            a[rng.integers(rows), j] = rng.integers(1, p)
+    want = dense_rref.rref(a, p)[1]
+    assert rank(a, p) == rank(to_sparse(a, p), p) == want
 
 
 def test_rref_is_idempotent_and_row_equivalent():
