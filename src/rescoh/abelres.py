@@ -16,12 +16,12 @@ U_res is commutative here, so d is U_res-linear: d_k = Σ_i A_i ⊗ x_i +
 B ⊗ 1 + Σ_j C_j ⊗ x_j^{p-1}, small tables on the free generators times
 2n+1 right multiplications.  The x_i tables are straightened once, the
 x_j^{p-1} tables are their powers by sparse products, and each d_k is
-assembled by array index arithmetic into a SparseMatrix of index arrays;
-d∘d = 0 is checked with one sparse product per composite.  A slice
-carries only its dimension; the basis elements e^mu ⊗ e_I ⊗ r, in the
-order of the matrix coordinates, are built by _slice_basis for the few
-callers that read them.  The dual complex pairs the same tables with the
-operators' matrices on the module.
+its list of generator terms summed by linalg.kron_sum into a
+SparseMatrix; d∘d = 0 is checked with one sparse product per composite.
+A slice carries only its dimension; the basis elements e^mu ⊗ e_I ⊗ r,
+in the order of the matrix coordinates, are built by _slice_basis for
+the few callers that read them.  The dual complex sums the same terms,
+transposed, on the operators' matrices on the module, densely.
 
 Two auxiliary complexes support the exactness argument and are checked
 directly here: the wedge-only complex on Λ^k ⊗ U_res (the A_i part of
@@ -44,7 +44,7 @@ import numpy as np
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
 from .linalg import (InvariantFailure, SparseMatrix, UsageError, cohomology, identity,
-                     mat_pow_mod, matmul_mod, rank, zeros)
+                     kron_sum, mat_pow_mod, matmul_mod, rank, zeros)
 from .ures import TooLarge, Ures
 
 SLICE_BOUND = 20_000
@@ -210,17 +210,8 @@ def _assemble(L: RestrictedLieAlgebra, ops: list[SparseMatrix], k: int,
     Index g·p^n + mono rank, as in _slice_basis; wedge_only restricts to
     the summand Λ^k ⊗ u.
     """
-    p, n = L.p, L.n
-    size = p**n
-    src, dst = _formal_basis(n, k, wedge_only), _formal_basis(n, k - 1, wedge_only)
-    terms = np.array(_generator_terms(L, src, dst), dtype=np.int64).reshape(-1, 4)
-    parts = []
-    for o, op in enumerate(ops):
-        tgt, s, cf = terms[terms[:, 3] == o, :3].T
-        parts.append(((tgt[:, None] * size + op.rows).ravel(),
-                      (s[:, None] * size + op.cols).ravel(), ((cf % p)[:, None] * op.vals).ravel()))
-    return SparseMatrix((len(dst) * size, len(src) * size),
-                        *(np.concatenate(x) for x in zip(*parts)), p)
+    src, dst = _formal_basis(L.n, k, wedge_only), _formal_basis(L.n, k - 1, wedge_only)
+    return kron_sum((len(dst), len(src)), _generator_terms(L, src, dst), ops, L.p)
 
 
 def _build_slices(L: RestrictedLieAlgebra, U: Ures, top: int) -> list[ChainComplexSlice]:
@@ -342,39 +333,29 @@ def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
 
     def bdry(k: int) -> np.ndarray:
         """Minus the C_j tables of the resolution differential."""
-        d = zeros(len(bases[k - 1]), len(bases[k]))
-        for tgt, src, cf, op in _generator_terms(L, bases[k], bases[k - 1]):
-            if op > n:
-                d[tgt, src] = (d[tgt, src] - cf) % p
-        return d
+        terms = [(tgt, src, -cf, 0) for tgt, src, cf, op
+                 in _generator_terms(L, bases[k], bases[k - 1]) if op > n]
+        return kron_sum((len(bases[k - 1]), len(bases[k])), terms, [identity(1)], p)
 
     def homot(k: int) -> np.ndarray:
-        D = zeros(len(bases[k + 1]), len(bases[k]))
-        for col, (mu, I) in enumerate(bases[k]):
-            for a, i in enumerate(I):
-                sgn = -1 if a % 2 else 1
-                mu2 = mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
-                rest = I[:a] + I[a + 1 :]
-                row = idx[k + 1][(mu2, rest)]
-                D[row, col] = (D[row, col] + sgn) % p
-        return D
+        """D: e^mu ⊗ c_I -> Σ_a ±e^{mu+ε_{I_a}} ⊗ c_{I without I_a}."""
+        terms = [(idx[k + 1][(mu[:i] + (mu[i] + 1,) + mu[i + 1 :], I[:a] + I[a + 1 :])],
+                  col, -1 if a % 2 else 1, 0)
+                 for col, (mu, I) in enumerate(bases[k]) for a, i in enumerate(I)]
+        return kron_sum((len(bases[k + 1]), len(bases[k])), terms, [identity(1)], p)
+
+    def homotopy_gap(k: int) -> np.ndarray:
+        """D∂ + ∂D − (t+s)·id in degree k; homot(0) is zero."""
+        lhs = matmul_mod(ds[k + 1], homot(k), p) + matmul_mod(homot(k - 1), ds[k], p)
+        return (lhs - np.diag([sum(mu) + len(I) for mu, I in bases[k]])) % p
 
     ds = [None] + [bdry(k) for k in range(1, k_max + 2)]
     checks = []
     # degree 1 maps into U_res itself; every degree-1 symbol has mu = 0
     checks.append({"name": "d1_zero", "pass": not ds[1].any()})
-    hom_pass, hom_ce = True, None
-    for k in range(1, k_max + 1):
-        D_k = homot(k)
-        D_down = homot(k - 1) if k >= 2 else zeros(len(bases[1]), len(bases[0]))
-        lhs = (matmul_mod(ds[k + 1], D_k, p) + matmul_mod(D_down, ds[k], p)) % p
-        want = zeros(len(bases[k]), len(bases[k]))
-        for col, (mu, I) in enumerate(bases[k]):
-            want[col, col] = (sum(mu) + len(I)) % p
-        if (lhs != want).any():
-            hom_pass, hom_ce = False, {"degree": k}
-            break
-    checks.append({"name": "homotopy_identity", "pass": hom_pass, "counterexample": hom_ce})
+    bad = next((k for k in range(1, k_max + 1) if homotopy_gap(k).any()), None)
+    checks.append({"name": "homotopy_identity", "pass": bad is None,
+                   "counterexample": None if bad is None else {"degree": bad}})
     h_dims = {0: L.p ** n - rank(ds[1], p)}
     for k in range(1, k_max + 1):
         h_dims[k] = cohomology(ds[k + 1], ds[k], p).dim
@@ -544,15 +525,13 @@ def abelian_cochain_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule,
         raise InvariantFailure(f"degree-{k} cochain space has {len(pairs[k])} generators, "
                                f"not C({n + k - 1},{k})")
     # ρ of each operator of _right_operators: x_i, 1, x_j^{p-1}
-    rhos = [M.rho[i] % p for i in range(n)] + [identity(m)]
-    rhos += [mat_pow_mod(M.rho[j], p - 1, p) for j in range(n)]
+    rhos = [*M.rho, identity(m)] + [mat_pow_mod(rho, p - 1, p) for rho in M.rho]
 
     def delta(j: int) -> np.ndarray:
-        """Hom(d_{j+1}): block (source pair, target pair) += coefficient · ρ(operator)."""
-        out = zeros(len(pairs[j + 1]) * m, len(pairs[j]) * m)
-        for tgt, src, cf, op in _generator_terms(L, pairs[j + 1], pairs[j]):
-            out[src * m : (src + 1) * m, tgt * m : (tgt + 1) * m] += (cf % p) * rhos[op]
-        return out % p
+        """Hom(d_{j+1}): the terms of d_{j+1}, transposed, on ρ of each operator."""
+        terms = [(src, tgt, cf, op) for tgt, src, cf, op
+                 in _generator_terms(L, pairs[j + 1], pairs[j])]
+        return kron_sum((len(pairs[j + 1]), len(pairs[j])), terms, rhos, p)
 
     d_out = delta(k)
     d_in = delta(k - 1) if k >= 1 else None

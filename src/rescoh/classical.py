@@ -9,7 +9,9 @@ uses the sign convention (1-indexed positions s < t)
         sum_{s<t} (-1)^(s+t-1) f([g_s, g_t], ..., no g_s, no g_t, ...)
       + sum_s    (-1)^s        g_s . f(..., no g_s, ...)
 
-so that in degree 0, (delta v)(g) = -g.v.
+so that in degree 0, (delta v)(g) = -g.v.  The matrix is that formula
+as a list of (target block, source block, coefficient, op) terms with
+ops rho(e_j) and 1, summed densely by linalg.kron_sum.
 
 A ClassicalComplex holds the coboundaries and cohomology groups of one
 (L, M), each computed on first use; the restricted complex of the same
@@ -22,7 +24,8 @@ import itertools
 
 import numpy as np
 
-from .linalg import Cohomology, cohomology, nullspace  # noqa: F401  (perfbench wraps classical.nullspace)
+# perfbench wraps classical.nullspace
+from .linalg import Cohomology, cohomology, identity, kron_sum, nullspace  # noqa: F401
 from .liealg import RestrictedLieAlgebra
 from .gmod import RestrictedModule
 
@@ -32,41 +35,26 @@ def cochain_tuples(n: int, q: int) -> list[tuple]:
 
 
 def delta_cl_matrix(L: RestrictedLieAlgebra, M: RestrictedModule, q: int) -> np.ndarray:
-    """Matrix of delta: C^q -> C^(q+1) in the coordinate bases."""
+    """Matrix of delta: C^q -> C^(q+1) in the coordinate bases: its action
+    terms (T, T without g_s) with op rho(g_s) and its bracket terms (T, S)
+    with op 1, S holding a basis element of [g_s, g_t] in place of g_s, g_t."""
     if q < 0:
         raise ValueError("negative cochain degree")
-    n, p, m = L.n, L.p, M.m
-    src = cochain_tuples(n, q)
-    dst = cochain_tuples(n, q + 1)
+    n = L.n
+    src, dst = cochain_tuples(n, q), cochain_tuples(n, q + 1)
     src_rank = {S: r for r, S in enumerate(src)}
-    D = np.zeros((len(dst) * m, len(src) * m), dtype=np.int64)
-    eye = np.eye(m, dtype=np.int64)
-    for rT, T in enumerate(dst):
-        row0 = rT * m
-        for s in range(1, q + 2):
-            j = T[s - 1]
-            rest = T[: s - 1] + T[s:]
-            col0 = src_rank[rest] * m
-            sgn = -1 if s % 2 else 1
-            D[row0 : row0 + m, col0 : col0 + m] = (
-                D[row0 : row0 + m, col0 : col0 + m] + sgn * M.rho[j]
-            ) % p
-        for s in range(1, q + 2):
-            for t in range(s + 1, q + 2):
-                rest = tuple(x for k, x in enumerate(T) if k not in (s - 1, t - 1))
-                base = -1 if (s + t - 1) % 2 else 1
-                for l in range(n):
-                    coeff = int(L.c[T[s - 1], T[t - 1], l])
-                    if coeff == 0 or l in rest:
-                        continue
-                    pos = sum(1 for x in rest if x < l)
-                    S = tuple(sorted(rest + (l,)))
-                    col0 = src_rank[S] * m
-                    val = (base * coeff * (-1 if pos % 2 else 1)) % p
-                    D[row0 : row0 + m, col0 : col0 + m] = (
-                        D[row0 : row0 + m, col0 : col0 + m] + val * eye
-                    ) % p
-    return D % p
+    terms = []
+    for row, T in enumerate(dst):
+        for s in range(q + 1):
+            terms.append((row, src_rank[T[:s] + T[s + 1 :]], 1 if s % 2 else -1, T[s]))
+        for s, t in itertools.combinations(range(q + 1), 2):
+            rest = T[:s] + T[s + 1 : t] + T[t + 1 :]
+            for l in np.flatnonzero(L.c[T[s], T[t]]).tolist():
+                if l not in rest:
+                    sign = (-1) ** (s + t + 1 + sum(x < l for x in rest))
+                    col = src_rank[tuple(sorted(rest + (l,)))]
+                    terms.append((row, col, sign * int(L.c[T[s], T[t], l]), n))
+    return kron_sum((len(dst), len(src)), terms, [*M.rho, identity(M.m)], L.p)
 
 
 class ClassicalComplex:

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import NonPrimeModulus, is_prime
+from .field import NonPrimeModulus  # noqa: F401  (re-exported: parse raises it)
 from .gmod import RestrictedModule
-from .liealg import MODULUS_LIMIT, ModulusTooLarge, RestrictedLieAlgebra
+from .liealg import RestrictedLieAlgebra, _check_modulus
 from .linalg import UsageError
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -153,7 +153,7 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
     """Parse and canonicalize a definition file.
 
     Raises DslSyntaxError with line/column/expected-token on malformed
-    lines, NonPrimeModulus, DuplicateLabel, or UnresolvedReference.
+    lines, NonPrimeModulus, ModulusTooLarge, DuplicateLabel, or UnresolvedReference.
     """
     name = None
     p = None
@@ -183,10 +183,7 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
             p = int(cur.expect(_INT, "prime modulus"))
             cur.expect(r"\)", "')'")
             cur.done()
-            if p >= MODULUS_LIMIT:  # before the trial-division primality test
-                raise ModulusTooLarge(f"GF({p}): modulus is not below {MODULUS_LIMIT}")
-            if p < 2 or not is_prime(p):
-                raise NonPrimeModulus(f"GF({p}) is not a prime field")
+            _check_modulus(p)
         elif kw == "basis":
             if basis:
                 raise DuplicateLabel("basis declared twice")

