@@ -192,6 +192,21 @@ def test_peel_counts_on_the_north_star():
     assert [left.size for _, left, _, _ in peels] == [0, 4608, 7296]
 
 
+def test_stacked_component_counts_on_the_north_star():
+    # What the peel leaves of d_2 and d_3 splits into hundreds of small
+    # components, every one of them stacked, so no entry reaches
+    # Markowitz; counts, not times, so that losing the stage shows.
+    counts = []
+    for d in resolve_differentials(4, 5, 2, False)[1:]:
+        shape, *entries = linalg._nonzeros(d, 5)
+        peeled, r, c, v = linalg._peel(shape, *entries)
+        comps = np.unique(linalg._components(shape, r, c)).size
+        stacked, left, _, _ = linalg._stacked_rank(shape, r, c, v, 5)
+        counts.append((comps, left.size))
+        assert peeled + stacked == rank(d, 5)
+    assert counts == [(512, 0), (704, 0)]
+
+
 def test_resolution_guards():
     with pytest.raises(NotAbelian):
         build_resolution(heisenberg_algebra(3), 1)

@@ -259,6 +259,81 @@ def test_peel_stops_on_a_chain():
     assert rank(a, p) == markowitz.rank(a, p) == n
 
 
+def test_the_chain_is_one_component_for_markowitz():
+    # What the peel leaves of the chain above is one component, too big
+    # to stack, so Markowitz gets all 2n - 3 entries of it.
+    n, p = 300, 5
+    i = np.arange(n)
+    a = SparseMatrix((n, n), np.r_[i, i[:-1]], np.r_[i, i[1:]],
+                     np.r_[np.full(n, 2), np.full(n - 1, 3)], p)
+    shape, r, c, v = linalg._nonzeros(a, p)
+    _, r, c, v = linalg._peel(shape, r, c, v)
+    assert np.unique(linalg._components(shape, r, c)).size == 1
+    assert np.unique(r).size + np.unique(c).size > linalg._STACK_CUT
+    stacked, left, _, _ = linalg._stacked_rank(shape, r, c, v, p)
+    assert stacked == 0 and left.size == 2 * n - 3
+
+
+def low_rank_product(rng, rows, cols, r, p):
+    """B @ C mod p for B = [I_r; X] and C = [I_r | Y]: rank exactly r."""
+    B = [[int(i == j) for j in range(r)] for i in range(r)]
+    B += [[rng.randrange(p) for _ in range(r)] for _ in range(rows - r)]
+    C = [[int(i == j) for j in range(r)] + [rng.randrange(p) for _ in range(cols - r)]
+         for i in range(r)]
+    return np.array([[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(cols)]
+                     for i in range(rows)], dtype=np.int64)
+
+
+def block_diagonal(blocks, rng, extra_rows=0, extra_cols=0):
+    """The blocks on a diagonal, padded with empty rows and columns, with
+    rows and columns permuted by the numpy generator rng."""
+    rows, cols = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows + extra_rows, cols + extra_cols), dtype=np.int64)
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out[rng.permutation(out.shape[0])][:, rng.permutation(out.shape[1])]
+
+
+@pytest.mark.parametrize("p", [65521, 65537, 4294967291])
+def test_stacked_rank_exact_across_the_dtype_switch(p):
+    # The products of test_rank_exact_near_the_int64_bound, block by block:
+    # int64 stacks at 65521, the last prime below MODULUS_LIMIT, and
+    # Python ints at 65537 and near 2**32, where int64 would overflow.
+    rng = random.Random(p)
+    shapes = [(6, 7, 3), (8, 5, 5), (5, 9, 1), (4, 4, 4)]
+    blocks = [low_rank_product(rng, *s, p) for s in shapes * 2]
+    a = block_diagonal(blocks, np.random.default_rng(p), 2, 3)
+    shape, r, c, v = linalg._nonzeros(a, p)
+    stacked, left, _, _ = linalg._stacked_rank(shape, r, c, v, p)
+    assert stacked == 2 * sum(rk for *_, rk in shapes) and left.size == 0
+    assert rank(a, p) == rank(to_sparse(a, p), p) == markowitz.rank(a, p) == stacked
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.sampled_from([4294967291, 2, 3, 5, 7, 65521]),
+       small=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9), st.floats(0, 1)), max_size=6),
+       cycles=st.lists(st.integers(2, 45), max_size=2),
+       extra=st.tuples(st.integers(0, 3), st.integers(0, 3)), seed=st.integers(0, 2**32 - 1))
+def test_rank_of_permuted_blocks_matches_the_oracles(p, small, cycles, extra, seed):
+    # Random blocks, mostly under the stacking cut, and sprinkled n x n
+    # cycles, which the peel leaves whole and which pass the cut from
+    # n = 33 on; empty rows and columns; rows and columns permuted.
+    rng = np.random.default_rng(seed)
+    blocks = [rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < d) for m, n, d in small]
+    for n in cycles:
+        b = rng.integers(0, p, size=(n, n)) * (rng.random((n, n)) < 0.05)
+        b[np.arange(n), np.arange(n)] = rng.integers(1, p, size=n)
+        b[np.arange(n), (np.arange(n) + 1) % n] = rng.integers(1, p, size=n)
+        blocks.append(b)
+    a = block_diagonal(blocks, rng, *extra)
+    want = markowitz.rank(a, p)
+    assert rank(a, p) == rank(to_sparse(a, p), p) == want
+    if p < MODULUS_LIMIT:
+        assert dense_rref.rref(a, p)[1] == want
+
+
 def test_products_refuse_a_large_modulus():
     # (p-1)^2 = 1 mod p, but the int64 product wraps and gives 4294967267
     p = 4294967291
