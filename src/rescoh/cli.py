@@ -197,7 +197,6 @@ def _cmd_derivations(args):
         "inner_dim": inner.dim,
         "outer_dim": D.dim - inner.dim,
         "h1_adjoint_dim": h1,
-        "exhaustive": D.exhaustive,
     }
     checks = [{"name": "outer_equals_h1_adjoint", "pass": D.dim - inner.dim == h1}]
     return results, checks, [data]

@@ -87,18 +87,22 @@ def test_validate_good_file(tmp_path, capsys):
     assert report["results"]["name"] == "borel"
     assert report["results"]["p"] == 5
     assert report["results"]["modules"] == {"line": 1}
-    names = [c["name"] for c in report["checks"]]
-    assert "bracket_p_power" in names
-    assert "module_line_axioms" in names
-    assert all(c["pass"] for c in report["checks"])
+    assert report["checks"] == [
+        {"name": "antisymmetry_jacobi", "pass": True},
+        {"name": "bracket_p_power", "pass": True},
+        {"name": "module_line_axioms", "pass": True},
+    ]
 
 
 def test_validate_broken_table_exits_one(tmp_path, capsys):
     path = write(tmp_path, "broken.alg", BAD_PMAP)
     code, report, _ = run_cli(capsys, "validate", path)
     assert code == 1
-    failing = [c["name"] for c in report["checks"] if not c["pass"]]
-    assert "bracket_p_power" in failing
+    # y^[3] = y but (ad y)^3 = 0: the first failing basis pair is (x, y)
+    assert report["checks"] == [
+        {"name": "antisymmetry_jacobi", "pass": True},
+        {"name": "bracket_p_power", "pass": False, "counterexample": {"g": 0, "h": 1}},
+    ]
 
 
 def test_missing_file_exits_two(capsys):
@@ -206,11 +210,8 @@ def test_derivations(tmp_path, capsys):
     path = write(tmp_path, "borel.alg", SOLVABLE)
     code, report, _ = run_cli(capsys, "derivations", path)
     assert code == 0
-    r = report["results"]
-    assert r["derivation_dim"] == 2
-    assert r["inner_dim"] == 2
-    assert r["outer_dim"] == 0 == r["h1_adjoint_dim"]
-    assert r["exhaustive"] is True
+    assert report["results"] == {"derivation_dim": 2, "inner_dim": 2, "outer_dim": 0,
+                                 "h1_adjoint_dim": 0}
 
 
 def test_resolve(tmp_path, capsys):
@@ -389,8 +390,17 @@ def test_deform_check(tmp_path, capsys):
     assert code == 0  # predicate and verifier agree that it fails
     assert report["results"]["restricted"] is False
     assert report["results"]["cocycle"] is False
-    assert report["results"]["failing"] is not None
+    assert report["results"]["failing"] == {"axiom": "antisymmetry_jacobi",
+                                            "at": "Jacobi fails at basis triple (0, 1, 2)"}
     assert report["checks"][0]["pass"] is True
+
+    # D1^[p] = t·D0, so [D1, D1^[p]] = -t·D1 while [D1, D1, D1, D1] = 0
+    omega = write(tmp_path, "omega.coc", "omega D1 = 1*D0\n")
+    code, report, _ = run_cli(capsys, "deform-check", wpath, "--cocycle", omega)
+    assert code == 0
+    assert report["results"] == {"restricted": False, "cocycle": False,
+                                 "failing": {"axiom": "bracket_p_power",
+                                             "at": {"g": 1, "h": 1}}}
 
 
 def test_identities(capsys):
@@ -416,6 +426,13 @@ def test_witt_emit_roundtrip(tmp_path, capsys):
     assert code == 0 and report["results"]["written"] is None
 
 
+def test_witt_large_p(capsys):
+    code, report, _ = run_cli(capsys, "witt", "--p", "17")
+    assert code == 0
+    assert report["checks"] == [{"name": "verify_restricted", "pass": True},
+                                {"name": "emit_parse_roundtrip", "pass": True}]
+
+
 def test_infer(tmp_path, capsys):
     text = emit(witt_file(3))
     stripped = "\n".join(l for l in text.splitlines() if not l.startswith("pmap"))
@@ -435,6 +452,21 @@ def test_infer(tmp_path, capsys):
             "counterexample": report["checks"][0]["counterexample"],
         }
     ]
+
+
+def test_infer_verification_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # by Jacobson's theorem a solved table always verifies, so a failure is a bug
+    import rescoh.liealg as liealg
+
+    failed = {"pass": False, "checks": [{"name": "bracket_p_power", "pass": False,
+                                         "counterexample": {"g": 0, "h": 0}}]}
+    monkeypatch.setattr(liealg, "verify_restricted", lambda L: failed)
+    text = emit(witt_file(3))
+    stripped = "\n".join(l for l in text.splitlines() if not l.startswith("pmap"))
+    path = write(tmp_path, "witt3-nopi.alg", stripped)
+    code, report, err = run_cli(capsys, "infer", path)
+    assert code == 3 and report is None
+    assert err.startswith("error: internal: InvariantFailure: inferred table fails verification")
 
 
 def test_reports_are_deterministic(capsys):

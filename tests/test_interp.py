@@ -1,14 +1,15 @@
 """Dictionaries between low-degree classes and algebraic objects."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from rescoh.gmod import adjoint_module, trivial_module
 from rescoh.interp import (
-    DERIVATION_EXHAUSTIVE_BOUND,
-    DerivationSpace,
     NotACocycle,
     NotStronglyAbelian,
+    _deformed_algebra,
     algebra_extension_roundtrip,
     deformation_check,
     inner_derivations,
@@ -31,6 +32,8 @@ from rescoh.rescochain import (
 )
 
 from conftest import nonzero_pi
+from restricted_scans import (derivation_scan_points, derivations_at, first_failing,
+                              scan_verify_restricted)
 
 SMALL = [
     heisenberg_algebra(3),
@@ -47,15 +50,21 @@ def test_derivations_equal_degree_one_cocycles():
     for L in SMALL:
         D = restricted_derivations(L)
         Z = Subspace(nullspace(delta1_matrix(L, adjoint_module(L)), L.p), L.n**2, L.p)
-        assert D.basis == Z, L
-        assert D.exhaustive
+        assert D == Z, L
+
+
+def test_derivations_match_the_element_scan(corpus_entry):
+    # every element when p^n <= 243; the basis plus 500 seeded points on
+    # witt_p5, heisenberg_p7 and witt_p7
+    tag, L = corpus_entry
+    assert restricted_derivations(L) == derivations_at(L, derivation_scan_points(L)), tag
 
 
 def test_inner_contained_in_derivations():
     for L in SMALL:
         D = restricted_derivations(L)
         for row in inner_derivations(L).basis:
-            assert D.basis.contains(row)
+            assert D.contains(row)
 
 
 def test_outer_dimension_is_h1():
@@ -69,7 +78,7 @@ def test_outer_dimension_is_h1():
 def test_derivation_matrices_satisfy_leibniz_and_p_rule():
     L = heisenberg_algebra(3)
     D = restricted_derivations(L)
-    mats = D.matrices()
+    mats = [v.reshape(3, 3).T for v in D.basis]
     assert len(mats) == D.dim
     xs = sample_vectors(3, 3, 8, "leib-x")
     ys = sample_vectors(3, 3, 8, "leib-y")
@@ -105,12 +114,12 @@ def test_solvable2_outer_frozen():
         assert restricted_cohomology(L, adjoint_module(L), 1)[0] == 0
 
 
-def test_sampled_mode_warns_but_matches():
+def test_witt_p5_derivations_are_exact_without_warning():
+    # the basis conditions are exact at any size: 5^5 elements, no warning
     L, _ = witt_algebra(5)
-    assert 5**5 > DERIVATION_EXHAUSTIVE_BOUND
-    with pytest.warns(UserWarning, match="sampled"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         D = restricted_derivations(L)
-    assert not D.exhaustive
     h1 = restricted_cohomology(L, adjoint_module(L), 1)[0]
     assert D.dim - inner_derivations(L).dim == h1
 
@@ -251,13 +260,19 @@ def test_deformation_check_cocycle_and_not():
     assert out["failing"] is not None
 
 
-def test_deformation_fast_probe_agrees_with_full():
-    for L in (solvable2_algebra(3), heisenberg_algebra(2)):
+def test_deformation_check_agrees_with_the_full_scan():
+    # seeded cochains and seeded cocycles; witt_p3 deforms to 6
+    # dimensions, past the scan's exhaustive bound
+    for L in (solvable2_algebra(3), heisenberg_algebra(2), witt_algebra(3)[0]):
         A = adjoint_module(L)
-        width = delta2_matrix(L, A).shape[1]
-        for v in sample_vectors(L.p, width, 12, "fast-probe"):
+        d2 = delta2_matrix(L, A)
+        Z = nullspace(d2, L.p)
+        vecs = np.vstack([sample_vectors(L.p, d2.shape[1], 12, "fast-probe"),
+                          sample_vectors(L.p, Z.shape[0], 4, "probe-mix") @ Z % L.p])
+        for v in vecs:
             c2 = c2_from_vec(L, A, v)
-            fast = deformation_check(L, c2, fast=True)
-            full = deformation_check(L, c2, fast=False)
-            assert fast["restricted"] == full["restricted"], v
-            assert fast["agrees"] and full["agrees"]
+            out = deformation_check(L, c2)
+            full = scan_verify_restricted(_deformed_algebra(L, c2))
+            assert out["restricted"] == full["pass"], v
+            assert (out["failing"] or {}).get("axiom") == first_failing(full), v
+            assert out["agrees"]

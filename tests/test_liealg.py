@@ -17,10 +17,11 @@ from rescoh.liealg import (
     witt_algebra,
 )
 from rescoh.field import inv_mod, is_prime
-from rescoh.linalg import mat_pow_mod, sample_vectors
+from rescoh.linalg import InvariantFailure, mat_pow_mod, sample_vectors
 
 from conftest import CORPUS, nonzero_pi
 from enumerations import r2_enumeration
+from restricted_scans import all_elements, first_failing, perturbed_tables, scan_verify_restricted
 
 # The largest prime below MODULUS_LIMIT and the next prime above it.
 LARGEST_PRIME = 65521
@@ -74,7 +75,7 @@ def test_ad_matrix_matches_bracket():
 def test_abelian_p_power_is_frobenius_through_table():
     pi = np.array([[0, 1], [1, 0]], dtype=np.int64)
     L = abelian_algebra(2, 3, pi=pi)
-    for v in L.all_elements():
+    for v in all_elements(L):
         assert (L.p_power(v) == (v @ pi) % 3).all()
 
 
@@ -177,12 +178,30 @@ def test_verify_restricted_corpus(corpus_entry):
     report = verify_restricted(L)
     assert report["pass"], (tag, report)
     names = [ch["name"] for ch in report["checks"]]
-    assert names == [
-        "antisymmetry_jacobi",
-        "bracket_p_power",
-        "peel_independence",
-        "p_homogeneity",
-    ]
+    assert names == ["antisymmetry_jacobi", "bracket_p_power"]
+
+
+def test_verify_restricted_matches_the_full_scan(corpus_entry):
+    # the basis verdict equals the element scan's on the table as given
+    # and on five tables with one p-operator entry moved
+    tag, L = corpus_entry
+    for M in [L] + perturbed_tables(L, 5, f"scan-{tag}"):
+        new, old = verify_restricted(M), scan_verify_restricted(M)
+        assert new["pass"] == old["pass"], (tag, M.pi)
+        assert first_failing(new) == first_failing(old), (tag, M.pi)
+
+
+def test_verify_restricted_matches_the_full_scan_on_witt_p11():
+    L, _ = witt_algebra(11)
+    for M in [L] + perturbed_tables(L, 1, "scan-witt_p11"):
+        new, old = verify_restricted(M), scan_verify_restricted(M)
+        assert new["pass"] == old["pass"]
+        assert first_failing(new) == first_failing(old)
+
+
+@pytest.mark.parametrize("p", [11, 13, 17])
+def test_verify_restricted_witt_large_p(p):
+    assert verify_restricted(witt_algebra(p)[0])["pass"]
 
 
 def test_verify_restricted_catches_broken_table():
@@ -192,10 +211,10 @@ def test_verify_restricted_catches_broken_table():
     bad = RestrictedLieAlgebra(3, good.c, pi, check=True)
     report = verify_restricted(bad)
     assert not report["pass"]
-    failing = {ch["name"] for ch in report["checks"] if not ch["pass"]}
-    assert "bracket_p_power" in failing
+    assert first_failing(report) == "bracket_p_power"
     cx = next(ch for ch in report["checks"] if ch["name"] == "bracket_p_power")
-    assert cx["counterexample"] is not None
+    # [x, y^[3]] = [x, y] = y, but [x, y, y, y] = 0
+    assert cx["counterexample"] == {"g": 0, "h": 1}
 
 
 def test_infer_p_operator_recovers_witt_table():
@@ -229,9 +248,17 @@ def test_infer_p_operator_not_restrictable():
     assert verify_restricted(L)["pass"]
 
 
+def test_witt_representation_failure_is_internal(monkeypatch):
+    import rescoh.liealg as liealg
+
+    monkeypatch.setattr(liealg, "mat_pow_mod", lambda m, e, p: (mat_pow_mod(m, e, p) + 1) % p)
+    with pytest.raises(InvariantFailure, match="p-th power fails at D_0"):
+        witt_algebra(3)
+
+
 def test_all_elements():
     L = abelian_algebra(2, 3)
-    elems = L.all_elements()
+    elems = all_elements(L)
     assert elems.shape == (9, 2)
     assert len({tuple(r) for r in elems}) == 9
 
