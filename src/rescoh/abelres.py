@@ -14,13 +14,13 @@ restricted coefficient module into finite linear algebra over GF(p).
 
 U_res is commutative here, so d is U_res-linear: d_k = Σ_i A_i ⊗ x_i +
 B ⊗ 1 + Σ_j C_j ⊗ x_j^{p-1}, small tables on the free generators times
-2n+1 right multiplications.  The x_i tables are straightened once, the
-x_j^{p-1} tables are their powers by sparse products, and each d_k is
-its list of generator terms summed by linalg.kron_sum into a
-SparseMatrix; d∘d = 0 is checked with one sparse product per composite.
-A slice carries only its dimension; the basis elements e^mu ⊗ e_I ⊗ r,
-in the order of the matrix coordinates, are built by _slice_basis for
-the few callers that read them.  The dual complex sums the same terms,
+2n+1 right multiplications.  All 2n+1 tables are built at once from π
+by exponent arithmetic on PBW ranks, and each d_k is its list of
+generator terms summed by linalg.kron_sum into a SparseMatrix; d∘d = 0
+is checked with one sparse product per composite.  A slice carries only
+its dimension; the basis elements e^mu ⊗ e_I ⊗ r, in the order of the
+matrix coordinates, are built by _slice_basis for the few callers that
+read them.  The dual complex sums the same terms,
 transposed, on the operators' matrices on the module, densely.
 
 Two auxiliary complexes support the exactness argument and are checked
@@ -176,31 +176,53 @@ def _generator_terms(L: RestrictedLieAlgebra, src: list, dst: list) -> list[tupl
     return out
 
 
+def _times_generator(L: RestrictedLieAlgebra, rank, src, coef) -> list[np.ndarray]:
+    """(rank, src, coef) entries of coef·(monomial `rank`)·x_g, g = src // p^n, unsummed.
+
+    The abelian branch of Ures.mono_times_gen in vectorised rounds: an
+    exponent of x_g below p-1 is bumped; one at p-1 is cleared and the
+    entry goes on as one entry per nonzero π_gl, times x_l.  The cleared
+    monomial's degree falls every round, so the rounds end.
+    """
+    p, weights = L.p, L.p ** np.arange(L.n - 1, -1, -1)
+    gen, done = src // p**L.n, []
+    while src.size:
+        bump = rank // weights[gen] % p < p - 1
+        done.append((rank[bump] + weights[gen[bump]], src[bump], coef[bump]))
+        src, gen, coef = src[~bump], gen[~bump], coef[~bump]
+        rank = rank[~bump] - (p - 1) * weights[gen]
+        terms = coef[:, None] * L.pi[gen] % p
+        which, gen = np.nonzero(terms)
+        rank, src, coef = rank[which], src[which], terms[which, gen]
+    return [np.concatenate(x) for x in zip(*done)]
+
+
 def _right_operators(U: Ures) -> list[SparseMatrix]:
     """Right multiplication on u by x_0..x_{n-1}, by 1 and by x_0^{p-1}..x_{n-1}^{p-1}.
 
-    Each operator is a SparseMatrix over PBW ranks.  The x_i tables are
-    straightened once; the table of x_j^{p-1} is the (p-1)-st power of
-    the x_j table, p-2 sparse products.  u is commutative, so these are
-    also the left multiplications.
+    Each operator is a SparseMatrix over PBW ranks.  All n generators go
+    through _times_generator in one batch of columns g·p^n + rank; the
+    x_j^{p-1} tables are p-1 such rounds from the identity, summed
+    between rounds.  u is commutative, so these are also the left
+    multiplications.
     """
-    monos, n, p, size = U.basis(), U.n, U.p, U.dim()
-    weights = p ** np.arange(n - 1, -1, -1)
-    xs = []
-    for i in range(n):
-        cols, targets, vals = zip(*((c, m, v) for c, mono in enumerate(monos)
-                                    for m, v in U.mono_times_gen(mono, i).items()))
-        xs.append(SparseMatrix((size, size), np.array(targets, dtype=np.int64) @ weights,
-                               cols, vals, p))
-    powers = []
-    for x in xs:
-        power = x
-        for _ in range(p - 2):
-            power = power @ x
-        powers.append(power)
+    n, p, size = U.n, U.p, U.dim()
+    if size > U.basis_bound:
+        raise TooLarge(f"PBW basis has {size} monomials, bound is {U.basis_bound}")
+
+    def split(rank, src, coef) -> list[SparseMatrix]:
+        return [SparseMatrix((size, size), rank[block], src[block] - g * size, coef[block], p)
+                for g, block in enumerate(src // size == np.arange(n)[:, None])]
+
+    src = np.arange(n * size)
+    entries = _times_generator(U.L, src % size, src, np.ones_like(src))
+    xs = split(*entries)
+    for _ in range(p - 2):
+        batch = SparseMatrix((size, n * size), *entries, p)
+        entries = _times_generator(U.L, batch.rows, batch.cols, batch.vals)
     diagonal = np.arange(size)
     unit = SparseMatrix((size, size), diagonal, diagonal, np.ones(size, dtype=np.int64), p)
-    return xs + [unit] + powers
+    return xs + [unit] + (split(*entries) if p > 2 else xs)
 
 
 def _assemble(L: RestrictedLieAlgebra, ops: list[SparseMatrix], k: int,
@@ -239,7 +261,7 @@ def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
     if not L.is_abelian:
         raise NotAbelian("resolution is defined for abelian algebras only")
     if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+        raise UsageError("k_max must be nonnegative")
     if k_max >= L.p:
         raise DegreeTooHigh(f"k_max={k_max} not below p={L.p}")
     U = Ures(L)
@@ -259,7 +281,7 @@ def resolution_homology(res: Resolution, k: int) -> int:
     checked when it was built.  Expected 0 for 0 <= k < p.
     """
     if k < 0 or k > res.k_max:
-        raise ValueError(f"k={k} outside built range 0..{res.k_max}")
+        raise UsageError(f"k={k} outside built range 0..{res.k_max}")
     rank_out = 1 if k == 0 else res.d_rank(k)
     return res.slices[k].dim - rank_out - res.d_rank(k + 1)
 
@@ -274,7 +296,7 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     if not L.is_abelian:
         raise NotAbelian("wedge-only complex needs an abelian algebra")
     if k < 0 or k > L.n:
-        raise ValueError(f"k={k} outside 0..{L.n}")
+        raise UsageError(f"k={k} outside 0..{L.n}")
     p, n = L.p, L.n
     U = Ures(L)
     monos = U.basis()
@@ -516,7 +538,7 @@ def abelian_cochain_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule,
     if not L.is_abelian:
         raise NotAbelian("dualized resolution needs an abelian algebra")
     if k < 0:
-        raise ValueError("degree must be nonnegative")
+        raise UsageError("degree must be nonnegative")
     if not allow_unproven and k + 1 >= L.p:
         raise DegreeTooHigh(f"k={k} needs k+1 < p={L.p}")
     p, n, m = L.p, L.n, M.m

@@ -1,14 +1,42 @@
-"""The abelian resolution differential straightened basis element by basis element.
+"""The abelian resolution straightened with the Ures normal form.
 
-Reference implementation of d_k that straightens every basis element
-e^mu ⊗ e_I ⊗ r with the Ures normal form and looks each image up in
-the target basis.  It serves only as an oracle for the U-linear
-assembly in abelres._assemble.
+Reference implementations that straighten every product with
+Ures.mono_times_gen or Ures.multiply: d_k basis element by basis
+element e^mu ⊗ e_I ⊗ r, looking each image up in the target basis, and
+the 2n+1 right-multiplication tables monomial by monomial.  They serve
+only as oracles for the U-linear assembly in abelres._assemble and for
+the vectorised tables of abelres._right_operators.
 """
 
 import numpy as np
 
 from rescoh.abelres import ChainBasisElement, _power_mono, _wedge_insert
+from rescoh.linalg import SparseMatrix
+
+
+def right_operators_by_straightening(U):
+    """Right multiplication by x_0..x_{n-1}, by 1 and by x_0^{p-1}..x_{n-1}^{p-1}.
+
+    The x_i tables straighten every product monomial·x_i; the table of
+    x_j^{p-1} is the (p-1)-st power of the x_j table, p-2 sparse products.
+    """
+    monos, n, p, size = U.basis(), U.n, U.p, U.dim()
+    weights = p ** np.arange(n - 1, -1, -1)
+    xs = []
+    for i in range(n):
+        cols, targets, vals = zip(*((c, m, v) for c, mono in enumerate(monos)
+                                    for m, v in U.mono_times_gen(mono, i).items()))
+        xs.append(SparseMatrix((size, size), np.array(targets, dtype=np.int64) @ weights,
+                               cols, vals, p))
+    powers = []
+    for x in xs:
+        power = x
+        for _ in range(p - 2):
+            power = power @ x
+        powers.append(power)
+    diagonal = np.arange(size)
+    unit = SparseMatrix((size, size), diagonal, diagonal, np.ones(size, dtype=np.int64), p)
+    return xs + [unit] + powers
 
 
 def differential_by_element(L, U, src, dst_index):

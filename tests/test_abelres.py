@@ -22,12 +22,12 @@ from rescoh.abelres import (
 )
 from rescoh.gmod import adjoint_module, trivial_module
 from rescoh.liealg import abelian_algebra, heisenberg_algebra, witt_algebra
-from rescoh.linalg import NotAComplex, matmul_mod, rank
+from rescoh.linalg import NotAComplex, UsageError, matmul_mod, rank
 from rescoh.rescochain import restricted_cohomology
 from rescoh.ures import TooLarge, Ures
 
 from conftest import ABELIAN, add_one_at_origin, coefficient_modules, nonzero_pi
-from elementwise import differential_by_element
+from elementwise import differential_by_element, right_operators_by_straightening
 import markowitz
 
 
@@ -89,6 +89,32 @@ def test_assembly_matches_elementwise_oracle(tag, L):
         assert d.shape == shape, (tag, k)
         for got, expected in zip((d.rows, d.cols, d.vals), want):
             assert got.dtype == expected.dtype and np.array_equal(got, expected), (tag, k)
+
+
+# seeded dense p-operator tables for the right-multiplication tables
+TABLE_PI = [
+    (f"abelian{n}dense_p{p}",
+     abelian_algebra(n, p, pi=np.random.default_rng(100 * n + p).integers(1, p, (n, n))))
+    for n, p in [(1, 2), (2, 2), (3, 2), (2, 3), (4, 3), (2, 5), (3, 5), (2, 7), (2, 11),
+                 (2, 13)]
+]
+
+
+@pytest.mark.parametrize("tag,L", ABELIAN + TABLE_PI, ids=[tag for tag, _ in ABELIAN + TABLE_PI])
+def test_right_operators_match_the_straightening_oracle(tag, L):
+    got = abelres._right_operators(Ures(L))
+    want = right_operators_by_straightening(Ures(L))
+    assert len(got) == len(want) == 2 * L.n + 1
+    for op, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape, (tag, op)
+        for x, y in ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals)):
+            assert x.dtype == y.dtype and np.array_equal(x, y), (tag, op)
+
+
+def test_right_operators_keep_the_pbw_bound():
+    # 59^2 monomials pass the slice bound at k_max=1 but not the PBW bound
+    with pytest.raises(TooLarge, match="^PBW basis has 3481 monomials, bound is 3125$"):
+        build_resolution(abelian_algebra(2, 59), 1)
 
 
 def test_wedge_only_assembly_is_the_mu_zero_block(abelian_entry):
@@ -217,6 +243,19 @@ def test_resolution_guards():
     # the hidden extra slice also counts against the size bound
     with pytest.raises(TooLarge):
         build_resolution(abelian_algebra(9, 2), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_resolution(abelian_algebra(2, 3), -1),
+    lambda: resolution_homology(build_resolution(abelian_algebra(2, 3), 1), 2),
+    lambda: aux_C_homology(abelian_algebra(2, 3), -1),
+    lambda: abelian_cochain_cohomology(abelian_algebra(2, 3),
+                                       trivial_module(abelian_algebra(2, 3), 1), -1),
+], ids=["build_resolution_kmax", "resolution_homology_k", "aux_C_homology_k",
+        "abelian_cochain_cohomology_k"])
+def test_argument_refusals_are_usage_errors(call):
+    with pytest.raises(UsageError):
+        call()
 
 
 def test_aux_homology_dims(abelian_entry):

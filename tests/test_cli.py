@@ -227,6 +227,13 @@ def test_resolve(tmp_path, capsys):
     assert code == 2 and "abelian" in err
 
 
+def test_resolve_refuses_past_the_pbw_bound(tmp_path, capsys):
+    path = write(tmp_path, "abelian.alg", resolve_definition(2, 59, False))
+    code, report, err = run_cli(capsys, "resolve", path, "--kmax", "1")
+    assert code == 2 and report is None
+    assert err == "error: PBW basis has 3481 monomials, bound is 3125\n"
+
+
 # The benchmark's resolve inputs (n, p, kmax), each with the zero p-operator
 # table and one seeded nonzero table, and the sha256 of each report as
 # printed before the differentials were held as index arrays.
