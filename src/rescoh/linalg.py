@@ -3,18 +3,18 @@
 Matrices are numpy int64 arrays with entries reduced mod p, acting on
 coordinate column vectors; very sparse ones, such as the abelian
 resolution's differentials, are kept as a SparseMatrix.  ``rref`` and
-``rank`` read either form as row-sorted nonzero index arrays, exact for
-any p: ``rref`` eliminates on {column: value} row dicts in Python ints;
+``rank`` read either form as nonzero index arrays, exact for any p:
+``rref`` eliminates on {column: value} row dicts in Python ints;
 ``rank`` peels the pivots of columns and rows with one nonzero, reduces
 the small connected components of the rest together in numpy stacks
-and leaves the big ones to the row dicts.  The products and
-``cohomology`` sum in int64 and refuse p from MODULUS_LIMIT up.  A
-reduced echelon form is unique, so every basis returned here is
-reproducible.  ``cohomology`` turns a pair of composable maps into their
-quotient ker/im with canonical representatives, eliminating each map
-once.  ``kron_sum`` builds every coboundary and differential of the
-package from its list of block terms, dense or sparse by the type of
-its ops.
+and leaves the big ones to the row dicts, which alone need the entries
+sorted by row.  The products and ``cohomology`` sum in int64 and refuse
+p from MODULUS_LIMIT up.  A reduced echelon form is unique, so every
+basis returned here is reproducible.  ``cohomology`` turns a pair of
+composable maps into their quotient ker/im with canonical
+representatives, eliminating each map once.  ``kron_sum`` builds every
+coboundary and differential of the package from its list of block
+terms, dense or sparse by the type of its ops.
 """
 
 from __future__ import annotations
@@ -76,15 +76,17 @@ class SparseMatrix:
     """GF(p) matrix stored as three int64 arrays ``rows``, ``cols``, ``vals``.
 
     They list the nonzero entries sorted by column, then by row, with
-    values in [1, p).  The constructor takes entries in any order, sums
-    those at one position mod p and drops zeros, so a matrix has exactly
-    one form and equal matrices have equal arrays.  ``np.asarray`` gives
-    the dense int64 form, so dense consumers (``matmul_mod``, tests) take
-    a SparseMatrix unchanged.  The vectorised products (``@`` and
-    ``check_composite``) are refused from MODULUS_LIMIT up.
+    values in [1, p); column c holds the entries ``ptr[c]:ptr[c + 1]``
+    (compressed sparse column pointers).  The constructor takes entries
+    in any order, sums those at one position mod p and drops zeros, so a
+    matrix has exactly one form and equal matrices have equal arrays.
+    ``np.asarray`` gives the dense int64 form, so dense consumers
+    (``matmul_mod``, tests) take a SparseMatrix unchanged.  The
+    vectorised products (``@`` and ``check_composite``) are refused from
+    MODULUS_LIMIT up.
     """
 
-    __slots__ = ("shape", "rows", "cols", "vals", "p")
+    __slots__ = ("shape", "rows", "cols", "vals", "ptr", "p")
 
     def __init__(self, shape: tuple[int, int], rows, cols, vals, p: int):
         n_rows, n_cols = shape = (int(shape[0]), int(shape[1]))
@@ -103,6 +105,7 @@ class SparseMatrix:
         self.shape = shape
         self.cols, self.rows = np.divmod(key[keep], max(n_rows, 1))
         self.vals = vals[keep]
+        self.ptr = np.bincount(self.cols + 1, minlength=n_cols + 1).cumsum()
         self.p = p
 
     def __array__(self, dtype=None, copy=None):
@@ -120,11 +123,14 @@ class SparseMatrix:
     def matvec(self, x: dict[int, int]) -> dict[int, int]:
         """self @ x for x given as {column: value}; zeros are dropped.
 
-        Python-int arithmetic over the columns x names, for short x.
+        Python-int arithmetic over the columns x names, for short x; a
+        column outside the shape is refused with ValueError.
         """
         out: dict[int, int] = {}
         for c, xv in x.items():
-            lo, hi = np.searchsorted(self.cols, [c, c + 1]).tolist()
+            if not 0 <= c < self.shape[1]:
+                raise ValueError(f"matvec: column {c} lies outside the shape {self.shape}")
+            lo, hi = self.ptr[c : c + 2].tolist()
             for r, v in zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()):
                 out[r] = (out.get(r, 0) + v * xv) % self.p
         return {r: v for r, v in out.items() if v}
@@ -156,14 +162,13 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
     if a.shape[1] != b.shape[0] or a.p != b.p:
         raise ValueError(f"{label}: GF({a.p}) {a.shape} and GF({b.p}) {b.shape} do not compose")
     _check_modulus(a.p, label)
-    a_start = np.searchsorted(a.cols, b.rows)  # column b.rows[e] of a starts here
-    counts = np.searchsorted(a.cols, b.rows, side="right") - a_start
-    b_ptr = np.searchsorted(b.cols, np.arange(b.shape[1] + 1))
-    work = np.concatenate(([0], np.cumsum(counts)))[b_ptr]  # products before each column of b
+    a_start = a.ptr[b.rows]  # column b.rows[e] of a starts here
+    counts = a.ptr[b.rows + 1] - a_start
+    work = np.concatenate(([0], np.cumsum(counts)))[b.ptr]  # products before each column of b
     lo = 0
     while lo < b.shape[1]:
         hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _PRODUCT_BLOCK, side="right")) - 1)
-        entries = np.arange(b_ptr[lo], b_ptr[hi])
+        entries = np.arange(b.ptr[lo], b.ptr[hi])
         run = counts[entries]
         src = np.repeat(entries, run)
         at = a_start[src] + np.arange(src.size) - np.repeat(np.cumsum(run) - run, run)
@@ -215,12 +220,12 @@ def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
 
 def _nonzeros(a, p: int):
     """Shape and the nonzero entries of a as int64 arrays (rows, cols, vals),
-    sorted by row, then column, with vals in [1, p)."""
+    with vals in [1, p): a SparseMatrix's own arrays, sorted by column,
+    then row; an array's sorted by row, then column."""
     if isinstance(a, SparseMatrix):
-        order = np.argsort(a.rows, kind="stable")  # by row, then column
-        r, c, v = a.rows[order], a.cols[order], a.vals[order] % p
+        v = a.vals % p
         keep = v != 0
-        return a.shape, r[keep], c[keep], v[keep]
+        return a.shape, a.rows[keep], a.cols[keep], v[keep]
     A = as_fp(a, p)
     if A.ndim != 2:
         raise ValueError("expected a 2-d array")
@@ -229,10 +234,13 @@ def _nonzeros(a, p: int):
 
 
 def _row_dicts(shape, r, c, v) -> dict[int, dict[int, int]]:
-    """The row-sorted entries as {col: value} dicts keyed by row, in order.
+    """The entries, in either order of ``_nonzeros``, as {col: value}
+    dicts keyed by row, all in increasing order.
 
     Each column is one shared int object, so the dict and set lookups of
     the eliminations hit on identity."""
+    order = np.argsort(r, kind="stable")
+    r, c, v = r[order], c[order], v[order]
     bounds = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
     r, c, v = r.tolist(), np.arange(shape[1]).astype(object)[c].tolist(), v.tolist()
     return {r[s]: dict(zip(c[s:e], v[s:e])) for s, e in zip(bounds, bounds[1:]) if s < e}
@@ -305,11 +313,17 @@ def _stacked_rank(shape, r, c, v, p):
 
     A small component, renumbered and turned to have no more columns than
     rows, is one matrix of the dense stack for its power of two of
-    columns.  The fraction-free step A ← (pivot · A − A[:, :, 0] ⊗ pivot
-    row) mod p clears and drops column 0 of every matrix: the pivot row
-    clears itself, and each matrix with a pivot adds 1.  Entries are int64
-    below MODULUS_LIMIT (a step stays under 2p²), Python ints from there
-    up.  ``resolve`` components have at most 49 rows plus columns; past
+    columns, held as A[matrix, column, row] so that a step multiplies
+    contiguous rows.  The fraction-free step takes the pivot in column 0
+    reduced, col = A[:, 0, :] mod p, and sets A ← piv · A[:, 1:, :] −
+    A[:, 1:, pivot row] ⊗ col: the pivot row clears itself, column 0 is
+    dropped and each matrix with a pivot adds 1.  With |A| ≤ B the step
+    gives at most 2(p − 1)B, from products below (p − 1)B; the stack is
+    reduced mod p, back to B = p − 1, only when (p − 1)B reaches 2^62
+    and the next step could leave int64.  So it is reduced every 62
+    steps at p = 2, 20 at p = 5, 12 at p = 13, 3 up to p = 32749 and 2
+    from there to MODULUS_LIMIT, where the entries become Python ints,
+    reduced every step.  ``resolve`` components have at most 49 rows plus columns; past
     64 a lone sparse one is cheaper in Markowitz (an n x n cycle took 1.1
     ms stacked against 0.4 at n=32, 10.3 against 1.1 at n=128; 2-core host).
     """
@@ -321,18 +335,24 @@ def _stacked_rank(shape, r, c, v, p):
     stack = np.where(nr + nc > _STACK_CUT, -1, np.frexp(wide - 1)[1])
     long, short = np.where((nr < nc)[comp], [lc, lr], [lr, lc])
     rank, dtype = 0, (np.int64 if p < MODULUS_LIMIT else object)
+    cap = (1 << 62) // (p - 1) if dtype is np.int64 else 0  # a step is safe while B < cap
     for s in np.unique(stack[stack >= 0]):
-        members = np.flatnonzero(stack == s)
-        e = stack[comp] == s
-        A = np.zeros((members.size, tall[members].max(), wide[members].max()), dtype)
-        A[np.searchsorted(members, comp[e]), long[e], short[e]] = v[e].astype(dtype)
-        while A.shape[2]:
-            nz = A[:, :, 0] != 0
-            top = A[np.arange(len(A)), nz.argmax(axis=1)]
+        mine = stack == s
+        e = mine[comp]
+        A = np.zeros((np.count_nonzero(mine), wide[mine].max(), tall[mine].max()), dtype)
+        A[(np.cumsum(mine) - 1)[comp[e]], short[e], long[e]] = v[e].astype(dtype)
+        at, bound = np.arange(len(A)), p - 1
+        while A.shape[1]:
+            col = A[:, 0, :] % p
+            nz = col != 0
+            row = nz.argmax(axis=1)
             has = nz.any(axis=1)
-            A = (np.where(has, top[:, 0], 1)[:, None, None] * A[:, :, 1:]
-                 - A[:, :, :1] * top[:, None, 1:]) % p
+            piv = np.where(has, col[at, row], 1)
+            A = piv[:, None, None] * A[:, 1:, :] - A[at, 1:, row][:, :, None] * col[:, None, :]
             rank += int(np.count_nonzero(has))
+            bound *= 2 * (p - 1)
+            if bound >= cap:
+                A, bound = A % p, p - 1
     keep = stack[comp] < 0
     return rank, r[keep], c[keep], v[keep]
 
@@ -398,9 +418,12 @@ def rank(a, p: int) -> int:
     --kmax 2, zero table) the peel takes all 624 pivots of d1, 596 of
     d2's 1876 and 2454 of d3's 4374; the rest of d2 and d3 falls into 512
     and 704 components of at most 10 rows plus columns, all stacked.  The
-    job's ranks took 47 ms in Markowitz alone, 24 after peeling and 4.6
-    after stacking; those of the nine distinct ``resolve`` benchmark jobs
-    101, 67 and 27 ms (best of 9; 2-core host).
+    job's ranks take 44 ms in Markowitz alone, 25 after peeling, 4.9
+    after stacking with a reduction every step and 3.8 as here, the
+    stacked stage reducing only before int64 could overflow and the
+    arrays read in their column order; those of the nine distinct
+    ``resolve`` benchmark jobs 90, 75, 30 and 22 ms (best of 9,
+    interleaved; 2-core host, Python 3.11, numpy 2.4).
 
     Markowitz eliminates the components too big to stack on row dicts in
     Python ints, exact whatever the size of p, pivoting on a row of least

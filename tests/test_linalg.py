@@ -112,6 +112,37 @@ def test_sparse_matrix_matvec_and_composite_check():
     assert (matmul_mod(sa, sb, p) == (a @ b) % p).all()
 
 
+def test_matvec_refuses_a_column_outside_the_shape():
+    m = SparseMatrix((2, 3), [0, 1], [0, 2], [1, 1], 5)
+    assert m.matvec({2: 3}) == {1: 3}
+    for c in (7, 3, -1):
+        with pytest.raises(ValueError, match=rf"column {c} lies outside the shape \(2, 3\)"):
+            m.matvec({0: 1, c: 1})
+
+
+def assert_column_pointers(m):
+    assert m.ptr.tolist() == np.searchsorted(m.cols, np.arange(m.shape[1] + 1)).tolist()
+    assert m.ptr[-1] == m.vals.size
+    assert np.diff(m.ptr).tolist() == np.count_nonzero(np.asarray(m), axis=0).tolist()
+
+
+def test_column_pointers_index_the_canonical_arrays(monkeypatch):
+    assert_column_pointers(
+        SparseMatrix((3, 4), [2, 0, 1, 2, 0, 1], [3, 1, 1, 3, 0, 1], [1, 4, 2, 2, 5, 5], 7))
+    for shape, entries in [((0, 2), ([], [], [])), ((3, 0), ([], [], [])),
+                           ((4, 5), ([1, 1, 3], [2, 2, 4], [1, 6, 2])), ((1, 1), ([0], [0], [1]))]:
+        assert_column_pointers(SparseMatrix(shape, *entries, 7))
+    # a product assembled from blocks of a few columns each
+    monkeypatch.setattr(linalg, "_PRODUCT_BLOCK", 3)
+    rng = np.random.default_rng(12)
+    a = rng.integers(0, 5, size=(9, 11)) * (rng.random((9, 11)) < 0.4)
+    b = rng.integers(0, 5, size=(11, 13)) * (rng.random((11, 13)) < 0.4)
+    b[:, [0, 4, 12]] = 0
+    prod = to_sparse(a, 5) @ to_sparse(b, 5)
+    assert (np.asarray(prod) == matmul_mod(a, b, 5)).all()
+    assert_column_pointers(prod)
+
+
 def test_sparse_matrix_canonical_form():
     # entries in any order; equal positions summed mod p, zeros dropped
     m = SparseMatrix((3, 4), [2, 0, 1, 2, 0, 1], [3, 1, 1, 3, 0, 1], [1, 4, 2, 2, 5, 5], 7)
@@ -309,6 +340,32 @@ def test_stacked_rank_exact_across_the_dtype_switch(p):
     stacked, left, _, _ = linalg._stacked_rank(shape, r, c, v, p)
     assert stacked == 2 * sum(rk for *_, rk in shapes) and left.size == 0
     assert rank(a, p) == rank(to_sparse(a, p), p) == markowitz.rank(a, p) == stacked
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101, 32749, 32771, 65521])
+def test_stacked_rank_exact_across_the_deferred_reductions(p):
+    # Components about 30 columns wide, all stacked, take about 30 steps,
+    # with the stack reduced mod p every 62 steps at p = 2, 30 at 3, 20 at
+    # 5, 12 at 13, 7 at 101, 3 at 32749, the last prime below 2^15, and 2
+    # from 32771 on.  Entries p - 1, p - 2 and p - 3 (some zeros at p <= 3)
+    # push each window towards its bound.
+    rng = np.random.default_rng(p)
+
+    def near_top(*shape):
+        return (p - 1 - rng.integers(0, 3, size=shape)) % p
+
+    full = near_top(34, 30)
+    dependent = near_top(30, 33)
+    dependent[5] = dependent[1] * (p - 1) % p
+    dependent[9] = (dependent[1] + dependent[2]) % p
+    low = near_top(31, 20) @ near_top(20, 31) % p
+    a = block_diagonal([full, dependent, low], rng, 2, 3)
+    want = markowitz.rank(a, p)
+    assert want == dense_rref.rref(a, p)[1]
+    for m in (a, to_sparse(a, p)):  # entries by row, then by column
+        stacked, left, _, _ = linalg._stacked_rank(*linalg._nonzeros(m, p), p)
+        assert left.size == 0 and stacked == want
+        assert rank(m, p) == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
