@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .field import NonPrimeModulus, ZeroInverse, binom_mod, is_prime, verify_identities
 from .linalg import (
     Cohomology,
+    Complex,
     InvariantFailure,
     NotAComplex,
     SparseMatrix,
@@ -53,7 +54,6 @@ from .classical import ClassicalComplex, classical_cohomology, delta_cl_matrix
 from .rescochain import (
     RestrictedComplex,
     compare_classical,
-    delta0_matrix,
     delta1_matrix,
     delta2_matrix,
     eval_beta,

@@ -29,6 +29,8 @@ d) whose homology has dimension C(n,k), and a formal complex on symbols
 e^mu ⊗ c_I carrying a contracting homotopy with eigenvalue t+s.  The
 resolution also carries a graded-commutative product for which the
 differential is a derivation.
+Each of these complexes, and the dualized resolution, is a
+linalg.Complex, a chain complex read as C^(-k) = C_k.
 """
 
 from __future__ import annotations
@@ -36,15 +38,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
-from .linalg import (InvariantFailure, SparseMatrix, UsageError, cohomology, identity,
-                     kron_sum, mat_pow_mod, matmul_mod, rank, zeros)
+from .linalg import (Complex, InvariantFailure, SparseMatrix, UsageError, identity, kron_sum,
+                     mat_pow_mod, matmul_mod, rank, zeros)
 from .ures import TooLarge, Ures
 
 SLICE_BOUND = 20_000
@@ -77,28 +79,27 @@ class ChainComplexSlice:
     d: SparseMatrix | None  # map into degree-1 coordinates; None at degree 0
 
 
-@dataclass
-class Resolution:
-    """Slices 0..k_max of the augmented complex, plus one hidden slice.
+class Resolution(Complex):
+    """Slices 0..k_max of the augmented complex, plus one hidden slice,
+    as the Complex with delta(-k) = d_k and delta(0) = eps.
 
     The extra slice at k_max+1 exists so homology at k_max itself can be
     computed; it is not part of ``slices``.
     """
 
-    algebra: RestrictedLieAlgebra
-    ures: Ures
-    k_max: int
-    slices: list[ChainComplexSlice]
-    eps: SparseMatrix
-    _extra: ChainComplexSlice
-    _ranks: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, k_max: int, slices: list[ChainComplexSlice], eps: SparseMatrix, extra):
+        self.k_max, self.slices, self.eps, self._extra = k_max, slices, eps, extra
+        maps = [eps] + [s.d for s in slices[1:]] + [extra.d]
+        super().__init__(lambda k: maps[-k] if k <= 0 else None, eps.p)
+        self._ranks[0] = 1  # eps is onto GF(p)
 
-    def d_rank(self, k: int) -> int:
-        """Rank of the differential out of degree k (1 <= k <= k_max+1), computed once."""
-        if k not in self._ranks:
-            d = self._extra.d if k == self.k_max + 1 else self.slices[k].d
-            self._ranks[k] = rank(d, self.algebra.p)
-        return self._ranks[k]
+
+def _check_bound(name: str, k: int, p: int) -> None:
+    """Refuse a negative degree bound, and one from p up, where exactness fails."""
+    if k < 0:
+        raise UsageError(f"{name} must be nonnegative")
+    if k >= p:
+        raise DegreeTooHigh(f"{name}={k} not below p={p}")
 
 
 def _multidegrees(n: int, total: int):
@@ -260,17 +261,14 @@ def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
     """
     if not L.is_abelian:
         raise NotAbelian("resolution is defined for abelian algebras only")
-    if k_max < 0:
-        raise UsageError("k_max must be nonnegative")
-    if k_max >= L.p:
-        raise DegreeTooHigh(f"k_max={k_max} not below p={L.p}")
+    _check_bound("k_max", k_max, L.p)
     U = Ures(L)
     slices = _build_slices(L, U, k_max + 1)
     eps = SparseMatrix((1, U.dim()), [0], [U.mono_rank(U.unit_mono)], [1], L.p)
     eps.check_composite(slices[1].d, "eps d_1")
     for k in range(2, k_max + 2):
         slices[k - 1].d.check_composite(slices[k].d, f"d_{k-1} d_{k}")
-    return Resolution(L, U, k_max, slices[: k_max + 1], eps, slices[k_max + 1])
+    return Resolution(k_max, slices[: k_max + 1], eps, slices[k_max + 1])
 
 
 def resolution_homology(res: Resolution, k: int) -> int:
@@ -282,8 +280,7 @@ def resolution_homology(res: Resolution, k: int) -> int:
     """
     if k < 0 or k > res.k_max:
         raise UsageError(f"k={k} outside built range 0..{res.k_max}")
-    rank_out = 1 if k == 0 else res.d_rank(k)
-    return res.slices[k].dim - rank_out - res.d_rank(k + 1)
+    return res.dim(-k)
 
 
 def aux_C_homology(L: RestrictedLieAlgebra, k: int):
@@ -301,13 +298,10 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     U = Ures(L)
     monos = U.basis()
     ops = _right_operators(U)
-    d_out = _assemble(L, ops, k, wedge_only=True) if k >= 1 else None
-    d_in = _assemble(L, ops, k + 1, wedge_only=True) if k + 1 <= n else None
+    cx = Complex(lambda j: _assemble(L, ops, -j, wedge_only=True) if 1 <= -j <= n else None, p)
+    d_out, d_in = cx.delta(-k), cx.delta(-k - 1)
     if d_out is not None and d_in is not None:
         d_out.check_composite(d_in, f"aux d_{k} d_{k + 1}")
-    rank_out = rank(d_out, p) if d_out is not None else 0
-    rank_in = rank(d_in, p) if d_in is not None else 0
-    dim = math.comb(n, k) * len(monos) - rank_out - rank_in
     basis_index = {b: i for i, b in enumerate(itertools.product(
         itertools.combinations(range(n), k), monos))}
     reps = zeros(math.comb(n, k), len(basis_index))
@@ -328,12 +322,12 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
                               np.concatenate([d_in.rows, rep_cols.rows]),
                               np.concatenate([d_in.cols, rep_cols.cols + d_in.shape[1]]),
                               np.concatenate([d_in.vals, rep_cols.vals]), p), p)
-    if joint != rank_in + reps.shape[0]:
+    if joint != cx.rank(-k - 1) + reps.shape[0]:
         raise InvariantFailure(f"aux_C_homology(k={k}): representatives dependent mod boundaries")
-    if reps.shape[0] != dim:
+    if reps.shape[0] != cx.dim(-k):
         raise InvariantFailure(f"aux_C_homology(k={k}): {reps.shape[0]} representatives "
-                               f"for homology of dimension {dim}")
-    return dim, reps
+                               f"for homology of dimension {cx.dim(-k)}")
+    return reps.shape[0], reps
 
 
 def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
@@ -347,8 +341,7 @@ def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
     """
     if not L.is_abelian:
         raise NotAbelian("formal complex needs an abelian algebra")
-    if k_max >= L.p:
-        raise DegreeTooHigh(f"k_max={k_max} not below p={L.p}")
+    _check_bound("k_max", k_max, L.p)
     p, n = L.p, L.n
     bases = [_formal_basis(n, k) for k in range(k_max + 2)]
     idx = [{b: i for i, b in enumerate(bk)} for bk in bases]
@@ -368,19 +361,19 @@ def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
 
     def homotopy_gap(k: int) -> np.ndarray:
         """D∂ + ∂D − (t+s)·id in degree k; homot(0) is zero."""
-        lhs = matmul_mod(ds[k + 1], homot(k), p) + matmul_mod(homot(k - 1), ds[k], p)
+        lhs = matmul_mod(cx.delta(-k - 1), homot(k), p) + matmul_mod(homot(k - 1), cx.delta(-k), p)
         return (lhs - np.diag([sum(mu) + len(I) for mu, I in bases[k]])) % p
 
-    ds = [None] + [bdry(k) for k in range(1, k_max + 2)]
+    cx = Complex(lambda j: bdry(-j) if 1 <= -j <= k_max + 1 else None, p)
     checks = []
     # degree 1 maps into U_res itself; every degree-1 symbol has mu = 0
-    checks.append({"name": "d1_zero", "pass": not ds[1].any()})
+    checks.append({"name": "d1_zero", "pass": not cx.delta(-1).any()})
     bad = next((k for k in range(1, k_max + 1) if homotopy_gap(k).any()), None)
     checks.append({"name": "homotopy_identity", "pass": bad is None,
                    "counterexample": None if bad is None else {"degree": bad}})
-    h_dims = {0: L.p ** n - rank(ds[1], p)}
+    h_dims = {0: L.p ** n - cx.rank(-1)}
     for k in range(1, k_max + 1):
-        h_dims[k] = cohomology(ds[k + 1], ds[k], p).dim
+        h_dims[k] = cx.cohomology(-k).dim
     checks.append({"name": "h0_full", "pass": h_dims[0] == p ** n})
     checks.append({"name": "vanishing", "pass": all(h_dims[k] == 0 for k in range(1, k_max + 1))})
     return {
@@ -440,8 +433,7 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
     """
     if not L.is_abelian:
         raise NotAbelian("product structure needs an abelian algebra")
-    if degree_bound >= L.p:
-        raise DegreeTooHigh(f"degree_bound={degree_bound} not below p={L.p}")
+    _check_bound("degree_bound", degree_bound, L.p)
     p, n = L.p, L.n
     U = Ures(L)
     slices = _build_slices(L, U, degree_bound)
@@ -555,6 +547,4 @@ def abelian_cochain_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule,
                  in _generator_terms(L, pairs[j + 1], pairs[j])]
         return kron_sum((len(pairs[j + 1]), len(pairs[j])), terms, rhos, p)
 
-    d_out = delta(k)
-    d_in = delta(k - 1) if k >= 1 else None
-    return cohomology(d_in, d_out, p).dim
+    return Complex(lambda j: delta(j) if j >= 0 else None, p).cohomology(k).dim

@@ -13,9 +13,8 @@ so that in degree 0, (delta v)(g) = -g.v.  The matrix is that formula
 as a list of (target block, source block, coefficient, op) terms with
 ops rho(e_j) and 1, summed densely by linalg.kron_sum.
 
-A ClassicalComplex holds the coboundaries and cohomology groups of one
-(L, M), each computed on first use; the restricted complex of the same
-pair takes its classical blocks from it.
+A ClassicalComplex is the linalg.Complex of these coboundaries for one
+(L, M); the restricted complex of the pair takes its classical blocks from it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import itertools
 import numpy as np
 
 # perfbench wraps classical.nullspace
-from .linalg import Cohomology, cohomology, identity, kron_sum, nullspace  # noqa: F401
+from .linalg import Complex, identity, kron_sum, nullspace  # noqa: F401
 from .liealg import RestrictedLieAlgebra
 from .gmod import RestrictedModule
 
@@ -57,28 +56,11 @@ def delta_cl_matrix(L: RestrictedLieAlgebra, M: RestrictedModule, q: int) -> np.
     return kron_sum((len(dst), len(src)), terms, [*M.rho, identity(M.m)], L.p)
 
 
-class ClassicalComplex:
-    """The Chevalley-Eilenberg complex of one (L, M).
-
-    Each coboundary matrix and each cohomology group is computed on
-    first use and kept for the life of the object.
-    """
+class ClassicalComplex(Complex):
+    """The Chevalley-Eilenberg complex of one (L, M), delta_cl_matrix from q = 0."""
 
     def __init__(self, L: RestrictedLieAlgebra, M: RestrictedModule):
-        self.L, self.M = L, M
-        self._deltas: dict[int, np.ndarray] = {}
-        self._groups: dict[int, Cohomology] = {}
-
-    def delta(self, q: int) -> np.ndarray:
-        if q not in self._deltas:
-            self._deltas[q] = delta_cl_matrix(self.L, self.M, q)
-        return self._deltas[q]
-
-    def cohomology(self, q: int) -> Cohomology:
-        if q not in self._groups:
-            incoming = self.delta(q - 1) if q >= 1 else None
-            self._groups[q] = cohomology(incoming, self.delta(q), self.L.p)
-        return self._groups[q]
+        super().__init__(lambda q: delta_cl_matrix(L, M, q) if q >= 0 else None, L.p)
 
 
 def classical_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule, q: int):

@@ -12,9 +12,10 @@ sorted by row.  The products and ``cohomology`` sum in int64 and refuse
 p from MODULUS_LIMIT up.  A reduced echelon form is unique, so every
 basis returned here is reproducible.  ``cohomology`` turns a pair of
 composable maps into their quotient ker/im with canonical
-representatives, eliminating each map once.  ``kron_sum`` builds every
-coboundary and differential of the package from its list of block
-terms, dense or sparse by the type of its ops.
+representatives, eliminating each map once; a ``Complex``, which every
+complex of the package is, builds and ranks each of its maps once.
+``kron_sum`` builds every coboundary and differential of the package
+from its list of block terms, dense or sparse by the type of its ops.
 """
 
 from __future__ import annotations
@@ -670,6 +671,38 @@ def cohomology(incoming, outgoing, p: int) -> Cohomology:
     if dim != cycles.shape[0] - len(pivots):
         raise NotAComplex("outgoing @ incoming is nonzero: a boundary is not a cycle")
     return Cohomology(cycles, boundaries, pivots, R[:dim], p)
+
+
+class Complex:
+    """A cochain complex over GF(p): ``build(k)`` gives δ(k): C^k -> C^(k+1), an
+    array, a SparseMatrix or None, and each map, rank and group is computed
+    once.  A chain complex d_k: C_k -> C_(k-1) is read as C^(-k) = C_k."""
+
+    def __init__(self, build, p: int):
+        self._build, self.p = build, p
+        self._maps, self._ranks, self._groups = {}, {}, {}
+
+    def delta(self, k: int):
+        if k not in self._maps:
+            self._maps[k] = self._build(k)
+        return self._maps[k]
+
+    def rank(self, k: int) -> int:
+        if k not in self._ranks:
+            d = self.delta(k)
+            self._ranks[k] = 0 if d is None else rank(d, self.p)
+        return self._ranks[k]
+
+    def dim(self, k: int) -> int:
+        """dim C^k − rank δ(k) − rank δ(k−1), taking δ(k)∘δ(k−1) = 0 on trust."""
+        out, inc = self.delta(k), self.delta(k - 1)
+        size = np.shape(inc)[0] if out is None else np.shape(out)[1]
+        return size - self.rank(k) - self.rank(k - 1)
+
+    def cohomology(self, k: int) -> Cohomology:
+        if k not in self._groups:
+            self._groups[k] = cohomology(self.delta(k - 1), self.delta(k), self.p)
+        return self._groups[k]
 
 
 def sample_vectors(p: int, dim: int, count: int, tag: str) -> np.ndarray:

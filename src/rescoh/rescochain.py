@@ -24,9 +24,9 @@ The matrices of delta1 and delta2 stack the classical block over the
 terms of psi-tilde and of the induced beta on the basis, summed by
 linalg.kron_sum with ops 1, rho(e_j)^a and rho(e_i)^(p-1).
 
-A RestrictedComplex holds the coboundary matrices and cohomology groups
-of one (L, M) over its ClassicalComplex, so restricted H^k, classical
-H^k and the comparison map between them share every matrix.
+A RestrictedComplex is the linalg.Complex of these matrices for one
+(L, M), stacked on its own ClassicalComplex, so restricted H^k,
+classical H^k and the comparison map between them share every matrix.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Cohomology, InvariantFailure, as_fp, cohomology, identity, kron_sum,
+from .linalg import (Cohomology, Complex, InvariantFailure, as_fp, identity, kron_sum,
                      mat_pow_mod, rank, zeros)
 from .liealg import RestrictedLieAlgebra, quadrature
 from .gmod import RestrictedModule, invariants
-from .classical import ClassicalComplex, delta_cl_matrix
+from .classical import ClassicalComplex
 
 
 @dataclass
@@ -270,32 +270,35 @@ def beta_induced(L, M, c2: Cochain2, g, h) -> np.ndarray:
     return (out + M.matrix_of(g) @ eval_omega(L, M, c2, h)) % p
 
 
-def delta0_matrix(L, M) -> np.ndarray:
-    """delta0 = classical degree-0 coboundary: (delta v)(g) = -g.v."""
-    return delta_cl_matrix(L, M, 0)
-
-
 def delta1(L, M, psi: np.ndarray) -> Cochain2:
     """Cochain-level delta1: psi -> (delta_cl psi, psi-tilde on basis)."""
     psi = np.asarray(psi, dtype=np.int64).reshape(-1) % L.p
     return c2_from_vec(L, M, delta1_matrix(L, M) @ psi % L.p)
 
 
-def delta1_matrix(L, M, cl=None) -> np.ndarray:
-    """Matrix of delta1: the classical block delta_cl(1), given as ``cl``
-    when already built, over the psi-tilde block, whose terms are
-    pi[i, l] · 1 at block (i, l) and -rho(e_i)^(p-1) at block (i, i)."""
+def delta1_matrix(L, M) -> np.ndarray:
+    """Matrix of delta1: delta_cl(1) over the psi-tilde block."""
+    return RestrictedComplex(L, M).delta(1)
+
+
+def _psi_tilde_block(L, M) -> np.ndarray:
+    """The rows of delta1 below delta_cl(1): terms pi[i, l] · 1 at block
+    (i, l) and -rho(e_i)^(p-1) at block (i, i)."""
     n, p = L.n, L.p
-    top = delta_cl_matrix(L, M, 1) if cl is None else cl
     terms = [(i, l, int(L.pi[i, l]), 0) for i, l in zip(*np.nonzero(L.pi))]
     terms += [(i, i, -1, 1 + i) for i in range(n)]
     ops = [identity(M.m)] + [mat_pow_mod(rho, p - 1, p) for rho in M.rho]
-    return np.vstack([top, kron_sum((n, n), terms, ops, p)])
+    return kron_sum((n, n), terms, ops, p)
 
 
 def delta2(L, M, c2: Cochain2) -> Cochain3:
     """Cochain-level delta2: (phi, omega) -> (delta_cl phi, induced beta)."""
     return c3_from_vec(L, M, delta2_matrix(L, M) @ c2_to_vec(L, M, c2) % L.p)
+
+
+def delta2_matrix(L, M) -> np.ndarray:
+    """Matrix of delta2 on (phi pairs | omega basis): delta_cl(2) over the beta block."""
+    return RestrictedComplex(L, M).delta(2)
 
 
 def _powers(a: np.ndarray, p: int) -> list[np.ndarray]:
@@ -304,14 +307,12 @@ def _powers(a: np.ndarray, p: int) -> list[np.ndarray]:
                                      initial=identity(len(a))))
 
 
-def delta2_matrix(L, M, cl=None) -> np.ndarray:
-    """Matrix of delta2 on (phi pairs | omega basis) coordinates; ``cl`` is
-    its classical block delta_cl(2) when already built.  Row block (i, j)
-    of the beta part holds the terms of beta(e_i, e_j): phi(e_i, e_j^[p]),
-    the alternating sum of rho(e_j)^a phi([e_i, e_j, ..., e_j], e_j) over
-    p-1-a brackets, read off powers of the matrix of u -> [u, e_j], and
-    rho(e_i) omega(e_j)."""
-    n, m, p = L.n, M.m, L.p
+def _beta_block(L, M) -> np.ndarray:
+    """The rows of delta2 below the classical block.  Row block (i, j)
+    holds the terms of beta(e_i, e_j): phi(e_i, e_j^[p]), the alternating
+    sum of rho(e_j)^a phi([e_i, e_j, ..., e_j], e_j) over p-1-a brackets,
+    read off powers of the matrix of u -> [u, e_j], and rho(e_i) omega(e_j)."""
+    n, p = L.n, L.p
     pairs, phi_block = pair_tuples(n), {}  # (a, b), a != b: phi column block and sign
     for r, (a, b) in enumerate(pairs):
         phi_block[a, b], phi_block[b, a] = (r, 1), (r, -1)
@@ -334,60 +335,52 @@ def delta2_matrix(L, M, cl=None) -> np.ndarray:
                         col, sgn = phi_block[l, j]
                         terms.append((row, col, (-1) ** (a + 1) * int(chain[l]) * sgn, j * p + a))
             terms.append((row, len(pairs) + j, 1, n * p + i))
-    top = delta_cl_matrix(L, M, 2) if cl is None else cl
-    bottom = kron_sum((n * n, len(pairs) + n), terms, ops, p)
-    return np.vstack([np.hstack([top, zeros(len(top), n * m)]), bottom])
+    return kron_sum((n * n, len(pairs) + n), terms, ops, p)
 
 
-class RestrictedComplex:
-    """The restricted complex of one (L, M) in degrees 0..3, over the
-    classical complex of the same pair.
-
-    delta0 and the classical blocks of delta1 and delta2 come from
+class RestrictedComplex(Complex):
+    """The restricted complex of one (L, M) in degrees 0..3.  delta(0)
+    and the classical blocks of delta(1) and delta(2) come from
     ``classical``, so the two complexes and the comparison map between
-    their cohomology build each coboundary once.  Matrices and groups are
-    kept for the life of the object.
-    """
+    their cohomology build each coboundary once."""
 
     def __init__(self, L: RestrictedLieAlgebra, M: RestrictedModule):
-        self.L, self.M = L, M
-        self.classical = ClassicalComplex(L, M)
-        self._deltas: dict[int, np.ndarray] = {}
-        self._groups: dict[int, Cohomology] = {}
+        self.classical = classical = ClassicalComplex(L, M)
 
-    def delta(self, k: int) -> np.ndarray:
-        """Matrix of delta_k, k in {0, 1, 2}."""
-        if k == 0:
-            return self.classical.delta(0)
-        if k not in self._deltas:
-            build = {1: delta1_matrix, 2: delta2_matrix}[k]
-            self._deltas[k] = build(self.L, self.M, cl=self.classical.delta(k))
-        return self._deltas[k]
+        def stack(k: int):  # not a method: no cycle, so a dropped complex is freed at once
+            """delta(k) for k <= 2: the classical block over the restricted rows."""
+            if k > 2:
+                raise ValueError("restricted coboundaries are built here for k <= 2 only")
+            top = classical.delta(k)
+            if k == 1:
+                return np.vstack([top, _psi_tilde_block(L, M)])
+            if k == 2:
+                return np.vstack([np.hstack([top, zeros(len(top), L.n * M.m)]), _beta_block(L, M)])
+            return top
+
+        super().__init__(stack, L.p)
 
     def cohomology(self, k: int) -> Cohomology:
         """Restricted H^k for k in {1, 2}."""
         if k not in (1, 2):
             raise ValueError("restricted cohomology is defined here for k <= 2 only")
-        if k not in self._groups:
-            self._groups[k] = cohomology(self.delta(k - 1), self.delta(k), self.L.p)
-        return self._groups[k]
+        return super().cohomology(k)
 
     def compare(self, k: int):
         """Matrix of the induced map H^k -> H^k_cl in the representative
         bases, and its kernel dimension.
 
-        The map forgets omega (k = 2); the class coordinates of every
-        forgotten representative are read off at once.
+        The map keeps the classical coordinates, forgetting omega (k = 2);
+        the class coordinates of every forgotten representative are read
+        off at once.  Like ``cohomology``, it refuses k outside {1, 2}.
         """
-        if k not in (1, 2):
-            raise ValueError("comparison maps exist for k in {1, 2}")
         H = self.cohomology(k)
-        forgotten = H.reps if k == 1 else H.reps[:, : len(pair_tuples(self.L.n)) * self.M.m]
+        forgotten = H.reps[:, : self.classical.delta(k).shape[1]]
         coords = self.classical.cohomology(k).coordinates(forgotten)
         if coords is None:
             raise InvariantFailure("forgetful image of a restricted cocycle is not a classical class")
         map_matrix = coords.T.copy()
-        return map_matrix, H.dim - rank(map_matrix, self.L.p)
+        return map_matrix, H.dim - rank(map_matrix, self.p)
 
 
 def restricted_cohomology(L, M, k: int):

@@ -14,7 +14,7 @@ import numpy as np
 from rescoh.classical import delta_cl_matrix
 from rescoh.gmod import invariants
 from rescoh.linalg import NotAComplex, as_fp, matmul_mod, zeros
-from rescoh.rescochain import delta0_matrix, delta1_matrix, delta2_matrix, pair_tuples
+from rescoh.rescochain import delta1_matrix, delta2_matrix, pair_tuples
 
 from dense_rref import nullspace, row_space, rref, solve
 
@@ -101,7 +101,7 @@ def restricted_cohomology(L, M, k: int):
         inv = invariants(M)
         return inv.dim, inv.basis
     if k == 1:
-        return _group(delta0_matrix(L, M), delta1_matrix(L, M), L.p)
+        return _group(delta_cl_matrix(L, M, 0), delta1_matrix(L, M), L.p)
     return _group(delta1_matrix(L, M), delta2_matrix(L, M), L.p)
 
 

@@ -251,8 +251,10 @@ def test_resolution_guards():
     lambda: aux_C_homology(abelian_algebra(2, 3), -1),
     lambda: abelian_cochain_cohomology(abelian_algebra(2, 3),
                                        trivial_module(abelian_algebra(2, 3), 1), -1),
+    lambda: frakC_check(abelian_algebra(2, 3), -1),
+    lambda: dga_check(abelian_algebra(2, 3), -1),
 ], ids=["build_resolution_kmax", "resolution_homology_k", "aux_C_homology_k",
-        "abelian_cochain_cohomology_k"])
+        "abelian_cochain_cohomology_k", "frakC_check_kmax", "dga_check_degree_bound"])
 def test_argument_refusals_are_usage_errors(call):
     with pytest.raises(UsageError):
         call()

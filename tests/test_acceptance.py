@@ -20,6 +20,7 @@ from rescoh.abelres import (
     frakC_check,
     resolution_homology,
 )
+from rescoh.classical import delta_cl_matrix
 from rescoh.field import verify_identities
 from rescoh.gmod import adjoint_module, hom_module, invariants, trivial_module
 from rescoh.interp import (
@@ -35,7 +36,6 @@ from rescoh.rescochain import (
     beta_induced,
     c2_from_vec,
     compare_classical,
-    delta0_matrix,
     delta1,
     delta1_matrix,
     delta2,
@@ -96,7 +96,7 @@ def test_criterion_03_composites_vanish():
     for tag, L in CORPUS:
         for name, M in coefficient_modules(L):
             p = L.p
-            d0 = delta0_matrix(L, M)
+            d0 = delta_cl_matrix(L, M, 0)
             d1 = delta1_matrix(L, M)
             d2 = delta2_matrix(L, M)
             ok = ok and not matmul_mod(d1, d0, p).any()

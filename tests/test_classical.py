@@ -16,6 +16,7 @@ from rescoh.liealg import (
     witt_algebra,
 )
 from rescoh.linalg import Subspace, matmul_mod, nullspace, rank
+from rescoh.rescochain import RestrictedComplex
 
 import cochain_loops
 from conftest import coefficient_modules
@@ -146,3 +147,15 @@ def test_class_coordinates():
     # a non-cocycle direction is rejected
     H0 = A.cohomology(0)
     assert H0.coordinates(np.ones((1, 3), dtype=np.int64)) is None
+
+
+def test_dim_from_ranks_matches_the_group(corpus_entry):
+    # Complex.dim reads two ranks; Complex.cohomology eliminates for the
+    # cycles and boundaries themselves: the classical complex in every
+    # degree, the restricted one where it has groups.
+    tag, L = corpus_entry
+    for mname, M in coefficient_modules(L):
+        for cx, degrees in ((ClassicalComplex(L, M), range(L.n + 1)),
+                            (RestrictedComplex(L, M), (1, 2))):
+            for k in degrees:
+                assert cx.dim(k) == cx.cohomology(k).dim, (tag, mname, type(cx).__name__, k)

@@ -290,39 +290,77 @@ def test_cohomology_builds_each_matrix_once(tmp_path, capsys, monkeypatch):
     # coboundary; each complex computes one group, whose d∘d check reads
     # the eliminations and takes no matrix product.
     calls = collections.Counter()
+    built = {}
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
-            calls[name if name != "delta_cl_matrix" else f"delta_cl_matrix({args[2]})"] += 1
-            return fn(*args, **kwargs)
+            key = name if name != "delta_cl_matrix" else f"delta_cl_matrix({args[2]})"
+            calls[key] += 1
+            built[key] = fn(*args, **kwargs)
+            return built[key]
         return wrapper
 
-    delta_cl = counted(classical.delta_cl_matrix, "delta_cl_matrix")
-    monkeypatch.setattr(classical, "delta_cl_matrix", delta_cl)
-    monkeypatch.setattr(rescochain, "delta_cl_matrix", delta_cl)
-    for name in ("delta1_matrix", "delta2_matrix"):
+    original = linalg.cohomology
+
+    def group(incoming, outgoing, p):
+        # the classical complex reads its own delta_cl(2); the restricted
+        # one reads the stack of that block over the beta rows
+        classical_map = outgoing is built.get("delta_cl_matrix(2)")
+        calls["classical group" if classical_map else "restricted group"] += 1
+        return original(incoming, outgoing, p)
+
+    monkeypatch.setattr(classical, "delta_cl_matrix",
+                        counted(classical.delta_cl_matrix, "delta_cl_matrix"))
+    for name in ("_psi_tilde_block", "_beta_block"):
         monkeypatch.setattr(rescochain, name, counted(getattr(rescochain, name), name))
     monkeypatch.setattr(linalg, "matmul_mod", counted(linalg.matmul_mod, "matmul_mod"))
-    for module in (classical, rescochain):
-        monkeypatch.setattr(module, "cohomology", counted(linalg.cohomology, module.__name__))
+    monkeypatch.setattr(linalg, "cohomology", group)
     path = write(tmp_path, "witt7.alg", emit(witt_file(7)))
     code, report, _ = run_cli(capsys, "cohomology", path, "--module", "adjoint", "--degree", "2")
     assert code == 0 and report["results"]["degree"] == 2
     assert dict(calls) == {"delta_cl_matrix(1)": 1, "delta_cl_matrix(2)": 1,
-                           "delta1_matrix": 1, "delta2_matrix": 1,
-                           "rescoh.classical": 1, "rescoh.rescochain": 1}
+                           "_psi_tilde_block": 1, "_beta_block": 1,
+                           "classical group": 1, "restricted group": 1}
+
+
+def test_resolve_ranks_each_differential_once(tmp_path, capsys, monkeypatch):
+    # Every homology dimension of the report is read off one Resolution:
+    # d_1 .. d_{kmax+1} are each eliminated once, and eps, onto GF(p), never.
+    built, ranked = [], []
+    original_build, original_rank = cli.build_resolution, linalg.rank
+
+    def build(*args):
+        built.append(original_build(*args))
+        return built[-1]
+
+    def counted_rank(a, p):
+        ranked.append(a)
+        return original_rank(a, p)
+
+    monkeypatch.setattr(cli, "build_resolution", build)
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    path = write(tmp_path, "flat.alg", ABELIAN)
+    code, report, _ = run_cli(capsys, "resolve", path, "--kmax", "2")
+    assert code == 0 and report["results"]["homology"] == [0, 0, 0]
+    (res,) = built
+    differentials = [s.d for s in res.slices[1:]] + [res._extra.d]
+    assert len(differentials) == 3
+    assert sorted(map(id, ranked)) == sorted(map(id, differentials))
+    assert all(a is not res.eps for a in ranked)
 
 
 DROP_A_CLASSICAL_REP = """\
 import sys
-import rescoh.classical as classical
+import rescoh.linalg as linalg
+from rescoh.classical import ClassicalComplex
 from rescoh.cli import main
-original = classical.cohomology
-def corrupted(*args):
-    H = original(*args)
-    H.reps = H.reps[:-1]
+original = linalg.Complex.cohomology
+def corrupted(self, k):
+    H = original(self, k)
+    if isinstance(self, ClassicalComplex):
+        H.reps = H.reps[:-1]
     return H
-classical.cohomology = corrupted
+linalg.Complex.cohomology = corrupted
 print("optimize", sys.flags.optimize)
 sys.exit(main(sys.argv[1:]))
 """
@@ -501,10 +539,12 @@ def test_argparse_edges(capsys):
 
 
 def test_console_script():
+    # the child imports rescoh from this process's path, installed or not
     proc = subprocess.run(
         [sys.executable, "-m", "rescoh.cli", "identities", "--p", "3"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "identities"

@@ -21,7 +21,6 @@ from rescoh.rescochain import (
     c3_from_vec,
     c3_to_vec,
     compare_classical,
-    delta0_matrix,
     delta1,
     delta1_matrix,
     delta2,
@@ -36,7 +35,7 @@ from rescoh.rescochain import (
     triple_tuples,
 )
 
-from rescoh.classical import classical_cohomology
+from rescoh.classical import classical_cohomology, delta_cl_matrix
 
 import cochain_loops
 import quotients
@@ -95,7 +94,7 @@ def test_matrix_shapes(corpus_entry):
 def test_composites_vanish(corpus_entry):
     tag, L = corpus_entry
     for mname, M in coefficient_modules(L):
-        d0 = delta0_matrix(L, M)
+        d0 = delta_cl_matrix(L, M, 0)
         d1 = delta1_matrix(L, M)
         d2 = delta2_matrix(L, M)
         assert not matmul_mod(d1, d0, L.p).any(), (tag, mname)
@@ -249,8 +248,6 @@ def test_peel_order_independence_iff_classical_cocycle_part():
     # a classically closed phi makes the extension path-free even for
     # arbitrary omega rows; eval_beta carries no such claim because its
     # direct formula is anchored to one peel order
-    from rescoh.classical import delta_cl_matrix
-
     for L in (witt_algebra(3)[0], heisenberg_algebra(5), solvable2_algebra(3)):
         for mname, M in coefficient_modules(L):
             p, n, m = L.p, L.n, M.m
@@ -311,8 +308,6 @@ def test_eval_beta_coherent_with_order_matched_direct_formula():
 def test_peel_order_witness_for_non_cocycle_phi():
     # converse is only generic; witt at p=3 with adjoint coefficients
     # separates the orders for every sampled non-closed phi
-    from rescoh.classical import delta_cl_matrix
-
     L = witt_algebra(3)[0]
     M = adjoint_module(L)
     p, n, m = L.p, L.n, M.m
