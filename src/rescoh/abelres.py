@@ -45,8 +45,8 @@ import numpy as np
 
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
-from .linalg import (Complex, InvariantFailure, SparseMatrix, UsageError, identity, kron_sum,
-                     mat_pow_mod, matmul_mod, rank, zeros)
+from .linalg import (Complex, InvariantFailure, SparseMatrix, UsageError, _summed, identity,
+                     kron_sum, mat_pow_mod, matmul_mod, rank, zeros)
 from .ures import TooLarge, Ures
 
 SLICE_BOUND = 20_000
@@ -219,8 +219,7 @@ def _right_operators(U: Ures) -> list[SparseMatrix]:
     entries = _times_generator(U.L, src % size, src, np.ones_like(src))
     xs = split(*entries)
     for _ in range(p - 2):
-        batch = SparseMatrix((size, n * size), *entries, p)
-        entries = _times_generator(U.L, batch.rows, batch.cols, batch.vals)
+        entries = _times_generator(U.L, *_summed(size, *entries, p))
     diagonal = np.arange(size)
     unit = SparseMatrix((size, size), diagonal, diagonal, np.ones(size, dtype=np.int64), p)
     return xs + [unit] + (split(*entries) if p > 2 else xs)

@@ -55,13 +55,6 @@ def _jsonable(x):
     return repr(x)
 
 
-def _digest(parts: list[bytes]) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.hexdigest()
-
-
 def _clean_checks(checks: list[dict]) -> list[dict]:
     out = []
     for ch in checks:
@@ -347,7 +340,7 @@ def main(argv=None) -> int:
     checks = _clean_checks(checks)
     report = {
         "tool_version": __version__,
-        "input_digest": _digest(digest_parts),
+        "input_digest": hashlib.sha256(b"".join(digest_parts)).hexdigest(),
         "command": args.command,
         "results": _jsonable(results),
         "checks": checks,

@@ -73,17 +73,31 @@ def _check_modulus(p: int, label: str) -> None:
         raise ModulusTooLarge(f"{label}: GF({p}) products need p below {MODULUS_LIMIT}")
 
 
+def _summed(n_rows: int, rows, cols, vals, p: int):
+    """The entries as new arrays sorted by column, then row, summed mod p, zeros dropped."""
+    key = cols * n_rows + rows
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order] % p
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    if first.size < key.size:
+        key, vals = key[first], np.add.reduceat(vals, first) % p
+    if not vals.all():
+        keep = vals != 0
+        key, vals = key[keep], vals[keep]
+    cols = key // n_rows  # no entry when n_rows is 0
+    return key - cols * n_rows, cols, vals
+
+
 class SparseMatrix:
     """GF(p) matrix stored as three int64 arrays ``rows``, ``cols``, ``vals``.
 
     They list the nonzero entries sorted by column, then by row, with
     values in [1, p); column c holds the entries ``ptr[c]:ptr[c + 1]``
-    (compressed sparse column pointers).  The constructor takes entries
-    in any order, sums those at one position mod p and drops zeros, so a
-    matrix has exactly one form and equal matrices have equal arrays.
-    ``np.asarray`` gives the dense int64 form, so dense consumers
-    (``matmul_mod``, tests) take a SparseMatrix unchanged.  The
-    vectorised products (``@`` and ``check_composite``) are refused from
+    (compressed sparse column pointers), all read-only.  The constructor
+    takes entries in any order, sums those at one position mod p and
+    drops zeros, so a matrix has one form and equal matrices equal arrays.
+    ``np.asarray`` gives the dense int64 form for dense consumers
+    (``matmul_mod``, tests); ``@`` and ``check_composite`` refuse p from
     MODULUS_LIMIT up.
     """
 
@@ -97,17 +111,11 @@ class SparseMatrix:
         if rows.size and (min(rows.min(), cols.min()) < 0
                           or rows.max() >= n_rows or cols.max() >= n_cols):
             raise ValueError(f"an entry index lies outside the shape {shape}")
-        key = cols * n_rows + rows
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        key, vals = key[first], np.add.reduceat(vals[order] % p, first) % p
-        keep = vals != 0
-        self.shape = shape
-        self.cols, self.rows = np.divmod(key[keep], max(n_rows, 1))
-        self.vals = vals[keep]
+        self.shape, self.p = shape, p
+        self.rows, self.cols, self.vals = _summed(n_rows, rows, cols, vals, p)
         self.ptr = np.bincount(self.cols + 1, minlength=n_cols + 1).cumsum()
-        self.p = p
+        for x in (self.rows, self.cols, self.vals, self.ptr):
+            x.flags.writeable = False
 
     def __array__(self, dtype=None, copy=None):
         out = zeros(*self.shape)
@@ -169,14 +177,13 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
     lo = 0
     while lo < b.shape[1]:
         hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _PRODUCT_BLOCK, side="right")) - 1)
-        entries = np.arange(b.ptr[lo], b.ptr[hi])
-        run = counts[entries]
-        src = np.repeat(entries, run)
-        at = a_start[src] + np.arange(src.size) - np.repeat(np.cumsum(run) - run, run)
-        block = SparseMatrix((a.shape[0], hi - lo), a.rows[at], b.cols[src] - lo,
-                             a.vals[at] * b.vals[src], a.p)
-        if block.vals.size:
-            yield block.rows, block.cols + lo, block.vals
+        span = slice(b.ptr[lo], b.ptr[hi])  # the entries of b's columns lo..hi-1
+        run = counts[span]
+        src = np.repeat(np.arange(span.start, span.stop), run)
+        at = np.repeat(a_start[span] - np.cumsum(run) + run, run) + np.arange(src.size)
+        block = _summed(a.shape[0], a.rows[at], b.cols[src], a.vals[at] * b.vals[src], a.p)
+        if block[2].size:  # a nonzero entry
+            yield block
         lo = hi
 
 
@@ -221,12 +228,12 @@ def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
 
 def _nonzeros(a, p: int):
     """Shape and the nonzero entries of a as int64 arrays (rows, cols, vals),
-    with vals in [1, p): a SparseMatrix's own arrays, sorted by column,
-    then row; an array's sorted by row, then column."""
+    with vals in [1, p): a SparseMatrix's sorted by column, then row (its
+    own arrays at its own p), an array's sorted by row, then column."""
     if isinstance(a, SparseMatrix):
-        v = a.vals % p
-        keep = v != 0
-        return a.shape, a.rows[keep], a.cols[keep], v[keep]
+        if a.p == p:
+            return a.shape, a.rows, a.cols, a.vals
+        return a.shape, *_summed(a.shape[0], a.rows, a.cols, a.vals, p)
     A = as_fp(a, p)
     if A.ndim != 2:
         raise ValueError("expected a 2-d array")
@@ -282,27 +289,32 @@ def _peel(shape, r, c, v):
 
 
 def _components(shape, r, c):
-    """The component of each entry (i, j), numbered from 0, in the graph
-    joining row i to column j.  A round hooks the larger root label across
-    each entry onto the least one, then pointer jumping makes every label
-    a root again: 2-3 rounds on the ``resolve`` differentials, 2 on an
-    8000-long chain, 9 on a permuted one."""
+    """(comp, lr, lc, nr, nc): each entry (i, j)'s component in the graph
+    joining row i to column j, the places of i and j in it, and each
+    component's row and column counts.  Rounds hook the larger root label
+    across each entry onto the least, then pointer jumping makes every
+    label a root again (2-3 rounds on the ``resolve`` differentials, 9 on
+    a permuted 8000-long chain); one stable sort of the nodes numbers all."""
+    c = c + shape[0]  # column j is node shape[0] + j
     label = np.arange(shape[0] + shape[1])
     while True:
-        lr, lc = label[r], label[c + shape[0]]
+        lr, lc = label[r], label[c]
         if (lr == lc).all():
-            return np.unique(lr, return_inverse=True)[1]
+            break
         np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
         while (label[label] != label).any():
             label = label[label]
-
-
-def _local(comp, x, base):
-    """Each entry's x (below base) numbered among those of its component, and their counts."""
-    key, at = np.unique(comp * base + x, return_inverse=True)
-    owner = key // base
-    count = np.bincount(owner)
-    return (np.arange(key.size) - (np.cumsum(count) - count)[owner])[at], count
+    active = np.zeros(label.size, dtype=bool)
+    active[r] = active[c] = True
+    nodes = np.flatnonzero(active)
+    nodes = nodes[np.argsort(label[nodes], kind="stable")]
+    # a component's rows, then its columns: two runs, as each has both
+    start = np.flatnonzero(np.diff(2 * label[nodes] + (nodes >= shape[0]), prepend=-1))
+    size = np.diff(start, append=nodes.size)
+    place, comp = np.empty((2, label.size), dtype=np.int64)
+    place[nodes] = np.arange(nodes.size) - np.repeat(start, size)
+    comp[nodes] = np.repeat(np.arange(size.size) // 2, size)
+    return comp[r], place[r], place[c], size[::2], size[1::2]
 
 
 _STACK_CUT = 64  # see _stacked_rank
@@ -330,8 +342,7 @@ def _stacked_rank(shape, r, c, v, p):
     """
     if not r.size:
         return 0, r, c, v
-    comp = _components(shape, r, c)
-    (lr, nr), (lc, nc) = _local(comp, r, shape[0]), _local(comp, c, shape[1])
+    comp, lr, lc, nr, nc = _components(shape, r, c)
     tall, wide = np.maximum(nr, nc), np.minimum(nr, nc)
     stack = np.where(nr + nc > _STACK_CUT, -1, np.frexp(wide - 1)[1])
     long, short = np.where((nr < nc)[comp], [lc, lr], [lr, lc])
@@ -419,12 +430,9 @@ def rank(a, p: int) -> int:
     --kmax 2, zero table) the peel takes all 624 pivots of d1, 596 of
     d2's 1876 and 2454 of d3's 4374; the rest of d2 and d3 falls into 512
     and 704 components of at most 10 rows plus columns, all stacked.  The
-    job's ranks take 44 ms in Markowitz alone, 25 after peeling, 4.9
-    after stacking with a reduction every step and 3.8 as here, the
-    stacked stage reducing only before int64 could overflow and the
-    arrays read in their column order; those of the nine distinct
-    ``resolve`` benchmark jobs 90, 75, 30 and 22 ms (best of 9,
-    interleaved; 2-core host, Python 3.11, numpy 2.4).
+    job's ranks took 44 ms in Markowitz alone, 25 peeled, 4.9 stacked and
+    3.8 reducing only before int64 overflow; numbering nodes, not entries,
+    took them from 2.9 to 2.4 (2-core host, Python 3.11, numpy 2.4).
 
     Markowitz eliminates the components too big to stack on row dicts in
     Python ints, exact whatever the size of p, pivoting on a row of least

@@ -22,12 +22,13 @@ from rescoh.abelres import (
 )
 from rescoh.gmod import adjoint_module, trivial_module
 from rescoh.liealg import abelian_algebra, heisenberg_algebra, witt_algebra
-from rescoh.linalg import NotAComplex, UsageError, matmul_mod, rank
+from rescoh.linalg import NotAComplex, SparseMatrix, UsageError, matmul_mod, rank
 from rescoh.rescochain import restricted_cohomology
 from rescoh.ures import TooLarge, Ures
 
 from conftest import ABELIAN, add_one_at_origin, coefficient_modules, nonzero_pi
 from elementwise import differential_by_element, right_operators_by_straightening
+import components
 import markowitz
 
 
@@ -226,11 +227,47 @@ def test_stacked_component_counts_on_the_north_star():
     for d in resolve_differentials(4, 5, 2, False)[1:]:
         shape, *entries = linalg._nonzeros(d, 5)
         peeled, r, c, v = linalg._peel(shape, *entries)
-        comps = np.unique(linalg._components(shape, r, c)).size
+        comps = linalg._components(shape, r, c)[3].size
         stacked, left, _, _ = linalg._stacked_rank(shape, r, c, v, 5)
         counts.append((comps, left.size))
         assert peeled + stacked == rank(d, 5)
     assert counts == [(512, 0), (704, 0)]
+
+
+@pytest.mark.parametrize("table", ["zero", "seeded", "scaled"])
+@pytest.mark.parametrize("n,p,k_max", RESOLVE_SHAPES)
+def test_resolve_components_are_numbered_like_the_entry_oracle(n, p, k_max, table):
+    # Every differential of the resolve benchmark's inputs, whole and as
+    # the peel leaves it; its nonzero tables are the reversal with
+    # seeded units, scaled here the same way.
+    if table == "scaled":
+        units = np.random.default_rng(10 * n + p).integers(1, p, size=n)
+        res = build_resolution(abelian_algebra(n, p, pi=nonzero_pi(n) * units[:, None]), k_max)
+        ds = [s.d for s in res.slices[1:]] + [res._extra.d]
+    else:
+        ds = resolve_differentials(n, p, k_max, table == "seeded")
+    for d in ds:
+        shape, r, c, v = linalg._nonzeros(d, p)
+        components.assert_numbered_alike(shape, r, c)
+        _, r, c, _ = linalg._peel(shape, r, c, v)
+        components.assert_numbered_alike(shape, r, c)
+
+
+def test_sparse_constructions_on_the_north_star(monkeypatch):
+    # One north-star build_resolution makes 13 SparseMatrix objects: the 9
+    # operator tables (x_i, 1, x_j^(p-1)), d_1, d_2, d_3 and eps.  The
+    # tables' batch rounds and the d.d checks sum their entries without
+    # one; counts, not times, so that a construction put back shows.
+    made = []
+    init = SparseMatrix.__init__
+
+    def counting(self, *args):
+        made.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", counting)
+    build_resolution(abelian_algebra(4, 5), 2)
+    assert len(made) == 13
 
 
 def test_resolution_guards():

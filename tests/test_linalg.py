@@ -29,6 +29,7 @@ from rescoh.linalg import (
     zeros,
 )
 
+import components
 import dense_rref
 import markowitz
 
@@ -159,6 +160,100 @@ def test_sparse_matrix_canonical_form():
     big = SparseMatrix((1, 1), [0], [0], [1], MODULUS_LIMIT + 1)
     with pytest.raises(ModulusTooLarge):
         big.check_composite(big, "big")
+
+
+def summed_by_dict(rows, cols, vals, p):
+    """Entries summed mod p in a {(col, row): value} dict, zeros dropped,
+    as (rows, cols, vals) lists sorted by column, then row."""
+    acc = {}
+    for i, j, v in zip(rows, cols, vals):
+        acc[j, i] = (acc.get((j, i), 0) + v) % p
+    keys = sorted(k for k, v in acc.items() if v)
+    return [i for _, i in keys], [j for j, _ in keys], [acc[k] for k in keys]
+
+
+def constructor_cases(p):
+    """(name, shape, rows, cols, vals) for each branch of the constructor's summing."""
+    rng = np.random.default_rng(p)
+    at = rng.permutation(6 * 7)[:20]  # distinct positions in no order
+    units = rng.integers(1, p, size=20)
+    twice = np.r_[at[:8], at[:8]]
+    return [
+        ("distinct", (6, 7), at // 7, at % 7, units),
+        ("distinct, some vanish", (6, 7), at // 7, at % 7, units * (np.arange(20) % 3 != 0) * p
+         + units * (np.arange(20) % 3 == 0)),
+        ("unreduced", (6, 7), at // 7, at % 7, units + p * rng.integers(-3, 4, size=20)),
+        ("duplicates cancel", (6, 7), twice // 7, twice % 7, np.r_[units[:8], p - units[:8]]),
+        ("duplicates, some cancel", (6, 7), np.r_[at, at[:8]] // 7, np.r_[at, at[:8]] % 7,
+         np.r_[units, p - units[:4], units[4:8]]),
+        ("all zero", (6, 7), at // 7, at % 7, p * rng.integers(-2, 3, size=20)),
+        ("single", (3, 2), [2], [1], [p + 1]),
+        ("0 x 5", (0, 5), [], [], []),
+        ("5 x 0", (5, 0), [], [], []),
+        ("0 x 0", (0, 0), [], [], []),
+        ("1 x 1 empty", (1, 1), [], [], []),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_sparse_matrix_constructor_matches_a_dict_oracle(p):
+    for name, shape, rows, cols, vals in constructor_cases(p):
+        m = SparseMatrix(shape, rows, cols, vals, p)
+        want = summed_by_dict(np.asarray(rows).tolist(), np.asarray(cols).tolist(),
+                              np.asarray(vals).tolist(), p)
+        assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == want, name
+        assert m.shape == shape and all(x.dtype == np.int64 for x in (m.rows, m.cols, m.vals))
+        assert_column_pointers(m)
+
+
+def test_sparse_matrix_arrays_are_read_only():
+    # rank and rref read them without a copy at the matrix's own p
+    m = SparseMatrix((3, 4), [2, 0, 1], [3, 1, 1], [1, 4, 2], 7)
+    for x in (m.rows, m.cols, m.vals, m.ptr):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            x += 1
+    shape, *entries = linalg._nonzeros(m, 7)
+    assert shape == m.shape and all(x is y for x, y in zip(entries, (m.rows, m.cols, m.vals)))
+
+
+def test_kernels_leave_the_sparse_arrays_as_they_were():
+    # rank and rref at the matrix's own p read its arrays themselves, on
+    # singletons the peel takes, small blocks the stacked stage takes and
+    # a 30 x 50 block that reaches Markowitz; @ and check_composite too.
+    p = 5
+    rng = np.random.default_rng(3)
+    a, b = kernel_pair(rng, p, (30, 50), 20, 0.3)
+    c = block_diagonal([rng.integers(0, p, size=(3, 4)) for _ in range(5)] + [identity(3), a],
+                       rng, 2, 1)
+    mats = [to_sparse(m, p) for m in (a, b, c, c.T, identity(4))]
+    copies = [[x.copy() for x in (m.rows, m.cols, m.vals, m.ptr)] for m in mats]
+    for m in mats:
+        assert rank(m, p) == rref(m, p)[1] == rank(np.asarray(m), p)
+    mats[0].check_composite(mats[1], "a b")
+    assert (np.asarray(mats[0] @ mats[1]) == 0).all()
+    assert (np.asarray(mats[2] @ mats[3]) == matmul_mod(c, c.T, p)).all()
+    for m, copy in zip(mats, copies):
+        for x, y in zip((m.rows, m.cols, m.vals, m.ptr), copy):
+            np.testing.assert_array_equal(x, y)
+
+
+def test_rank_at_another_p_reduces_mod_that_p():
+    # Row 0 is 5 and 12 = 5 mod 7, which vanish mod 5 but are in the
+    # matrix's own arrays.
+    a = SparseMatrix((2, 3), [0, 0, 1, 1], [0, 1, 1, 2], [5, 12, 1, 1], 7)
+    assert a.vals.tolist() == [5, 5, 1, 1]
+    assert rank(a, 7) == 2 and rank(a, 5) == 1 == rank(np.asarray(a) % 5, 5)
+    assert rref(a, 5)[0].tolist() == [[0, 1, 1], [0, 0, 0]]
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        dense = rng.integers(0, 13, size=(7, 9)) * (rng.random((7, 9)) < 0.4)
+        m = to_sparse(dense, 13)
+        for q in (2, 3, 5, 7, 11):
+            assert rank(m, q) == rref(dense % q, q)[1] == rref(m, q)[1]
+            assert (rref(m, q)[0] == rref(dense % q, q)[0]).all()
+    assert a.vals.tolist() == [5, 5, 1, 1]
 
 
 def kernel_pair(rng, p, shape_a, inner_cols, density):
@@ -299,10 +394,34 @@ def test_the_chain_is_one_component_for_markowitz():
                      np.r_[np.full(n, 2), np.full(n - 1, 3)], p)
     shape, r, c, v = linalg._nonzeros(a, p)
     _, r, c, v = linalg._peel(shape, r, c, v)
-    assert np.unique(linalg._components(shape, r, c)).size == 1
+    assert linalg._components(shape, r, c)[3].size == 1
     assert np.unique(r).size + np.unique(c).size > linalg._STACK_CUT
     stacked, left, _, _ = linalg._stacked_rank(shape, r, c, v, p)
     assert stacked == 0 and left.size == 2 * n - 3
+
+
+def test_the_chain_is_numbered_like_the_entry_oracle():
+    # The whole 300-chain, and what the peel leaves of it
+    n, p = 300, 5
+    i = np.arange(n)
+    a = SparseMatrix((n, n), np.r_[i, i[:-1]], np.r_[i, i[1:]],
+                     np.r_[np.full(n, 2), np.full(n - 1, 3)], p)
+    shape, r, c, v = linalg._nonzeros(a, p)
+    components.assert_numbered_alike(shape, r, c)
+    _, r, c, _ = linalg._peel(shape, r, c, v)
+    components.assert_numbered_alike(shape, r, c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+       cells=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_components_are_numbered_like_the_entry_oracle(shape, cells, seed):
+    # Empty rows and columns, lone entries and entries in any order.
+    cells = [(i, j) for i, j in cells if i < shape[0] and j < shape[1]]
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    r, c = cells[np.random.default_rng(seed).permutation(len(cells))].T
+    components.assert_numbered_alike(shape, r, c)
 
 
 def low_rank_product(rng, rows, cols, r, p):
