@@ -45,9 +45,9 @@ import numpy as np
 
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
-from .linalg import (Complex, InvariantFailure, SparseMatrix, UsageError, _summed, identity,
-                     kron_sum, mat_pow_mod, matmul_mod, rank, zeros)
-from .ures import TooLarge, Ures
+from .linalg import (Complex, InvariantFailure, SparseMatrix, TooLarge, UsageError, _check, _report,
+                     _summed, identity, kron_sum, mat_pow_mod, matmul_mod, rank, zeros)
+from .ures import Ures
 
 SLICE_BOUND = 20_000
 
@@ -364,25 +364,18 @@ def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
         return (lhs - np.diag([sum(mu) + len(I) for mu, I in bases[k]])) % p
 
     cx = Complex(lambda j: bdry(-j) if 1 <= -j <= k_max + 1 else None, p)
-    checks = []
-    # degree 1 maps into U_res itself; every degree-1 symbol has mu = 0
-    checks.append({"name": "d1_zero", "pass": not cx.delta(-1).any()})
-    bad = next((k for k in range(1, k_max + 1) if homotopy_gap(k).any()), None)
-    checks.append({"name": "homotopy_identity", "pass": bad is None,
-                   "counterexample": None if bad is None else {"degree": bad}})
     h_dims = {0: L.p ** n - cx.rank(-1)}
     for k in range(1, k_max + 1):
         h_dims[k] = cx.cohomology(-k).dim
-    checks.append({"name": "h0_full", "pass": h_dims[0] == p ** n})
-    checks.append({"name": "vanishing", "pass": all(h_dims[k] == 0 for k in range(1, k_max + 1))})
-    return {
-        "pass": all(c["pass"] for c in checks),
-        "p": p,
-        "n": n,
-        "k_max": k_max,
-        "h_dims": h_dims,
-        "checks": checks,
-    }
+    checks = [
+        # degree 1 maps into U_res itself; every degree-1 symbol has mu = 0
+        {"name": "d1_zero", "pass": not cx.delta(-1).any()},
+        _check("homotopy_identity",
+               ({"degree": k} for k in range(1, k_max + 1) if homotopy_gap(k).any())),
+        {"name": "h0_full", "pass": h_dims[0] == p ** n},
+        {"name": "vanishing", "pass": all(h_dims[k] == 0 for k in range(1, k_max + 1))},
+    ]
+    return _report(checks, p=p, n=n, k_max=k_max, h_dims=h_dims)
 
 
 def _elem_product(U: Ures, p: int, a: dict, b: dict) -> dict:
@@ -466,47 +459,31 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
         gens.append(("g0", i, {ChainBasisElement(zero_mu, (), _power_mono(n, i, 1)): 1}, 0))
         gens.append(("g1", i, {ChainBasisElement(zero_mu, (i,), U.unit_mono): 1}, 1))
         gens.append(("g2", i, {_g2_key(n, i): 1}, 2))
-    checks = []
-    ok, ce = True, None
-    for (na, ia, ea, ka), (nb, ib, eb, kb) in itertools.product(gens, repeat=2):
-        if ka + kb > degree_bound:
-            continue
-        gap = leibniz_gap(ea, eb, ka)
-        if gap:
-            ok, ce = False, {"left": (na, ia), "right": (nb, ib)}
-            break
-    checks.append({"name": "leibniz_generators", "pass": ok, "counterexample": ce})
+    def sampled():
+        """The failures among 100 seeded trials of Leibniz at random basis elements."""
+        rng = random.Random(f"dga:{p}:{n}:{degree_bound}")
+        for trial in range(100):
+            ka = rng.randrange(degree_bound + 1)
+            kb = rng.randrange(degree_bound + 1 - ka)
+            if bases[ka] and bases[kb]:
+                a = {rng.choice(bases[ka]): rng.randrange(1, p)}
+                b = {rng.choice(bases[kb]): rng.randrange(1, p)}
+                if leibniz_gap(a, b, ka):
+                    yield {"trial": trial, "left": next(iter(a)), "right": next(iter(b))}
 
-    rng = random.Random(f"dga:{p}:{n}:{degree_bound}")
-    ok, ce = True, None
-    for trial in range(100):
-        ka = rng.randrange(degree_bound + 1)
-        kb = rng.randrange(degree_bound + 1 - ka)
-        if not bases[ka] or not bases[kb]:
-            continue
-        a = {rng.choice(bases[ka]): rng.randrange(1, p)}
-        b = {rng.choice(bases[kb]): rng.randrange(1, p)}
-        gap = leibniz_gap(a, b, ka)
-        if gap:
-            ok, ce = False, {"trial": trial, "left": next(iter(a)), "right": next(iter(b))}
-            break
-    checks.append({"name": "leibniz_sampled", "pass": ok, "counterexample": ce})
-
-    gen_ok = all(diff({_g2_key(n, i): 1}) == _c_product(L, U, (i,)) for i in range(n))
-    checks.append({"name": "d_of_degree2_generators", "pass": gen_ok})
-
-    cyc_ce = next(({"indices": S} for size in range(1, min(n, degree_bound) + 1)
-                   for S in itertools.combinations(range(n), size) if diff(_c_product(L, U, S))),
-                  None)
-    checks.append({"name": "c_products_are_cycles", "pass": cyc_ce is None,
-                   "counterexample": cyc_ce})
-    return {
-        "pass": all(c["pass"] for c in checks),
-        "p": p,
-        "n": n,
-        "degree_bound": degree_bound,
-        "checks": checks,
-    }
+    checks = [
+        _check("leibniz_generators",
+               ({"left": (na, ia), "right": (nb, ib)}
+                for (na, ia, ea, ka), (nb, ib, eb, kb) in itertools.product(gens, repeat=2)
+                if ka + kb <= degree_bound and leibniz_gap(ea, eb, ka))),
+        _check("leibniz_sampled", sampled()),
+        {"name": "d_of_degree2_generators",
+         "pass": all(diff({_g2_key(n, i): 1}) == _c_product(L, U, (i,)) for i in range(n))},
+        _check("c_products_are_cycles",
+               ({"indices": S} for size in range(1, min(n, degree_bound) + 1)
+                for S in itertools.combinations(range(n), size) if diff(_c_product(L, U, S)))),
+    ]
+    return _report(checks, p=p, n=n, degree_bound=degree_bound)
 
 
 def _g2_key(n: int, i: int) -> ChainBasisElement:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .field import NonPrimeModulus  # noqa: F401  (re-exported: parse raises it)
 from .gmod import RestrictedModule
-from .liealg import RestrictedLieAlgebra, _check_modulus
-from .linalg import UsageError
+from .liealg import RestrictedLieAlgebra, VerificationFailed, _check_modulus, verify_restricted
+from .linalg import UsageError, _failing
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _INT = r"-?[0-9]+"
@@ -332,11 +332,15 @@ def p_map_matrix(af: AlgebraFile) -> np.ndarray:
 def build(af: AlgebraFile, check: bool = True):
     """Construct the algebra and its declared modules.
 
-    Axiom validation happens in the constructors; a file that parses
-    but violates antisymmetry, Jacobi or the module laws fails here.
+    With check, a file that parses but violates antisymmetry, Jacobi,
+    the bracket law of a p-map (verify_restricted) or the module laws
+    fails here with VerificationFailed.
     """
     L = RestrictedLieAlgebra(af.p, structure_constants(af), p_map_matrix(af),
                              check=check)
+    failing = _failing(verify_restricted(L)) if check else None
+    if failing is not None:
+        raise VerificationFailed(f"not a restricted Lie algebra: {failing}")
     modules = {}
     for mb in af.modules:
         rho = np.zeros((len(af.basis), mb.dim, mb.dim), dtype=np.int64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .linalg import UsageError
+from .linalg import UsageError, _check
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -88,62 +88,29 @@ def verify_identities(p: int, bound: int = IDENTITY_BOUND) -> list[dict]:
         raise NonPrimeModulus(f"{p} is not prime")
     if p > bound:
         raise UsageError(f"p={p} above configured bound {bound}")
-    checks = []
+    comb = math.comb
+    reflection = ((s, t, binom_mod(p - 1 - s, t, p), pow(-1, s + t) * comb(p - 1 - t, s) % p)
+                  for s in range(p) for t in range(p))
+    alternating = ((a, b, c,
+                    sum((-1) ** i * comb(a, i + c) * comb(i, b) for i in range(b, a - c + 1)),
+                    (-1) ** b * comb(a - b - 1, c - 1))
+                   for a in range(1, 2 * p + 1) for b in range(a) for c in range(1, a - b + 1))
+    diagonal = ((n, sum(comb(p - n + k, k) for k in range(n)), comb(p, n - 1))
+                for n in range(2, p + 1))
+    convolution = ((n, k, sum(comb(n, k - 2 * t) * comb(n + t - 1, t) for t in range(k // 2 + 1)),
+                    comb(n + k - 1, k))
+                   for n in range(1, p + 1) for k in range(p + 1))
+    return [
+        _check("reflection", _mismatches(("s", "t"), reflection)),
+        _check("alternating_sum", _mismatches(("a", "b", "c"), alternating)),
+        _check("diagonal_sum", ({"n": n, "sum": total, "binom": binom} for n, total, binom in diagonal
+                                if total != binom or total % p != 0)),
+        _check("convolution", _mismatches(("n", "k"), convolution)),
+    ]
 
-    cx = None
-    for s in range(p):
-        for t in range(p):
-            lhs = binom_mod(p - 1 - s, t, p)
-            rhs = (pow(-1, s + t) * math.comb(p - 1 - t, s) if s <= p - 1 - t else 0) % p
-            if lhs != rhs:
-                cx = {"s": s, "t": t, "lhs": lhs, "rhs": rhs}
-                break
-        if cx:
-            break
-    checks.append({"name": "reflection", "pass": cx is None, "counterexample": cx})
 
-    cx = None
-    for a in range(1, 2 * p + 1):
-        for b in range(a):
-            for c in range(1, a - b + 1):
-                lhs = sum(
-                    (-1) ** i * math.comb(a, i + c) * math.comb(i, b)
-                    for i in range(b, a - c + 1)
-                    if i + c <= a and b <= i
-                )
-                rhs = (-1) ** b * (math.comb(a - b - 1, c - 1) if c - 1 <= a - b - 1 else 0)
-                if lhs != rhs:
-                    cx = {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-                    break
-            if cx:
-                break
-        if cx:
-            break
-    checks.append({"name": "alternating_sum", "pass": cx is None, "counterexample": cx})
-
-    cx = None
-    for n in range(2, p + 1):
-        total = sum(math.comb(p - n + k, k) for k in range(n))
-        if total != math.comb(p, n - 1) or total % p != 0:
-            cx = {"n": n, "sum": total, "binom": math.comb(p, n - 1)}
-            break
-    checks.append({"name": "diagonal_sum", "pass": cx is None, "counterexample": cx})
-
-    cx = None
-    for n in range(1, p + 1):
-        for k in range(p + 1):
-            lhs = sum(
-                math.comb(n, s) * math.comb(n + t - 1, t)
-                for t in range(k // 2 + 1)
-                for s in (k - 2 * t,)
-                if s <= n
-            )
-            rhs = math.comb(n + k - 1, k)
-            if lhs != rhs:
-                cx = {"n": n, "k": k, "lhs": lhs, "rhs": rhs}
-                break
-        if cx:
-            break
-    checks.append({"name": "convolution", "pass": cx is None, "counterexample": cx})
-
-    return checks
+def _mismatches(names: tuple, cases):
+    """The cases (indices..., lhs, rhs) whose two sides differ, as dicts of
+    the named indices and both sides."""
+    return ({**dict(zip(names, case)), "lhs": case[-2], "rhs": case[-1]}
+            for case in cases if case[-2] != case[-1])

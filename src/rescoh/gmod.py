@@ -4,14 +4,14 @@ A module is an array rho of shape (n, m, m): rho[i] is the matrix of
 basis element e_i acting on coordinate columns.  Compatibility means
 commutators realize the bracket table and rho[i]^p realizes pi[i];
 both conditions on the basis extend to the whole algebra, so the
-verifier only needs basis pairs.
+verifier only needs basis pairs, all of which it checks at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Subspace, UsageError, as_fp, mat_pow_mod, nullspace
+from .linalg import Subspace, UsageError, _check, _failing, _report, as_fp, mat_pow_mod, nullspace
 from .liealg import RestrictedLieAlgebra, VerificationFailed
 
 
@@ -36,10 +36,9 @@ class RestrictedModule:
         self.rho = rho
         self.m = rho.shape[1]
         if check:
-            report = verify_module(self)
-            if not report["pass"]:
-                failing = [ch for ch in report["checks"] if not ch["pass"]]
-                raise VerificationFailed(f"not a restricted module: {failing[0]}")
+            failing = _failing(verify_module(self))
+            if failing is not None:
+                raise VerificationFailed(f"not a restricted module: {failing}")
 
     def matrix_of(self, x) -> np.ndarray:
         """Action matrix of the algebra element with coordinates x."""
@@ -55,32 +54,20 @@ class RestrictedModule:
 
 
 def verify_module(M: RestrictedModule) -> dict:
-    """Report on the two compatibility axioms, checked on basis pairs."""
+    """Report on the two compatibility axioms, each checked on every basis
+    pair (i < j) or basis element at once by products over the stacks of
+    their actions; a counterexample names the first failing one,
+    {"i": i, "j": j} or {"i": i}."""
     L, rho, p = M.L, M.rho, M.L.p
-    checks = []
-
-    cx = None
-    for i in range(L.n):
-        for j in range(i + 1, L.n):
-            comm = (rho[i] @ rho[j] - rho[j] @ rho[i]) % p
-            expected = np.tensordot(L.c[i, j], rho, axes=([0], [0])) % p
-            if (comm != expected).any():
-                cx = {"i": i, "j": j}
-                break
-        if cx:
-            break
-    checks.append({"name": "bracket_compat", "pass": cx is None, "counterexample": cx})
-
-    cx = None
-    for i in range(L.n):
-        powed = mat_pow_mod(rho[i], p, p)
-        expected = np.tensordot(L.pi[i], rho, axes=([0], [0])) % p
-        if (powed != expected).any():
-            cx = {"i": i}
-            break
-    checks.append({"name": "p_power_compat", "pass": cx is None, "counterexample": cx})
-
-    return {"pass": all(ch["pass"] for ch in checks), "checks": checks}
+    i, j = np.triu_indices(L.n, 1)  # the pairs i < j in lex order
+    a, b = rho[i], rho[j]
+    bracket = (a @ b - b @ a - np.tensordot(L.c[i, j], rho, axes=([1], [0]))) % p
+    power = (mat_pow_mod(rho, p, p) - np.tensordot(L.pi, rho, axes=([1], [0]))) % p
+    return _report([
+        _check("bracket_compat", ({"i": int(i[k]), "j": int(j[k])}
+                                  for k in np.flatnonzero(bracket.any(axis=(1, 2))))),
+        _check("p_power_compat", ({"i": int(k)} for k in np.flatnonzero(power.any(axis=(1, 2))))),
+    ])
 
 
 def trivial_module(L: RestrictedLieAlgebra, m: int = 1) -> RestrictedModule:

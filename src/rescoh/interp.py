@@ -29,6 +29,8 @@ from .linalg import (
     InvariantFailure,
     Subspace,
     UsageError,
+    _failing,
+    _report,
     identity,
     mat_pow_mod,
     matmul_mod,
@@ -93,10 +95,6 @@ def inner_derivations(L: RestrictedLieAlgebra) -> Subspace:
     return Subspace(rows, L.n * L.n, L.p)
 
 
-def _check_report(checks: list[dict]) -> dict:
-    return {"pass": all(c["pass"] for c in checks), "checks": checks}
-
-
 def module_extension_roundtrip(L: RestrictedLieAlgebra, N: RestrictedModule,
                                M: RestrictedModule, psi: np.ndarray) -> dict:
     """Build the extension module for psi and recover psi from it.
@@ -112,40 +110,34 @@ def module_extension_roundtrip(L: RestrictedLieAlgebra, N: RestrictedModule,
     psi = np.asarray(psi, dtype=np.int64).reshape(-1) % p
     if matmul_mod(delta1_matrix(L, H), psi.reshape(-1, 1), p).any():
         raise NotACocycle("psi is not a degree-1 cocycle in Hom(N, M)")
-    n, nn, m = L.n, N.m, M.m
-    psi_mats = [psi[i * nn * m : (i + 1) * nn * m].reshape(nn, m).T for i in range(n)]
-    rho_e = np.zeros((n, nn + m, nn + m), dtype=np.int64)
-    for i in range(n):
-        rho_e[i, :nn, :nn] = N.rho[i]
-        rho_e[i, nn:, nn:] = M.rho[i]
-        rho_e[i, nn:, :nn] = psi_mats[i]
+    nn, m = N.m, M.m
+    psi_mats = psi.reshape(L.n, nn, m).transpose(0, 2, 1)
+    rho_e = np.zeros((L.n, nn + m, nn + m), dtype=np.int64)
+    rho_e[:, :nn, :nn] = N.rho
+    rho_e[:, nn:, nn:] = M.rho
+    rho_e[:, nn:, :nn] = psi_mats
     E = RestrictedModule(L, rho_e, check=False)
-    mod_report = verify_module(E)
-    checks = [{"name": "extension_is_restricted_module", "pass": mod_report["pass"]}]
+    checks = [{"name": "extension_is_restricted_module", "pass": verify_module(E)["pass"]}]
 
-    # canonical splitting n -> (n, 0): recovered map is g·rho(n) - rho(g·n)
-    exact = True
+    def recovered(split: np.ndarray) -> np.ndarray:
+        """Per basis element, g·split(n) - split(g·n)."""
+        return (rho_e @ split - split @ N.rho) % p
+
+    # canonical splitting n -> (n, 0): recovered map is psi
     inj = zeros(nn + m, nn)
     inj[:nn] = identity(nn)
-    for i in range(n):
-        rec = (rho_e[i] @ inj - inj @ N.rho[i]) % p
-        if (rec[:nn] != 0).any() or (rec[nn:] != psi_mats[i]).any():
-            exact = False
-            break
-    checks.append({"name": "canonical_splitting_recovers_psi", "pass": exact})
+    rec = recovered(inj)
+    checks.append({"name": "canonical_splitting_recovers_psi",
+                   "pass": not rec[:, :nn].any() and bool((rec[:, nn:] == psi_mats).all())})
 
     f = sample_vectors(p, nn * m, 1, "module-extension-perturbation")[0]
-    f_mat = f.reshape(nn, m).T
     rho2 = inj.copy()
-    rho2[nn:] = (-f_mat) % p
-    shifted = np.zeros_like(psi)
-    for i in range(n):
-        rec = (rho_e[i] @ rho2 - rho2 @ N.rho[i]) % p
-        shifted[i * nn * m : (i + 1) * nn * m] = rec[nn:].T.reshape(-1)
+    rho2[nn:] = (-f.reshape(nn, m).T) % p
+    shifted = recovered(rho2)[:, nn:].transpose(0, 2, 1).reshape(-1)
     want = (psi + matmul_mod(delta_cl_matrix(L, H, 0), f.reshape(-1, 1), p).ravel()) % p
     checks.append({"name": "perturbed_splitting_shift_is_coboundary",
                    "pass": bool((shifted == want).all())})
-    return _check_report(checks)
+    return _report(checks)
 
 
 def algebra_extension_roundtrip(L: RestrictedLieAlgebra, h_dim: int, c2: Cochain2,
@@ -213,7 +205,7 @@ def algebra_extension_roundtrip(L: RestrictedLieAlgebra, h_dim: int, c2: Cochain
     want = c2_from_vec(L, T, (vec + d1) % p)
     checks.append({"name": "perturbed_splitting_shift_is_delta1",
                    "pass": bool((ph1 == want.phi).all() and (om1 == want.omega_basis).all())})
-    return _check_report(checks)
+    return _report(checks)
 
 
 def _deformed_algebra(L: RestrictedLieAlgebra, c2: Cochain2) -> RestrictedLieAlgebra:
@@ -247,14 +239,11 @@ def deformation_check(L: RestrictedLieAlgebra, c2: Cochain2) -> dict:
     cocycle = not matmul_mod(delta2_matrix(L, A), vec.reshape(-1, 1), p).any()
     report = verify_restricted(_deformed_algebra(L, c2))
     restricted = report["pass"]
-    failing = None
-    if not restricted:
-        bad = next(c for c in report["checks"] if not c["pass"])
-        failing = {"axiom": bad["name"], "at": bad["counterexample"]}
+    bad = _failing(report)
     return {
         "restricted": restricted,
         "cocycle": cocycle,
         "agrees": restricted == cocycle,
-        "failing": failing,
+        "failing": None if bad is None else {"axiom": bad["name"], "at": bad["counterexample"]},
         "report": report,
     }

@@ -31,8 +31,8 @@ import functools
 import numpy as np
 
 from .field import NonPrimeModulus, is_prime
-from .linalg import (MODULUS_LIMIT, InvariantFailure, ModulusTooLarge, UsageError, as_fp,
-                     mat_pow_mod)
+from .linalg import (MODULUS_LIMIT, InvariantFailure, ModulusTooLarge, UsageError, _check,
+                     _failing, _report, as_fp, identity, mat_pow_mod)
 
 
 class DimensionMismatch(ValueError):
@@ -75,6 +75,24 @@ def quadrature(p: int) -> tuple[np.ndarray, np.ndarray]:
     weights = w[nodes]
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+def _peel(x: np.ndarray, order: str = "asc"):
+    """The pairs (a, r) of Jacobson's peel of a reduced vector x.
+
+    a is a basis component of x, peeled in "asc" (else "desc") index
+    order, and r the sum of the components not yet peeled; the last
+    component is never peeled, as nothing is left after it.  p_power and
+    the *- and **-extensions of omega and beta add one correction per
+    pair to the basis values of x's components.
+    """
+    nz = np.flatnonzero(x)
+    for i in nz[:-1] if order == "asc" else nz[:0:-1]:
+        a = np.zeros_like(x)
+        a[i] = x[i]
+        x = x.copy()
+        x[i] = 0
+        yield a, x
 
 
 class RestrictedLieAlgebra:
@@ -176,34 +194,20 @@ class RestrictedLieAlgebra:
         return ws @ u.reshape(-1, self.n) % p
 
     def p_power(self, x, order: str = "asc") -> np.ndarray:
-        """x^[p], by peeling basis components off x.
+        """x^[p] by Jacobson's formula: the sum of (lam e_i)^[p] = lam^p e_i^[p]
+        = lam e_i^[p] over the components lam e_i of x, plus the correction
+        r2(a, r) of each pair (a, r) that _peel gives.
 
-        Peeling a = lam e_i off x = a + r adds lam^p e_i^[p] = lam e_i^[p]
-        and the correction r2(a, r).  When verify_restricted passes, the
-        peel order ("asc" or "desc" index) cannot change the result (module
-        docstring); on a table that fails it, the two orders may differ.
+        When verify_restricted passes, the peel order ("asc" or "desc"
+        index) cannot change the result (module docstring); on a table
+        that fails it, the two orders may differ.
         """
         x = self._check_vec(x)
-        out = x @ self.pi % self.p
-        order_idx = np.nonzero(x)[0]
-        r = x.copy()
-        for i in order_idx[:-1] if order == "asc" else order_idx[:0:-1]:
-            a = self.zero()
-            a[i], r[i] = r[i], 0
-            out += self._r2_correction(a, r)
-        return out % self.p
+        return sum((self._r2_correction(a, r) for a, r in _peel(x, order)), x @ self.pi) % self.p
 
     def __repr__(self) -> str:
         kind = "abelian" if self.is_abelian else "nonabelian"
         return f"RestrictedLieAlgebra(p={self.p}, n={self.n}, {kind})"
-
-
-def _r3_gap(L: RestrictedLieAlgebra, h: np.ndarray):
-    """[e_g, h^[p]] minus the p-fold bracket [e_g, h, ..., h], all g at once."""
-    hp = L.p_power(h)
-    lhs = np.tensordot(hp, L.c, axes=([0], [1])) % L.p
-    rhs = mat_pow_mod(L._right_ad(h), L.p, L.p)
-    return (lhs - rhs) % L.p
 
 
 def verify_restricted(L: RestrictedLieAlgebra) -> dict:
@@ -211,22 +215,20 @@ def verify_restricted(L: RestrictedLieAlgebra) -> dict:
 
     Antisymmetry and Jacobi are checked on basis triples, and the
     bracket law [g, h^[p]] = [g, h, ..., h] for every basis g against
-    every basis h, which settles it at every h (module docstring).  A
-    bracket_p_power counterexample names the first failing basis pair,
-    {"g": g, "h": h}.
+    every basis h at once, which settles it at every h (module
+    docstring).  A bracket_p_power counterexample names the failing
+    basis pair {"g": g, "h": h} with the least h, then the least g.
 
     Returns {"pass": bool, "checks": [{name, pass, counterexample}]}.
     """
     bad = L._axiom_counterexample()
-    checks = [{"name": "antisymmetry_jacobi", "pass": bad is None, "counterexample": bad}]
-    cx = None
-    for h in range(L.n):
-        gap = _r3_gap(L, L.basis_vector(h))
-        if gap.any():
-            cx = {"g": int(np.argwhere(gap.any(axis=1))[0][0]), "h": h}
-            break
-    checks.append({"name": "bracket_p_power", "pass": cx is None, "counterexample": cx})
-    return {"pass": all(ch["pass"] for ch in checks), "checks": checks}
+    lhs = np.tensordot(L.pi, L.c, axes=([1], [1]))  # [h, g]: [e_g, e_h^[p]]
+    rhs = mat_pow_mod(L._right_ad(identity(L.n)), L.p, L.p)  # [h, g]: [e_g, e_h, ..., e_h]
+    gap = ((lhs - rhs) % L.p).any(axis=2)
+    return _report([
+        {"name": "antisymmetry_jacobi", "pass": bad is None, "counterexample": bad},
+        _check("bracket_p_power", ({"g": int(g), "h": int(h)} for h, g in np.argwhere(gap))),
+    ])
 
 
 def infer_p_operator(c, p: int) -> np.ndarray:
@@ -257,10 +259,8 @@ def infer_p_operator(c, p: int) -> np.ndarray:
         if x is None:
             raise NotRestrictable(f"(ad e_{j})^{p} is not an inner derivation")
         pi[j] = x
-    L = RestrictedLieAlgebra(p, c, pi, check=True)
-    report = verify_restricted(L)
-    if not report["pass"]:
-        failing = next(ch for ch in report["checks"] if not ch["pass"])
+    failing = _failing(verify_restricted(RestrictedLieAlgebra(p, c, pi, check=True)))
+    if failing is not None:
         raise InvariantFailure(f"inferred table fails verification: {failing!r}")
     return pi
 
@@ -272,10 +272,13 @@ def witt_algebra(p: int):
     {1, x, ..., x^{p-1}} (x^p = 1) by D_j: x^k -> k x^{k+j}.  Relations
     [D_i, D_j] = (j - i) D_{i+j mod p}, D_0^[p] = D_0, D_j^[p] = 0 for
     j > 0.  The representation matrices are the ground truth: the
-    constructor asserts the bracket and the p-power against them and is
-    used as the oracle throughout the test-suite.  Those relations hold
-    at every prime, so a failed assertion is an InvariantFailure.
+    constructor checks the bracket and the p-power against them with
+    gmod.verify_module and is used as the oracle throughout the
+    test-suite.  Those relations hold at every prime, so a failed check
+    is an InvariantFailure.
     """
+    from .gmod import RestrictedModule, verify_module
+
     p = _check_modulus(p)
     rep = []
     for j in range(p):
@@ -290,17 +293,12 @@ def witt_algebra(p: int):
     pi = np.zeros((p, p), dtype=np.int64)
     pi[0, 0] = 1
     L = RestrictedLieAlgebra(p, c, pi, check=True)
-    for i in range(p):
-        for j in range(i + 1, p):
-            comm = (rep[i] @ rep[j] - rep[j] @ rep[i]) % p
-            expected = ((j - i) % p) * rep[(i + j) % p] % p
-            if (comm != expected).any():
-                raise InvariantFailure(f"representation commutator fails at ({i}, {j})")
-    for j in range(p):
-        powed = mat_pow_mod(rep[j], p, p)
-        expected = np.tensordot(pi[j], np.stack(rep), axes=([0], [0])) % p
-        if (powed != expected).any():
-            raise InvariantFailure(f"representation p-th power fails at D_{j}")
+    bracket, power = verify_module(RestrictedModule(L, rep))["checks"]
+    if not bracket["pass"]:
+        i, j = bracket["counterexample"].values()
+        raise InvariantFailure(f"representation commutator fails at ({i}, {j})")
+    if not power["pass"]:
+        raise InvariantFailure(f"representation p-th power fails at D_{power['counterexample']['i']}")
     return L, rep
 
 

@@ -16,6 +16,8 @@ representatives, eliminating each map once; a ``Complex``, which every
 complex of the package is, builds and ranks each of its maps once.
 ``kron_sum`` builds every coboundary and differential of the package
 from its list of block terms, dense or sparse by the type of its ops.
+The error bases live here, with the one check form (``_check``,
+``_report``, ``_failing``) that every verifier's report takes.
 """
 
 from __future__ import annotations
@@ -45,6 +47,27 @@ class NotAComplex(InvariantFailure):
     this means a differential or coboundary matrix is wrong upstream,
     so it is deliberately loud.
     """
+
+
+class TooLarge(UsageError):
+    """A dense array would exceed its size bound."""
+
+
+def _check(name: str, search) -> dict:
+    """A named check: it passes when the lazy counterexample search yields
+    nothing, and otherwise records the first counterexample, drawn alone."""
+    cx = next(iter(search), None)
+    return {"name": name, "pass": cx is None, "counterexample": cx}
+
+
+def _report(checks: list[dict], **facts) -> dict:
+    """A report on checks: passed when all passed, the facts between the two."""
+    return {"pass": all(ch["pass"] for ch in checks), **facts, "checks": checks}
+
+
+def _failing(report: dict):
+    """The first failing check of a report, or None."""
+    return next((ch for ch in report["checks"] if not ch["pass"]), None)
 
 
 def as_fp(a, p: int) -> np.ndarray:
@@ -187,6 +210,9 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
         lo = hi
 
 
+DENSE_CELLS = 1 << 25  # 256 MiB of int64: Witt p=17's adjoint classical δ₂ fits, p=19's does not
+
+
 def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
     """Σ coef · E_rc ⊗ ops[o] over the terms (r, c, coef, o), reduced mod p.
 
@@ -205,7 +231,8 @@ def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
     builds up to five tiny coboundaries, where the sparse branch took
     0.08-0.24 ms a build against 0.01-0.05 ms dense (Heisenberg p=3 and
     solvable p=5, adjoint; 2-core host, Python 3.11).  Refused from
-    MODULUS_LIMIT up.
+    MODULUS_LIMIT up, and a dense result above DENSE_CELLS cells with
+    TooLarge before it is allocated.
     """
     _check_modulus(p, "kron_sum")
     R, C = blocks
@@ -220,6 +247,8 @@ def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
         return SparseMatrix((R * a, C * b), *(np.concatenate(x) for x in zip(*parts)), p)
     ops = as_fp(ops, p)
     a, b = ops.shape[1:]
+    if R * a * C * b > DENSE_CELLS:
+        raise TooLarge(f"kron_sum: a dense {R * a} x {C * b} matrix exceeds {DENSE_CELLS} cells")
     out = zeros(R * a, C * b)
     for r, c, coef, o in terms:
         out[r * a : (r + 1) * a, c * b : (c + 1) * b] += coef % p * ops[o]
@@ -546,17 +575,18 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
 
 def mat_pow_mod(m, k: int, p: int) -> np.ndarray:
-    """m**k with a reduction mod p after every product; refused from MODULUS_LIMIT up."""
+    """m**k with a reduction mod p after every product, for a matrix or a
+    stack of them along the leading axes; refused from MODULUS_LIMIT up."""
     _check_modulus(p, "mat_pow_mod")
     m = as_fp(m, p)
-    result = identity(m.shape[0])
+    result = identity(m.shape[-1])  # the first product broadcasts it over a stack
     base = m.copy()
     while k:
         if k & 1:
             result = (result @ base) % p
         base = (base @ base) % p
         k >>= 1
-    return result
+    return result if result.shape == m.shape else np.broadcast_to(result, m.shape).copy()
 
 
 class Subspace:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .linalg import (Cohomology, Complex, InvariantFailure, as_fp, identity, kron_sum,
                      mat_pow_mod, rank, zeros)
-from .liealg import RestrictedLieAlgebra, quadrature
+from .liealg import RestrictedLieAlgebra, _peel, quadrature
 from .gmod import RestrictedModule, invariants
 from .classical import ClassicalComplex
 
@@ -194,50 +194,31 @@ def star_star_correction(L, M, alpha: np.ndarray, g, h1, h2) -> np.ndarray:
     return g @ (ws @ acc.reshape(len(ws), -1) % p).reshape(n, m) % p
 
 
-def _peel_index(L, x, order: str) -> int:
-    nz = np.nonzero(x)[0]
-    return int(nz[0] if order == "asc" else nz[-1])
+def _frobenius(x: np.ndarray, p: int) -> np.ndarray:
+    """x with every coordinate raised to the p-th power (the identity over GF(p))."""
+    return np.array([pow(int(v), p, p) for v in x], dtype=np.int64)
 
 
 def eval_omega(L, M, c2: Cochain2, g, order: str = "asc") -> np.ndarray:
-    """Value of omega at an arbitrary point, by the *-property extension."""
-    p = L.p
+    """Value of omega at an arbitrary point, by the *-property extension:
+    omega(lam e_i) = lam^p omega(e_i) on the components of g, plus the
+    star_correction of each pair of liealg's peel of g."""
     g = L._check_vec(g)
-    if not g.any():
-        return np.zeros(M.m, dtype=np.int64)
-    i = _peel_index(L, g, order)
-    lam = int(g[i])
-    base = (pow(lam, p, p) * c2.omega_basis[i]) % p
-    rest = g.copy()
-    rest[i] = 0
-    if not rest.any():
-        return base
-    a = np.zeros(L.n, dtype=np.int64)
-    a[i] = lam
-    tail = eval_omega(L, M, c2, rest, order)
-    corr = star_correction(L, M, c2.phi, a, rest)
-    return (base + tail + corr) % p
+    base = _frobenius(g, L.p) @ c2.omega_basis
+    return sum((star_correction(L, M, c2.phi, a, r) for a, r in _peel(g, order)), base) % L.p
 
 
 def eval_beta(L, M, c3: Cochain3, g, h, order: str = "asc") -> np.ndarray:
-    """Value of beta at an arbitrary pair: linear in g, **-extension in h."""
+    """Value of beta at an arbitrary pair: linear in g, and in h the
+    **-property extension, beta(g, lam e_i) = lam^p beta(g, e_i) on the
+    components of h, minus the star_star_correction of each pair of
+    liealg's peel of h."""
     p = L.p
     g = L._check_vec(g)
     h = L._check_vec(h)
-    if not h.any() or not g.any():
-        return np.zeros(M.m, dtype=np.int64)
-    i = _peel_index(L, h, order)
-    lam = int(h[i])
-    base = (pow(lam, p, p) * ((g @ c3.beta_basis[:, i, :]) % p)) % p
-    rest = h.copy()
-    rest[i] = 0
-    if not rest.any():
-        return base
-    a = np.zeros(L.n, dtype=np.int64)
-    a[i] = lam
-    tail = eval_beta(L, M, c3, g, rest, order)
-    corr = star_star_correction(L, M, c3.alpha, g, a, rest)
-    return (base + tail - corr) % p
+    base = _frobenius(h, p) @ _fix_first(c3.beta_basis, g, p)
+    return sum((-star_star_correction(L, M, c3.alpha, g, a, r) for a, r in _peel(h, order)),
+               base) % p
 
 
 def psi_tilde(L, M, psi: np.ndarray, g) -> np.ndarray:

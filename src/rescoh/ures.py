@@ -15,12 +15,8 @@ import itertools
 
 import numpy as np
 
-from .linalg import UsageError, mat_pow_mod
+from .linalg import TooLarge, mat_pow_mod
 from .liealg import RestrictedLieAlgebra
-
-
-class TooLarge(UsageError):
-    """Dense PBW enumeration would exceed the size bound."""
 
 
 class IndexOutOfRange(IndexError):

@@ -14,8 +14,9 @@ import itertools
 
 import numpy as np
 
+from jacobson_loops import _r3_gap
 from rescoh.interp import _derivation_rows, _p_power_rows
-from rescoh.liealg import RestrictedLieAlgebra, _r3_gap
+from rescoh.liealg import RestrictedLieAlgebra
 from rescoh.linalg import Subspace, nullspace, sample_vectors
 
 EXHAUSTIVE_BOUND = 3**5

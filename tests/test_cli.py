@@ -15,7 +15,7 @@ import rescoh.rescochain as rescochain
 from rescoh.abelres import DegreeTooHigh, NotAbelian
 from rescoh.cli import main
 from rescoh.dsl import (DslSyntaxError, DuplicateLabel, NonPrimeModulus, UnresolvedReference,
-                        emit, parse, witt_file)
+                        build, emit, parse, witt_file)
 from rescoh.gmod import MixedAlgebras
 from rescoh.interp import NotACocycle, NotStronglyAbelian
 from rescoh.liealg import ModulusTooLarge, NotRestrictable, VerificationFailed
@@ -48,6 +48,15 @@ basis x y
 bracket [x,y] = 1*y
 pmap x^[p] = 1*x
 pmap y^[p] = 1*y
+"""
+
+# antisymmetric and Jacobi, but x^[3] = 0 while (ad x)^3 = ad x is not zero
+NOT_A_PMAP = """\
+algebra notpmap over GF(3)
+basis x y
+bracket [x,y] = 1*y
+pmap x^[p] = 0
+pmap y^[p] = 0
 """
 
 FLAT_ZERO = """\
@@ -103,6 +112,61 @@ def test_validate_broken_table_exits_one(tmp_path, capsys):
         {"name": "antisymmetry_jacobi", "pass": True},
         {"name": "bracket_p_power", "pass": False, "counterexample": {"g": 0, "h": 1}},
     ]
+
+
+NOT_A_PMAP_FAILURE = {"name": "bracket_p_power", "pass": False, "counterexample": {"g": 1, "h": 0}}
+
+
+def test_validate_reports_a_table_that_is_not_a_p_map(tmp_path, capsys):
+    path = write(tmp_path, "notpmap.alg", NOT_A_PMAP)
+    code, report, _ = run_cli(capsys, "validate", path)
+    assert code == 1
+    assert report["checks"] == [{"name": "antisymmetry_jacobi", "pass": True}, NOT_A_PMAP_FAILURE]
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--degree", "0"),
+    ("cohomology", "--degree", "1"),
+    ("cohomology", "--degree", "2"),
+    ("cohomology", "--degree", "2", "--classical"),
+    ("cohomology", "--module", "adjoint", "--degree", "1"),
+    ("dims",),
+    ("derivations",),
+    ("resolve", "--kmax", "1"),
+    ("deform-check", "--cocycle", "ZERO"),
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_a_table_that_is_not_a_p_map_is_refused(tmp_path, capsys, argv):
+    path = write(tmp_path, "notpmap.alg", NOT_A_PMAP)
+    zero = write(tmp_path, "zero.coc", "phi [x,y] = 0\n")
+    argv = [argv[0], path] + [zero if a == "ZERO" else a for a in argv[1:]]
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2 and report is None
+    assert err == f"error: not a restricted Lie algebra: {NOT_A_PMAP_FAILURE}\n"
+
+
+def test_infer_ignores_a_declared_table_that_is_not_a_p_map(tmp_path, capsys):
+    path = write(tmp_path, "notpmap.alg", NOT_A_PMAP)
+    code, report, _ = run_cli(capsys, "infer", path)
+    assert code == 0
+    assert report["results"]["pmap_lines"] == ["pmap x^[p] = 1*x", "pmap y^[p] = 0"]
+
+
+def test_build_refuses_a_table_that_is_not_a_p_map():
+    af = parse(NOT_A_PMAP)
+    with pytest.raises(VerificationFailed, match="^not a restricted Lie algebra: "):
+        build(af)
+    L, _ = build(af, check=False)
+    assert not L.pi.any()
+
+
+def test_an_oversized_dense_coboundary_exits_two(tmp_path, capsys):
+    # classical delta_2 of Witt p=19 with adjoint coefficients has 59.8 M cells
+    path = str(tmp_path / "witt19.alg")
+    assert main(["witt", "--p", "19", "--emit", path]) == 0
+    capsys.readouterr()
+    code, report, err = run_cli(capsys, "cohomology", path, "--module", "adjoint", "--degree", "2")
+    assert code == 2 and report is None
+    assert err == "error: kron_sum: a dense 18411 x 3249 matrix exceeds 33554432 cells\n"
 
 
 def test_missing_file_exits_two(capsys):

@@ -249,9 +249,9 @@ def test_infer_p_operator_not_restrictable():
 
 
 def test_witt_representation_failure_is_internal(monkeypatch):
-    import rescoh.liealg as liealg
+    import rescoh.gmod as gmod
 
-    monkeypatch.setattr(liealg, "mat_pow_mod", lambda m, e, p: (mat_pow_mod(m, e, p) + 1) % p)
+    monkeypatch.setattr(gmod, "mat_pow_mod", lambda m, e, p: (mat_pow_mod(m, e, p) + 1) % p)
     with pytest.raises(InvariantFailure, match="p-th power fails at D_0"):
         witt_algebra(3)
 

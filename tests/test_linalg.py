@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from rescoh.linalg import (
     NotAComplex,
     SparseMatrix,
     Subspace,
+    TooLarge,
     as_fp,
     cohomology,
     identity,
@@ -613,6 +615,25 @@ def test_kron_sum_refuses_a_large_modulus():
             kron_sum((1, 1), [(0, 0, 1, 0)], ops, p)
 
 
+def test_kron_sum_refuses_a_dense_result_above_the_bound(monkeypatch):
+    # a 2 x 3 grid of 2 x 2 blocks has 24 cells
+    terms, ops = [(1, 2, 1, 0)], [identity(2)]
+    monkeypatch.setattr(linalg, "DENSE_CELLS", 24)
+    assert kron_sum((2, 3), terms, ops, 5).shape == (4, 6)
+    monkeypatch.setattr(linalg, "DENSE_CELLS", 23)
+    with pytest.raises(TooLarge, match="^kron_sum: a dense 4 x 6 matrix exceeds 23 cells$"):
+        kron_sum((2, 3), terms, ops, 5)
+    # the sparse branch allocates no dense matrix, so the bound is not its
+    sparse = kron_sum((2, 3), terms, [to_sparse(identity(2), 5)], 5)
+    assert np.array_equal(np.asarray(sparse), kron_reference((2, 3), terms, ops, 5))
+
+
+def test_dense_bound_keeps_witt_p17_adjoint_delta2():
+    # classical delta_2 of Witt p with adjoint coefficients: C(p,3) p x C(p,2) p cells
+    cells = {p: math.comb(p, 3) * p * math.comb(p, 2) * p for p in (17, 19)}
+    assert cells[17] <= linalg.DENSE_CELLS < cells[19]
+
+
 def test_rref_is_idempotent_and_row_equivalent():
     p = 5
     (a,) = random_matrices(p, [(4, 7)], "idem")
@@ -664,6 +685,16 @@ def test_mat_pow_mod():
     for k in range(1, 8):
         acc = matmul_mod(acc, m, p)
         assert (mat_pow_mod(m, k, p) == acc).all()
+
+
+def test_mat_pow_mod_of_a_stack():
+    p = 5
+    stack = np.array(random_matrices(p, [(3, 3)] * 4, "pow-stack")).reshape(2, 2, 3, 3)
+    for k in (0, 1, 5, 6):
+        got = mat_pow_mod(stack, k, p)
+        assert got.shape == stack.shape
+        for i, j in np.ndindex(2, 2):
+            assert np.array_equal(got[i, j], mat_pow_mod(stack[i, j], k, p))
 
 
 def test_quotient_dim():
