@@ -336,11 +336,15 @@ def build(af: AlgebraFile, check: bool = True):
     the bracket law of a p-map (verify_restricted) or the module laws
     fails here with VerificationFailed.
     """
-    L = RestrictedLieAlgebra(af.p, structure_constants(af), p_map_matrix(af),
-                             check=check)
-    failing = _failing(verify_restricted(L)) if check else None
-    if failing is not None:
-        raise VerificationFailed(f"not a restricted Lie algebra: {failing}")
+    L = RestrictedLieAlgebra(af.p, structure_constants(af), p_map_matrix(af), check=False)
+    if check:
+        report = verify_restricted(L)
+        axioms = report["checks"][0]  # the constructor's check, run here only
+        if not axioms["pass"]:
+            raise VerificationFailed(axioms["counterexample"])
+        failing = _failing(report)
+        if failing is not None:
+            raise VerificationFailed(f"not a restricted Lie algebra: {failing}")
     modules = {}
     for mb in af.modules:
         rho = np.zeros((len(af.basis), mb.dim, mb.dim), dtype=np.int64)

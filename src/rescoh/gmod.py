@@ -5,6 +5,13 @@ basis element e_i acting on coordinate columns.  Compatibility means
 commutators realize the bracket table and rho[i]^p realizes pi[i];
 both conditions on the basis extend to the whole algebra, so the
 verifier only needs basis pairs, all of which it checks at once.
+
+A module keeps what the complexes over it compute (coboundaries, ranks,
+cohomology groups; see classical.ModuleComplex), so every complex of
+one kind over it builds each map once.  It holds arrays and Cohomology
+objects only, never a complex, so a dropped module is freed at once,
+and its action is read-only, so what it keeps cannot go stale.  The
+adjoint module's action and store are kept on its algebra the same way.
 """
 
 from __future__ import annotations
@@ -26,19 +33,31 @@ def same_algebra(L1: RestrictedLieAlgebra, L2: RestrictedLieAlgebra) -> bool:
 
 
 class RestrictedModule:
-    __slots__ = ("L", "rho", "m")
+    __slots__ = ("L", "rho", "m", "_stores", "__weakref__")
 
     def __init__(self, L: RestrictedLieAlgebra, rho, check: bool = False):
         self.L = L
         rho = as_fp(rho, L.p)
         if rho.ndim != 3 or rho.shape[0] != L.n or rho.shape[1] != rho.shape[2]:
             raise ValueError(f"action array must have shape ({L.n}, m, m)")
+        rho.setflags(write=False)
         self.rho = rho
         self.m = rho.shape[1]
+        self._stores = {}
         if check:
             failing = _failing(verify_module(self))
             if failing is not None:
                 raise VerificationFailed(f"not a restricted module: {failing}")
+
+    def _store(self, L: RestrictedLieAlgebra, kind: str) -> tuple[dict, dict, dict]:
+        """The maps, ranks and groups of the complex ``kind`` over (L, self).
+
+        Raises MixedAlgebras if L is not this module's algebra: the store
+        answers for M.L only.
+        """
+        if not same_algebra(L, self.L):
+            raise MixedAlgebras(f"a {kind} complex needs a module over its own algebra")
+        return self._stores.setdefault(kind, ({}, {}, {}))
 
     def matrix_of(self, x) -> np.ndarray:
         """Action matrix of the algebra element with coordinates x."""
@@ -75,8 +94,17 @@ def trivial_module(L: RestrictedLieAlgebra, m: int = 1) -> RestrictedModule:
 
 
 def adjoint_module(L: RestrictedLieAlgebra) -> RestrictedModule:
-    rho = np.stack(L.ad_basis())
-    return RestrictedModule(L, rho, check=True)
+    """The adjoint module of L, verified on the first call.  L keeps its
+    action and its store (arrays only, so no cycle runs through L), and
+    every later call shares them, so each of its coboundaries is built once."""
+    if L._adjoint is None:
+        M = RestrictedModule(L, np.stack(L.ad_basis()), check=True)
+        L._adjoint = M.rho, M._stores
+        return M
+    rho, stores = L._adjoint
+    M = RestrictedModule(L, rho)
+    M._stores = stores
+    return M
 
 
 def dual_module(M: RestrictedModule) -> RestrictedModule:

@@ -231,7 +231,10 @@ def deformation_check(L: RestrictedLieAlgebra, c2: Cochain2) -> dict:
     """Deform by (phi, omega) over t with t² = 0 and test restrictedness.
 
     Returns a report with the verifier outcome, the degree-2 cocycle
-    predicate, whether they agree, and the first failing axiom.
+    predicate, whether they agree, and the first failing axiom.  The
+    adjoint module and its delta2 are built on the first call for L and
+    kept (gmod.adjoint_module), so only the deformed algebra is verified
+    on later calls.
     """
     p = L.p
     A = adjoint_module(L)

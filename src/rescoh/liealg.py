@@ -102,7 +102,8 @@ class RestrictedLieAlgebra:
     constructor enforces antisymmetry and the Jacobi identity on basis
     triples; the p-operator axioms are checked by verify_restricted,
     which is report-valued so that deliberately broken inputs can be
-    examined in tests.
+    examined in tests.  The tables c and pi are read-only: the
+    complexes over the algebra's modules keep what they build from them.
     """
 
     def __init__(self, p: int, c, pi, check: bool = True):
@@ -116,6 +117,9 @@ class RestrictedLieAlgebra:
         self.pi = as_fp(pi, p)
         if self.pi.shape != (self.n, self.n):
             raise DimensionMismatch("p-operator table must have shape (n, n)")
+        for table in (self.c, self._c_right, self.pi):
+            table.setflags(write=False)
+        self._adjoint = None  # gmod.adjoint_module's action and store
         if check:
             bad = self._axiom_counterexample()
             if bad is not None:

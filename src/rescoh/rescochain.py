@@ -27,6 +27,9 @@ linalg.kron_sum with ops 1, rho(e_j)^a and rho(e_i)^(p-1).
 A RestrictedComplex is the linalg.Complex of these matrices for one
 (L, M), stacked on its own ClassicalComplex, so restricted H^k,
 classical H^k and the comparison map between them share every matrix.
+Both keep what they build on M (classical.ModuleComplex), so delta1,
+delta2, their matrices, restricted_cohomology and compare_classical
+build each coboundary of a module once, however often they are called.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Cohomology, Complex, InvariantFailure, as_fp, identity, kron_sum,
-                     mat_pow_mod, rank, zeros)
+from .linalg import (Cohomology, InvariantFailure, as_fp, identity, kron_sum, mat_pow_mod,
+                     rank, zeros)
 from .liealg import RestrictedLieAlgebra, _peel, quadrature
 from .gmod import RestrictedModule, invariants
-from .classical import ClassicalComplex
+from .classical import ClassicalComplex, ModuleComplex
 
 
 @dataclass
@@ -319,11 +322,12 @@ def _beta_block(L, M) -> np.ndarray:
     return kron_sum((n * n, len(pairs) + n), terms, ops, p)
 
 
-class RestrictedComplex(Complex):
+class RestrictedComplex(ModuleComplex):
     """The restricted complex of one (L, M) in degrees 0..3.  delta(0)
     and the classical blocks of delta(1) and delta(2) come from
     ``classical``, so the two complexes and the comparison map between
-    their cohomology build each coboundary once."""
+    their cohomology build each coboundary once, and M keeps them for
+    every later complex over it."""
 
     def __init__(self, L: RestrictedLieAlgebra, M: RestrictedModule):
         self.classical = classical = ClassicalComplex(L, M)
@@ -339,7 +343,7 @@ class RestrictedComplex(Complex):
                 return np.vstack([np.hstack([top, zeros(len(top), L.n * M.m)]), _beta_block(L, M)])
             return top
 
-        super().__init__(stack, L.p)
+        super().__init__(L, M, "restricted", stack)
 
     def cohomology(self, k: int) -> Cohomology:
         """Restricted H^k for k in {1, 2}."""
@@ -366,10 +370,11 @@ class RestrictedComplex(Complex):
 
 def restricted_cohomology(L, M, k: int):
     """(dimension, representative rows) of restricted H^k, k in {0, 1, 2}."""
+    cx = RestrictedComplex(L, M)  # refuses a module over another algebra
     if k == 0:
         inv = invariants(M)
         return inv.dim, inv.basis
-    H = RestrictedComplex(L, M).cohomology(k)
+    H = cx.cohomology(k)
     return H.dim, H.reps
 
 

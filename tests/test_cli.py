@@ -144,6 +144,43 @@ def test_a_table_that_is_not_a_p_map_is_refused(tmp_path, capsys, argv):
     assert err == f"error: not a restricted Lie algebra: {NOT_A_PMAP_FAILURE}\n"
 
 
+NOT_JACOBI = """\
+algebra a over GF(3)
+basis x y z
+bracket [x,y] = 1*z
+bracket [x,z] = 1*x
+pmap x^[p] = 0
+pmap y^[p] = 0
+pmap z^[p] = 0
+"""
+
+NOT_ALTERNATING = """\
+algebra a over GF(3)
+basis x y
+bracket [x,x] = 1*y
+pmap x^[p] = 0
+pmap y^[p] = 0
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (NOT_JACOBI, "Jacobi fails at basis triple (0, 1, 2)"),
+    (NOT_ALTERNATING, "antisymmetry fails at basis pair (0, 0)"),
+], ids=["jacobi", "antisymmetry"])
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--degree", "1"),
+    ("dims",),
+    ("derivations",),
+    ("resolve", "--kmax", "1"),
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_broken_axioms_are_refused_with_the_failing_basis_elements(tmp_path, capsys, argv,
+                                                                   text, message):
+    path = write(tmp_path, "broken.alg", text)
+    code, report, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and report is None
+    assert err == f"error: {message}\n"
+
+
 def test_infer_ignores_a_declared_table_that_is_not_a_p_map(tmp_path, capsys):
     path = write(tmp_path, "notpmap.alg", NOT_A_PMAP)
     code, report, _ = run_cli(capsys, "infer", path)

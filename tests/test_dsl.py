@@ -18,6 +18,7 @@ from rescoh.dsl import (
 )
 from rescoh.gmod import verify_module
 from rescoh.liealg import (
+    RestrictedLieAlgebra,
     VerificationFailed,
     heisenberg_algebra,
     solvable2_algebra,
@@ -179,16 +180,43 @@ def test_matrix_shape_errors():
         )
 
 
-def test_build_rejects_broken_axioms():
-    text = (
-        "algebra a over GF(3)\nbasis x y z\n"
-        "bracket [x,y] = 1*z\nbracket [x,z] = 1*x\n"
-        "pmap x^[p] = 0\npmap y^[p] = 0\npmap z^[p] = 0\n"
-    )
-    with pytest.raises(VerificationFailed):
-        build(parse(text))
-    L, _ = build(parse(text), check=False)
-    assert L.n == 3
+@pytest.fixture
+def axiom_checks(monkeypatch):
+    """The algebras whose axioms were checked, one entry per check."""
+    calls = []
+    original = RestrictedLieAlgebra._axiom_counterexample
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RestrictedLieAlgebra, "_axiom_counterexample", counted)
+    return calls
+
+
+def test_build_rejects_broken_axioms(axiom_checks):
+    # The constructor's own message, from one check of the axioms.
+    for text, message in (
+        ("algebra a over GF(3)\nbasis x y z\n"
+         "bracket [x,y] = 1*z\nbracket [x,z] = 1*x\n"
+         "pmap x^[p] = 0\npmap y^[p] = 0\npmap z^[p] = 0\n",
+         "Jacobi fails at basis triple (0, 1, 2)"),
+        ("algebra a over GF(3)\nbasis x y\nbracket [x,x] = 1*y\npmap x^[p] = 0\npmap y^[p] = 0\n",
+         "antisymmetry fails at basis pair (0, 0)"),
+    ):
+        axiom_checks.clear()
+        with pytest.raises(VerificationFailed) as exc:
+            build(parse(text))
+        assert type(exc.value) is VerificationFailed and str(exc.value) == message
+        assert len(axiom_checks) == 1
+        axiom_checks.clear()
+        L, _ = build(parse(text), check=False)
+        assert L.n == len(parse(text).basis) and not axiom_checks
+
+
+def test_build_checks_the_axioms_once(axiom_checks):
+    L, modules = build(parse(SOLVABLE))
+    assert axiom_checks == [L] and set(modules) == {"line"}
 
 
 def test_parse_cocycle():

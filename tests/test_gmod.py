@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from rescoh.classical import ClassicalComplex, classical_cohomology
 from rescoh.gmod import (
     MixedAlgebras,
     RestrictedModule,
@@ -21,6 +25,8 @@ from rescoh.liealg import (
     witt_algebra,
 )
 from rescoh.linalg import sample_vectors
+from rescoh.rescochain import (RestrictedComplex, compare_classical, delta1, delta1_matrix,
+                               delta2_matrix, restricted_cohomology)
 
 from conftest import coefficient_modules
 
@@ -142,3 +148,61 @@ def test_invariants_known_values():
     center = invariants(adjoint_module(heisenberg_algebra(3)))
     assert center.contains([0, 0, 1])
     assert not center.contains([1, 0, 0])
+
+
+def test_tables_and_actions_are_read_only():
+    # What the complexes over a module keep is built from these arrays.
+    L, _ = witt_algebra(3)
+    rho = np.stack(L.ad_basis())
+    for M in (adjoint_module(L), RestrictedModule(L, rho), dual_module(adjoint_module(L))):
+        for table in (M.rho, L.c, L.pi):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                table += 1
+    rho[0, 0, 0] = 1  # the caller's own array is copied, not frozen
+
+
+def test_a_module_over_another_algebra_is_refused():
+    L = abelian_algebra(2, 3)
+    other = abelian_algebra(2, 3, pi=np.eye(2, dtype=np.int64)[::-1])
+    M = trivial_module(L, 1)
+    psi = np.ones((2, 1), dtype=np.int64)
+    d2, (_, reps) = delta2_matrix(L, M), restricted_cohomology(L, M, 1)
+    compare_classical(L, M, 2)  # M's store is full before the refusals
+    calls = [lambda: ClassicalComplex(other, M), lambda: RestrictedComplex(other, M),
+             lambda: classical_cohomology(other, M, 1), lambda: delta1(other, M, psi),
+             lambda: delta1_matrix(other, M), lambda: delta2_matrix(other, M),
+             lambda: compare_classical(other, M, 2)]
+    calls += [lambda k=k: restricted_cohomology(other, M, k) for k in (0, 1, 2)]
+    for call in calls:
+        with pytest.raises(MixedAlgebras):
+            call()
+    # an equal algebra built apart is the same algebra, answered from the same store
+    twin = abelian_algebra(2, 3)
+    assert delta2_matrix(twin, M) is d2
+    assert restricted_cohomology(twin, M, 1)[1] is reps
+
+
+def test_a_dropped_module_is_freed_without_the_collector():
+    # A module keeps arrays and groups only, and an algebra keeps its adjoint
+    # module's the same way: no cycle, so reference counting frees both.
+    L, _ = witt_algebra(3)
+    psi = np.ones((3, 3), dtype=np.int64)
+    gc.disable()
+    try:
+        for make in (lambda: trivial_module(L, 1), lambda: adjoint_module(L),
+                     lambda: dual_module(adjoint_module(L))):
+            M = make()
+            restricted_cohomology(L, M, 2)
+            compare_classical(L, M, 1)
+            classical_cohomology(L, M, 3)
+            delta1(L, M, psi[:, : M.m])
+            module = weakref.ref(M)
+            del M
+            assert module() is None
+        algebra = weakref.ref(L)
+        del L
+        assert algebra() is None
+    finally:
+        gc.enable()

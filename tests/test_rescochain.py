@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import rescoh.classical as classical
+import rescoh.rescochain as rescochain
 from rescoh.gmod import RestrictedModule, adjoint_module, invariants, trivial_module
 from rescoh.liealg import (
     abelian_algebra,
@@ -13,6 +15,7 @@ from rescoh.liealg import (
 from rescoh.linalg import Subspace, matmul_mod, nullspace, sample_vectors
 from rescoh.rescochain import (
     Cochain2,
+    RestrictedComplex,
     _alpha_eval,
     _phi_eval,
     beta_induced,
@@ -114,6 +117,60 @@ def test_cochain_level_matches_matrices():
             c2 = random_c2(L, M, f"cm2-{mname}")
             got, want = delta2(L, M, c2), cochain_loops.delta2(L, M, c2)
             assert same(got.alpha, want.alpha) and same(got.beta_basis, want.beta_basis), (tag, mname)
+
+
+def oracle_matrix(width, apply, to_vec):
+    """The matrix of a linear oracle, read off its values on a basis."""
+    return np.stack([to_vec(apply(e)) for e in np.eye(width, dtype=np.int64)], axis=1)
+
+
+def test_kept_coboundaries_match_a_fresh_build_and_the_oracles(corpus_entry):
+    tag, L = corpus_entry
+    n = L.n
+    for mname, M in coefficient_modules(L):
+        fresh = RestrictedModule(L, M.rho)  # same action, nothing kept yet
+        d1, d2 = delta1_matrix(L, M), delta2_matrix(L, M)
+        assert delta1_matrix(L, M) is d1 and delta2_matrix(L, M) is d2, (tag, mname)
+        loop1 = oracle_matrix(n * M.m, lambda e: cochain_loops.delta1(L, M, e.reshape(n, M.m)),
+                              lambda c2: c2_to_vec(L, M, c2))
+        loop2 = oracle_matrix(d2.shape[1], lambda e: cochain_loops.delta2(L, M, c2_from_vec(L, M, e)),
+                              lambda c3: c3_to_vec(L, M, c3))
+        for kept, rebuilt, loop in ((d1, delta1_matrix(L, fresh), loop1),
+                                    (d2, delta2_matrix(L, fresh), loop2)):
+            assert rebuilt is not kept
+            assert np.array_equal(kept, rebuilt) and np.array_equal(kept, loop), (tag, mname)
+
+
+def test_each_coboundary_of_a_module_is_built_once(monkeypatch):
+    # Every entry point over one module reads the same kept matrices and groups.
+    built = []
+
+    def counting(fn, name):
+        def wrapper(*args):
+            built.append((name,) + args[2:])
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(classical, "delta_cl_matrix", counting(delta_cl_matrix, "cl"))
+    monkeypatch.setattr(rescochain, "_psi_tilde_block", counting(rescochain._psi_tilde_block, "psi"))
+    monkeypatch.setattr(rescochain, "_beta_block", counting(rescochain._beta_block, "beta"))
+    L, _ = witt_algebra(5)  # a new algebra: nothing kept yet
+    M = adjoint_module(L)
+    d2 = delta2_matrix(L, M)
+    for _ in range(3):
+        psi = random_psi(L, M, "once")
+        c3 = delta2(L, M, delta1(L, M, psi))
+        assert not c3.alpha.any() and not c3.beta_basis.any()
+        assert delta2_matrix(L, M) is d2 and RestrictedComplex(L, M).delta(2) is d2
+        assert delta2_matrix(L, adjoint_module(L)) is d2
+        for k in (1, 2):
+            dim, reps = restricted_cohomology(L, M, k)
+            assert compare_classical(L, M, k)[0].shape[1] == dim
+            assert not reps.flags.writeable
+    assert sorted(built) == [("beta",), ("cl", 0), ("cl", 1), ("cl", 2), ("psi",)]
+    assert not d2.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        d2[0, 0] = 1
 
 
 def test_delta2_delta1_cochain_level():
