@@ -4,7 +4,8 @@ A module is an array rho of shape (n, m, m): rho[i] is the matrix of
 basis element e_i acting on coordinate columns.  Compatibility means
 commutators realize the bracket table and rho[i]^p realizes pi[i];
 both conditions on the basis extend to the whole algebra, so the
-verifier only needs basis pairs, all of which it checks at once.
+verifier only needs basis pairs, which it checks in stacks of at most
+linalg.CHECK_CELLS cells.
 
 A module keeps what the complexes over it compute (coboundaries, ranks,
 cohomology groups; see classical.ModuleComplex), so every complex of
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Subspace, UsageError, _check, _failing, _report, as_fp, mat_pow_mod, nullspace
+from .linalg import (Subspace, UsageError, _check, _failing, _failing_items, _report, as_fp,
+                     mat_pow_mod, nullspace)
 from .liealg import RestrictedLieAlgebra, VerificationFailed
 
 
@@ -74,18 +76,25 @@ class RestrictedModule:
 
 def verify_module(M: RestrictedModule) -> dict:
     """Report on the two compatibility axioms, each checked on every basis
-    pair (i < j) or basis element at once by products over the stacks of
-    their actions; a counterexample names the first failing one,
-    {"i": i, "j": j} or {"i": i}."""
+    pair (i < j) or basis element by products over the stacks of their
+    actions, as many at once as linalg.CHECK_CELLS allows; a
+    counterexample names the first failing one, {"i": i, "j": j} or
+    {"i": i}."""
     L, rho, p = M.L, M.rho, M.L.p
     i, j = np.triu_indices(L.n, 1)  # the pairs i < j in lex order
-    a, b = rho[i], rho[j]
-    bracket = (a @ b - b @ a - np.tensordot(L.c[i, j], rho, axes=([1], [0]))) % p
-    power = (mat_pow_mod(rho, p, p) - np.tensordot(L.pi, rho, axes=([1], [0]))) % p
+
+    def bracket(s):
+        a, b = rho[i[s]], rho[j[s]]
+        return (a @ b - b @ a - np.tensordot(L.c[i[s], j[s]], rho, axes=([1], [0]))) % p
+
+    def power(s):
+        return (mat_pow_mod(rho[s], p, p) - np.tensordot(L.pi[s], rho, axes=([1], [0]))) % p
+
+    cells = M.m * M.m
     return _report([
         _check("bracket_compat", ({"i": int(i[k]), "j": int(j[k])}
-                                  for k in np.flatnonzero(bracket.any(axis=(1, 2))))),
-        _check("p_power_compat", ({"i": int(k)} for k in np.flatnonzero(power.any(axis=(1, 2))))),
+                                  for k in _failing_items(len(i), cells, bracket))),
+        _check("p_power_compat", ({"i": k} for k in _failing_items(L.n, cells, power))),
     ])
 
 

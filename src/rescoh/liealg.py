@@ -6,6 +6,7 @@ the p-th power of basis element i.  The p-power of a general element is
 computed by peeling off basis components and applying Jacobson's
 additivity law, whose correction sums the length-p brackets [a, b, ...]
 with tail entries in {a, b}, each weighted by 1/#(a); see quadrature.
+The correction of every peel pair and quadrature node runs at once.
 Multiple brackets are always left-normed: [g1, g2, ..., gk] =
 [[...[g1 g2] ...] gk].
 
@@ -77,22 +78,25 @@ def quadrature(p: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _peel(x: np.ndarray, order: str = "asc"):
-    """The pairs (a, r) of Jacobson's peel of a reduced vector x.
+def _peel(x: np.ndarray, order: str = "asc") -> tuple[np.ndarray, np.ndarray]:
+    """Jacobson's peel of a reduced vector x as two k x n stacks (A, R).
 
-    a is a basis component of x, peeled in "asc" (else "desc") index
-    order, and r the sum of the components not yet peeled; the last
-    component is never peeled, as nothing is left after it.  p_power and
-    the *- and **-extensions of omega and beta add one correction per
-    pair to the basis values of x's components.
+    Row s of A is the s-th basis component of x peeled, in "asc" or
+    "desc" index order, and row s of R the sum of the components not yet
+    peeled after it; the last component is never peeled, as nothing is
+    left after it, so k is one less than the number of nonzero
+    coordinates (0 for the zero vector).  p_power and the *- and
+    **-extensions of omega and beta add one correction, summed over the
+    pairs of rows, to the basis values of x's components.  Any other
+    order is refused with ValueError.
     """
+    if order not in ("asc", "desc"):
+        raise ValueError(f"peel order must be 'asc' or 'desc', not {order!r}")
     nz = np.flatnonzero(x)
-    for i in nz[:-1] if order == "asc" else nz[:0:-1]:
-        a = np.zeros_like(x)
-        a[i] = x[i]
-        x = x.copy()
-        x[i] = 0
-        yield a, x
+    at = nz[:-1] if order == "asc" else nz[:0:-1]
+    A = np.zeros((len(at), len(x)), dtype=np.int64)
+    A[np.arange(len(at)), at] = x[at]
+    return A, x - np.cumsum(A, axis=0)
 
 
 class RestrictedLieAlgebra:
@@ -181,33 +185,40 @@ class RestrictedLieAlgebra:
         n = self.n
         return (ys @ self._c_right % self.p).reshape(ys.shape[:-1] + (n, n))
 
-    def _r2_correction(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sum over all length-p brackets starting [a, b, ...] with tail
-        entries drawn from {a, b}, each weighted by 1/#(a): the quadrature
-        sum over the nodes x = t a + b of [a, b, x, ..., x]."""
+    def _r2_correction(self, A: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Sum over the pairs (a, r) of rows of A and R of all length-p
+        brackets starting [a, r, ...] with tail entries drawn from {a, r},
+        each weighted by 1/#(a): the quadrature sum over the nodes
+        x = t a + r of [a, r, x, ..., x], every pair and node at once.
+        Without a tail (p = 2: one node, t = 1, of weight 1) it is the
+        sum of the [a, r]."""
         p = self.p
-        u = a[None] @ self._right_ad(b) % p
-        if not u.any():
-            return u[0]
+        if not len(A):
+            return self.zero()
+        u = A[:, None] @ self._right_ad(R) % p  # row (s, 0): [a_s, r_s]
+        if p == 2 or not u.any():
+            return u.sum(axis=(0, 1)) % p
         ts, ws = quadrature(p)
-        ad_x = self._right_ad((np.outer(ts, a) + b) % p)
+        ad_x = self._right_ad((ts[:, None] * A[:, None] + R[:, None]) % p)
+        u = u[:, None]
         for _ in range(p - 2):
             u = u @ ad_x % p
             if not u.any():
                 return self.zero()
-        return ws @ u.reshape(-1, self.n) % p
+        return ws @ u.sum(axis=0).reshape(-1, self.n) % p
 
     def p_power(self, x, order: str = "asc") -> np.ndarray:
         """x^[p] by Jacobson's formula: the sum of (lam e_i)^[p] = lam^p e_i^[p]
         = lam e_i^[p] over the components lam e_i of x, plus the correction
-        r2(a, r) of each pair (a, r) that _peel gives.
+        r2(a, r) summed over the pairs of rows (a, r) of _peel's stacks.
 
         When verify_restricted passes, the peel order ("asc" or "desc"
         index) cannot change the result (module docstring); on a table
-        that fails it, the two orders may differ.
+        that fails it, the two orders may differ.  Any other order is
+        refused with ValueError.
         """
         x = self._check_vec(x)
-        return sum((self._r2_correction(a, r) for a, r in _peel(x, order)), x @ self.pi) % self.p
+        return (x @ self.pi + self._r2_correction(*_peel(x, order))) % self.p
 
     def __repr__(self) -> str:
         kind = "abelian" if self.is_abelian else "nonabelian"

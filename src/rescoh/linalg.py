@@ -211,6 +211,18 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
 
 
 DENSE_CELLS = 1 << 25  # 256 MiB of int64: Witt p=17's adjoint classical δ₂ fits, p=19's does not
+CHECK_CELLS = 1 << 20  # 8 MiB of int64 a stack: Witt p=11's Hom(ad, ad) pairs (0.8 M cells) fit
+
+
+def _failing_items(count: int, cells: int, residues):
+    """The items of range(count) whose residues are not all zero, in
+    order and lazily: residues(s) stacks those of the items in the slice
+    s, ``cells`` int64 cells an item, for at most CHECK_CELLS cells at a
+    time (one item at least)."""
+    step = max(1, CHECK_CELLS // max(1, cells))
+    for start in range(0, count, step):
+        bad = residues(slice(start, start + step))
+        yield from (start + np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))).tolist()
 
 
 def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):

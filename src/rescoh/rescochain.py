@@ -17,8 +17,11 @@ argument.  Every summand is multilinear in the free entries, so
 liealg.quadrature evaluates both sums exactly from fewer than p
 sequences, each with every free entry equal to one x = t g + h; there
 the 2^j splits collapse into j applications of the action of x on
-Hom(L, M).  Both correction formulas are pinned down by the
-delta2.delta1 = 0 matrix identity and by the closure tests.
+Hom(L, M).  eval_omega and eval_beta take liealg._peel's pairs as two
+stacks and call their correction once: one Horner pass of batched
+products runs every (pair, node) at once.  Both correction formulas
+are pinned down by the delta2.delta1 = 0 matrix identity and by the
+closure tests.
 
 The matrices of delta1 and delta2 stack the classical block over the
 terms of psi-tilde and of the induced beta on the basis, summed by
@@ -80,15 +83,30 @@ def _tuple_index(n: int, k: int) -> tuple:
     return tuple(at)
 
 
+@functools.lru_cache(maxsize=None)
+def _form_cells(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where an alternating k-form's values on the increasing k-tuples of
+    range(n) go among its n^k argument cells: row s of the index array
+    holds the cells of the tuples permuted by the s-th permutation of
+    range(k), whose sign is sign[s].  Read-only, since every caller
+    shares them."""
+    at = np.stack(_tuple_index(n, k))
+    perms = list(itertools.permutations(range(k)))
+    index = np.stack([np.ravel_multi_index(tuple(at[list(perm)]), (n,) * k) for perm in perms])
+    sign = np.array([(-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                     for perm in perms], dtype=np.int64).reshape(-1, 1, 1)
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
+
+
 def _vec_to_form(L, M, v: np.ndarray, k: int) -> np.ndarray:
     """The alternating k-form with values v on the increasing k-tuples."""
-    at = _tuple_index(L.n, k)
-    val = v[: len(at[0]) * M.m].reshape(-1, M.m) % L.p
-    form = np.zeros((L.n,) * k + (M.m,), dtype=np.int64)
-    for perm in itertools.permutations(range(k)):
-        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
-        form[tuple(at[x] for x in perm)] = sign * val % L.p
-    return form
+    index, sign = _form_cells(L.n, k)
+    val = v[: index.shape[1] * M.m].reshape(-1, M.m) % L.p
+    form = np.zeros((L.n ** k, M.m), dtype=np.int64)
+    form[index] = sign * val % L.p
+    return form.reshape((L.n,) * k + (M.m,))
 
 
 def c2_from_vec(L, M, v: np.ndarray) -> Cochain2:
@@ -126,45 +144,54 @@ def _alpha_eval(alpha: np.ndarray, u, v, w, p: int) -> np.ndarray:
     return _phi_eval(_fix_first(alpha, u, p), v, w, p)
 
 
-def _tail_nodes(L, M, a, b):
-    """Quadrature weights, the nodes x = t a + b, and per node the matrices
-    of u -> [u, x] and of v -> rho(x) v, both acting on row vectors."""
+def _nodes(L, A, R) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature weights, and per pair of rows (a, r) of A and R the
+    nodes x = t a + r, a k x T x n stack."""
     ts, ws = quadrature(L.p)
-    xs = (np.outer(ts, a) + b) % L.p
-    return ws, xs, L._right_ad(xs), _fix_first(M.rho.transpose(0, 2, 1), xs, L.p)
+    return ws, (ts[:, None] * A[:, None] + R[:, None]) % L.p
 
 
-def star_correction(L, M, phi: np.ndarray, a, b) -> np.ndarray:
-    """The *-property correction for omega(a + b), with g_1 = a, g_2 = b.
+def star_correction(L, M, phi: np.ndarray, A: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The *-property corrections for omega(a + r), with g_1 = a, g_2 = r,
+    summed over the pairs of rows (a, r) of the k x n stacks A and R.
 
     Per sequence (l_1, ..., l_p) it is the sum over k of (-1)^k
     rho(l_p) ... rho(l_{p-k+1}) phi([l_1, ..., l_{p-k-1}], l_{p-k}).  At a
-    node x every free l equals x, so the k-sum is one Horner pass in
-    rho(x) along the chain [a, b, x, ..., x], stopped once both the chain
-    and the accumulated value vanish.
+    node x every free l equals x, so the k-sum is a Horner pass in rho(x)
+    along the chain [a, r, x, ..., x].  One pass runs every pair and node
+    at once, stopped once every chain and accumulated value vanishes; the
+    chain's matrices are built only if some [a, r] is nonzero.  Without a
+    tail (p = 2: one node, t = 1, of weight 1) it is the sum of the phi(a, r).
     """
     p = L.p
-    a = L._check_vec(a)
-    b = L._check_vec(b)
-    acc, u = _phi_eval(phi, a, b, p)[None], a[None] @ L._right_ad(b) % p
-    if not (acc.any() or u.any()):
-        return acc[0]
-    ws, xs, ad_x, rho_x = _tail_nodes(L, M, a, b)
-    phi_x = _fix_first(phi.transpose(1, 0, 2), xs, p)  # row u: phi(u, x)
+    if not len(A):
+        return np.zeros(M.m, dtype=np.int64)
+    acc = R[:, None] @ _fix_first(phi, A, p) % p  # row (s, 0): phi(a_s, r_s)
+    u = A[:, None] @ L._right_ad(R) % p  # row (s, 0): [a_s, r_s]
+    if p == 2 or not (acc.any() or u.any()):
+        return acc.sum(axis=(0, 1)) % p
+    ws, xs = _nodes(L, A, R)
+    acc, u = acc[:, None], u[:, None]
+    rho_x = _fix_first(M.rho.transpose(0, 2, 1), xs, p)  # v -> rho(x) v on row vectors
+    chain = u.any()
+    if chain:
+        ad_x = L._right_ad(xs)
+        phi_x = _fix_first(phi.transpose(1, 0, 2), xs, p)  # row u: phi(u, x)
     for _ in range(p - 2):
         acc = -(acc @ rho_x)
-        live = u.any()
-        if live:
+        if chain:
             acc += u @ phi_x
             u = u @ ad_x % p
+            chain = u.any()
         acc %= p
-        if not (live or acc.any()):
+        if not (chain or acc.any()):
             break
-    return ws @ acc.reshape(-1, M.m) % p
+    return ws @ acc.sum(axis=0).reshape(-1, M.m) % p
 
 
-def star_star_correction(L, M, alpha: np.ndarray, g, h1, h2) -> np.ndarray:
-    """The **-property correction for beta(g, h1 + h2).
+def star_star_correction(L, M, alpha: np.ndarray, g, H1: np.ndarray, H2: np.ndarray) -> np.ndarray:
+    """The **-property corrections for beta(g, h1 + h2), summed over the
+    pairs of rows (h1, h2) of the k x n stacks H1 and H2.
 
     For each sequence (l_1 = h1, l_2 = h2, rest free) and each j, the
     last j positions split into an acting set A and a set B bracketed
@@ -173,55 +200,55 @@ def star_star_correction(L, M, alpha: np.ndarray, g, h1, h2) -> np.ndarray:
     equals x, and the 2^j splits sum to (T^j F_j)(g), where
     F_j = alpha(., [l_1, ..., l_{p-j-1}], l_{p-j}) and
     T F = rho(x) F + F([., x]) is the action of x on Hom(L, M).  The
-    alternating j-sum is a Horner pass in T on n x m matrices.
+    alternating j-sum is a Horner pass in T on n x m matrices, run as
+    star_correction runs its own; without a tail it is the sum of the
+    alpha(g, h1, h2).
     """
     p, n, m = L.p, L.n, M.m
-    g = L._check_vec(g)
-    h1 = L._check_vec(h1)
-    h2 = L._check_vec(h2)
-    wvu = alpha.transpose(2, 1, 0, 3)
-    acc, u = _fix_first(_fix_first(wvu, h2, p), h1, p), h1[None] @ L._right_ad(h2) % p
-    if not (acc.any() or u.any()):
+    k = len(H1)
+    if not k:
         return np.zeros(m, dtype=np.int64)
-    ws, xs, ad_x, rho_x = _tail_nodes(L, M, h1, h2)
-    alpha_x = _fix_first(wvu, xs, p).reshape(len(ws), n, n * m)  # row v: alpha(., v, x)
+    wvu = alpha.transpose(2, 1, 0, 3)
+    fixed = _fix_first(wvu, H2, p).reshape(k, n, n * m)
+    acc = (H1[:, None] @ fixed % p).reshape(k, 1, n, m)  # row w: alpha(w, h1, h2)
+    u = (H1[:, None] @ L._right_ad(H2) % p)[:, None]  # [h1, h2]
+    if p == 2 or not (acc.any() or u.any()):
+        return g @ acc.sum(axis=(0, 1)) % p
+    ws, xs = _nodes(L, H1, H2)
+    ad_x, rho_x = L._right_ad(xs), _fix_first(M.rho.transpose(0, 2, 1), xs, p)
+    chain = u.any()
+    if chain:
+        alpha_x = _fix_first(wvu, xs, p).reshape(xs.shape[:2] + (n, n * m))  # row v: alpha(., v, x)
     for _ in range(p - 2):
         acc = -(acc @ rho_x + ad_x @ acc)
-        live = u.any()
-        if live:
-            acc += (u @ alpha_x).reshape(len(ws), n, m)
+        if chain:
+            acc += (u @ alpha_x).reshape(acc.shape)
             u = u @ ad_x % p
+            chain = u.any()
         acc %= p
-        if not (live or acc.any()):
+        if not (chain or acc.any()):
             break
-    return g @ (ws @ acc.reshape(len(ws), -1) % p).reshape(n, m) % p
-
-
-def _frobenius(x: np.ndarray, p: int) -> np.ndarray:
-    """x with every coordinate raised to the p-th power (the identity over GF(p))."""
-    return np.array([pow(int(v), p, p) for v in x], dtype=np.int64)
+    return g @ (ws @ acc.sum(axis=0).reshape(-1, n * m) % p).reshape(n, m) % p
 
 
 def eval_omega(L, M, c2: Cochain2, g, order: str = "asc") -> np.ndarray:
     """Value of omega at an arbitrary point, by the *-property extension:
-    omega(lam e_i) = lam^p omega(e_i) on the components of g, plus the
-    star_correction of each pair of liealg's peel of g."""
+    omega(lam e_i) = lam^p omega(e_i) = lam omega(e_i) on the components of
+    g, plus the star_correction summed over liealg's peel of g."""
     g = L._check_vec(g)
-    base = _frobenius(g, L.p) @ c2.omega_basis
-    return sum((star_correction(L, M, c2.phi, a, r) for a, r in _peel(g, order)), base) % L.p
+    return (g @ c2.omega_basis + star_correction(L, M, c2.phi, *_peel(g, order))) % L.p
 
 
 def eval_beta(L, M, c3: Cochain3, g, h, order: str = "asc") -> np.ndarray:
     """Value of beta at an arbitrary pair: linear in g, and in h the
-    **-property extension, beta(g, lam e_i) = lam^p beta(g, e_i) on the
-    components of h, minus the star_star_correction of each pair of
-    liealg's peel of h."""
+    **-property extension, beta(g, lam e_i) = lam^p beta(g, e_i) =
+    lam beta(g, e_i) on the components of h, minus the
+    star_star_correction summed over liealg's peel of h."""
     p = L.p
     g = L._check_vec(g)
     h = L._check_vec(h)
-    base = _frobenius(h, p) @ _fix_first(c3.beta_basis, g, p)
-    return sum((-star_star_correction(L, M, c3.alpha, g, a, r) for a, r in _peel(h, order)),
-               base) % p
+    base = h @ _fix_first(c3.beta_basis, g, p)
+    return (base - star_star_correction(L, M, c3.alpha, g, *_peel(h, order))) % p
 
 
 def psi_tilde(L, M, psi: np.ndarray, g) -> np.ndarray:
@@ -235,22 +262,24 @@ def psi_tilde(L, M, psi: np.ndarray, g) -> np.ndarray:
 
 
 def beta_induced(L, M, c2: Cochain2, g, h) -> np.ndarray:
-    """Direct formula for the beta induced by (phi, omega) at (g, h)."""
+    """Direct formula for the beta induced by (phi, omega) at (g, h):
+    phi(g, h^[p]) - sum_a (-1)^a rho(h)^a phi([g, h, ..., h], h), with
+    p - 1 - a brackets, + rho(g) omega(h).  The chain g (ad h)^b is read
+    through the matrix of u -> [u, h] and each phi(., h) through one
+    matrix; the a-sum is a Horner pass in rho(h) along the chain, stopped
+    once the chain and the accumulated value vanish."""
     p = L.p
     g = L._check_vec(g)
     h = L._check_vec(h)
-    out = _phi_eval(c2.phi, g, L.p_power(h), p)
-    rh = M.matrix_of(h)
-    u = g
-    vals = []
-    for b in range(p):
-        vals.append(_phi_eval(c2.phi, u, h, p))
-        u = L.bracket(u, h)
-    acting = np.eye(M.m, dtype=np.int64)
-    for a in range(p):
-        b = p - 1 - a
-        out = (out - (-1) ** a * (acting @ vals[b])) % p
-        acting = (acting @ rh) % p
+    ad_h, rho_h = L._right_ad(h), M.matrix_of(h)
+    phi_h = _fix_first(c2.phi.transpose(1, 0, 2), h, p)  # row u: phi(u, h)
+    u, acc = g, np.zeros(M.m, dtype=np.int64)
+    for _ in range(p):
+        acc = (u @ phi_h - rho_h @ acc) % p
+        u = u @ ad_h % p
+        if not (u.any() or acc.any()):
+            break
+    out = _phi_eval(c2.phi, g, L.p_power(h), p) - acc
     return (out + M.matrix_of(g) @ eval_omega(L, M, c2, h)) % p
 
 

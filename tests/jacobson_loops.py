@@ -3,19 +3,129 @@
 Reference implementations of liealg.RestrictedLieAlgebra.p_power,
 rescochain.eval_omega and eval_beta as they stood before the shared
 peel (a loop and two recursions, each coding the peel order itself),
+of the three Jacobson corrections one peel pair at a time, as they
+stood before each took the whole peel as two stacks, of
+rescochain.beta_induced as a loop of checked brackets and powers of
+rho(h), of rescochain._vec_to_form as a loop over the permutations,
 and of liealg.verify_restricted, gmod.verify_module and
 field.verify_identities as they stood before their checks were batched
 or written as lazy searches: one basis element or index tuple at a
 time, stopping at the first counterexample.  They serve only as oracles.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from rescoh import field
 from rescoh.linalg import mat_pow_mod
-from rescoh.rescochain import star_correction, star_star_correction
+from rescoh.liealg import quadrature
+from rescoh.rescochain import _fix_first, _phi_eval, _tuple_index
+
+
+def r2_correction(L, a, b) -> np.ndarray:
+    """The p-power correction of one peel pair (a, b): the quadrature sum
+    over the nodes x = t a + b of [a, b, x, ..., x]."""
+    p = L.p
+    u = a[None] @ L._right_ad(b) % p
+    if not u.any():
+        return u[0]
+    ts, ws = quadrature(p)
+    ad_x = L._right_ad((np.outer(ts, a) + b) % p)
+    for _ in range(p - 2):
+        u = u @ ad_x % p
+        if not u.any():
+            return L.zero()
+    return ws @ u.reshape(-1, L.n) % p
+
+
+def _tail_nodes(L, M, a, b):
+    """Quadrature weights, the nodes x = t a + b, and per node the matrices
+    of u -> [u, x] and of v -> rho(x) v, both acting on row vectors."""
+    ts, ws = quadrature(L.p)
+    xs = (np.outer(ts, a) + b) % L.p
+    return ws, xs, L._right_ad(xs), _fix_first(M.rho.transpose(0, 2, 1), xs, L.p)
+
+
+def star_correction(L, M, phi, a, b) -> np.ndarray:
+    """The *-property correction for omega(a + b) of one peel pair, a Horner
+    pass in rho(x) per node along the chain [a, b, x, ..., x]."""
+    p = L.p
+    a = L._check_vec(a)
+    b = L._check_vec(b)
+    acc, u = _phi_eval(phi, a, b, p)[None], a[None] @ L._right_ad(b) % p
+    if not (acc.any() or u.any()):
+        return acc[0]
+    ws, xs, ad_x, rho_x = _tail_nodes(L, M, a, b)
+    phi_x = _fix_first(phi.transpose(1, 0, 2), xs, p)
+    for _ in range(p - 2):
+        acc = -(acc @ rho_x)
+        live = u.any()
+        if live:
+            acc += u @ phi_x
+            u = u @ ad_x % p
+        acc %= p
+        if not (live or acc.any()):
+            break
+    return ws @ acc.reshape(-1, M.m) % p
+
+
+def star_star_correction(L, M, alpha, g, h1, h2) -> np.ndarray:
+    """The **-property correction for beta(g, h1 + h2) of one peel pair, a
+    Horner pass per node in the action of x on Hom(L, M)."""
+    p, n, m = L.p, L.n, M.m
+    g = L._check_vec(g)
+    h1 = L._check_vec(h1)
+    h2 = L._check_vec(h2)
+    wvu = alpha.transpose(2, 1, 0, 3)
+    acc, u = _fix_first(_fix_first(wvu, h2, p), h1, p), h1[None] @ L._right_ad(h2) % p
+    if not (acc.any() or u.any()):
+        return np.zeros(m, dtype=np.int64)
+    ws, xs, ad_x, rho_x = _tail_nodes(L, M, h1, h2)
+    alpha_x = _fix_first(wvu, xs, p).reshape(len(ws), n, n * m)
+    for _ in range(p - 2):
+        acc = -(acc @ rho_x + ad_x @ acc)
+        live = u.any()
+        if live:
+            acc += (u @ alpha_x).reshape(len(ws), n, m)
+            u = u @ ad_x % p
+        acc %= p
+        if not (live or acc.any()):
+            break
+    return g @ (ws @ acc.reshape(len(ws), -1) % p).reshape(n, m) % p
+
+
+def beta_induced(L, M, c2, g, h, order: str = "asc") -> np.ndarray:
+    """The induced beta at (g, h) with p checked brackets, the powers of
+    rho(h) one by one and omega(h) by the recursion in the given order."""
+    p = L.p
+    g = L._check_vec(g)
+    h = L._check_vec(h)
+    out = _phi_eval(c2.phi, g, p_power(L, h), p)
+    rh = M.matrix_of(h)
+    u = g
+    vals = []
+    for _ in range(p):
+        vals.append(_phi_eval(c2.phi, u, h, p))
+        u = L.bracket(u, h)
+    acting = np.eye(M.m, dtype=np.int64)
+    for a in range(p):
+        out = (out - (-1) ** a * (acting @ vals[p - 1 - a])) % p
+        acting = (acting @ rh) % p
+    return (out + M.matrix_of(g) @ eval_omega(L, M, c2, h, order)) % p
+
+
+def vec_to_form(L, M, v, k: int) -> np.ndarray:
+    """The alternating k-form with values v on the increasing k-tuples,
+    each permutation's sign counted on every call."""
+    at = _tuple_index(L.n, k)
+    val = v[: len(at[0]) * M.m].reshape(-1, M.m) % L.p
+    form = np.zeros((L.n,) * k + (M.m,), dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        form[tuple(at[x] for x in perm)] = sign * val % L.p
+    return form
 
 
 def p_power(L, x, order: str = "asc") -> np.ndarray:
@@ -27,7 +137,7 @@ def p_power(L, x, order: str = "asc") -> np.ndarray:
     for i in order_idx[:-1] if order == "asc" else order_idx[:0:-1]:
         a = L.zero()
         a[i], r[i] = r[i], 0
-        out += L._r2_correction(a, r)
+        out += r2_correction(L, a, r)
     return out % L.p
 
 

@@ -1,8 +1,11 @@
-"""The shared peel and the batched verifiers against their loop oracles.
+"""The shared peel, the stacked corrections and the batched verifiers
+against their loop oracles.
 
 Results are pinned array-equal to tests/jacobson_loops.py in both peel
-orders over the corpus and its coefficient modules, and reports
-dict-equal, counterexamples included, on passing and failing inputs.
+orders over the corpus and its coefficient modules, on tables that fail
+the bracket law and on phi that is not a cocycle too, where the two
+orders differ; reports dict-equal, counterexamples included, on passing
+and failing inputs, however the checks are chunked.
 """
 
 import math
@@ -10,36 +13,61 @@ import math
 import numpy as np
 import pytest
 
-from rescoh import field
+from rescoh import field, linalg
 from rescoh.field import verify_identities
 from rescoh.gmod import RestrictedModule, adjoint_module, dual_module, hom_module, verify_module
-from rescoh.liealg import verify_restricted
+from rescoh.classical import delta_cl_matrix
+from rescoh.liealg import _peel, verify_restricted
 from rescoh.linalg import sample_vectors
-from rescoh.rescochain import c2_from_vec, c3_from_vec, eval_beta, eval_omega
+from rescoh.rescochain import (_form_cells, _vec_to_form, beta_induced, c2_from_vec, c3_from_vec,
+                               eval_beta, eval_omega, star_correction, star_star_correction)
 
 import jacobson_loops as loops
 from conftest import CORPUS, coefficient_modules, nonzero_pi
 from restricted_scans import perturbed_tables
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+ORDERS = ("asc", "desc")
 
 
-@pytest.mark.parametrize("order", ["asc", "desc"])
+def points(L, count: int, tag: str) -> np.ndarray:
+    """count seeded vectors, then the zero vector, a one-component vector
+    on each basis element and a vector with every coordinate nonzero."""
+    n, p = L.n, L.p
+    one = np.diag(1 + sample_vectors(p - 1, n, 1, f"{tag}-one")[0])
+    full = 1 + sample_vectors(p - 1, n, 1, f"{tag}-full")
+    return np.vstack([sample_vectors(p, n, count, tag), L.zero()[None], one, full])
+
+
+def cochains(L, M, tag: str):
+    """A seeded degree-2 and degree-3 cochain of (L, M)."""
+    n, p, m = L.n, L.p, M.m
+    c2 = c2_from_vec(L, M, sample_vectors(p, (math.comb(n, 2) + n) * m, 1, f"c2-{tag}")[0])
+    c3 = c3_from_vec(L, M, sample_vectors(p, (math.comb(n, 3) + n * n) * m, 1, f"c3-{tag}")[0])
+    return c2, c3
+
+
+def assert_matches_the_loops(L, M, c2, c3, pts, orders, label):
+    """p_power, omega and beta in the given orders, and the induced beta,
+    equal to the loop and recursion oracles at every point (pairs g, h
+    run through the points forwards and backwards)."""
+    for g, h in zip(pts, pts[::-1]):
+        for order in orders:
+            assert np.array_equal(L.p_power(g, order), loops.p_power(L, g, order)), (label, g)
+            assert np.array_equal(eval_omega(L, M, c2, g, order),
+                                  loops.eval_omega(L, M, c2, g, order)), (label, order, g)
+            assert np.array_equal(eval_beta(L, M, c3, g, h, order),
+                                  loops.eval_beta(L, M, c3, g, h, order)), (label, order, g, h)
+        assert np.array_equal(beta_induced(L, M, c2, g, h),
+                              loops.beta_induced(L, M, c2, g, h)), (label, g, h)
+
+
+@pytest.mark.parametrize("order", ORDERS)
 def test_peel_matches_the_loop_and_the_recursions(corpus_entry, order):
     tag, L = corpus_entry
-    n, p = L.n, L.p
-    points = sample_vectors(p, n, 6, f"peel-{tag}")
-    for x in points:
-        assert np.array_equal(L.p_power(x, order), loops.p_power(L, x, order))
+    pts = points(L, 6, f"peel-{tag}")
     for name, M in coefficient_modules(L):
-        m = M.m
-        c2 = c2_from_vec(L, M, sample_vectors(p, (math.comb(n, 2) + n) * m, 1, f"c2-{tag}")[0])
-        c3 = c3_from_vec(L, M, sample_vectors(p, (math.comb(n, 3) + n * n) * m, 1, f"c3-{tag}")[0])
-        for g, h in zip(points, points[::-1]):
-            assert np.array_equal(eval_omega(L, M, c2, g, order),
-                                  loops.eval_omega(L, M, c2, g, order)), (name, g)
-            assert np.array_equal(eval_beta(L, M, c3, g, h, order),
-                                  loops.eval_beta(L, M, c3, g, h, order)), (name, g, h)
+        assert_matches_the_loops(L, M, *cochains(L, M, tag), pts, (order,), name)
 
 
 def test_peel_of_zero_and_of_one_component():
@@ -52,6 +80,99 @@ def test_peel_of_zero_and_of_one_component():
         assert np.array_equal(eval_omega(L, M, c2, g), loops.eval_omega(L, M, c2, g))
         assert np.array_equal(eval_beta(L, M, c3, g, h), loops.eval_beta(L, M, c3, g, h))
         assert np.array_equal(L.p_power(g), loops.p_power(L, g))
+        assert np.array_equal(beta_induced(L, M, c2, g, h), loops.beta_induced(L, M, c2, g, h))
+    for x in (zero, e2, (e2 + L.basis_vector(4)) % 5):
+        for order in ORDERS:
+            A, R = _peel(x, order)
+            assert A.shape == R.shape == (max(np.count_nonzero(x) - 1, 0), L.n)
+
+
+def test_peel_stacks_in_both_orders():
+    x = np.array([0, 4, 0, 2, 3], dtype=np.int64)
+    A, R = _peel(x, "asc")
+    assert A.tolist() == [[0, 4, 0, 0, 0], [0, 0, 0, 2, 0]]
+    assert R.tolist() == [[0, 0, 0, 2, 3], [0, 0, 0, 0, 3]]
+    A, R = _peel(x, "desc")
+    assert A.tolist() == [[0, 0, 0, 0, 3], [0, 0, 0, 2, 0]]
+    assert R.tolist() == [[0, 4, 0, 2, 0], [0, 4, 0, 0, 0]]
+
+
+def test_stacked_corrections_sum_the_single_pair_oracles(corpus_entry):
+    # any stack of pairs, not only a peel: each correction is the sum of
+    # the single-pair corrections of its rows, for 0 to 4 rows
+    tag, L = corpus_entry
+    n, p = L.n, L.p
+    for name, M in coefficient_modules(L):
+        m = M.m
+        for k in range(5):
+            A, R, g = np.split(sample_vectors(p, (2 * k + 1) * n, 1, f"stack{k}-{tag}-{name}")[0],
+                               [k * n, 2 * k * n])
+            A, R = A.reshape(k, n), R.reshape(k, n)
+            phi = sample_vectors(p, n * n * m, 1, f"phi{k}-{tag}-{name}")[0].reshape(n, n, m)
+            alpha = sample_vectors(p, n ** 3 * m, 1, f"alpha{k}-{tag}-{name}")[0].reshape(n, n, n, m)
+            zero = np.zeros(m, dtype=np.int64)
+            r2 = sum((loops.r2_correction(L, a, r) for a, r in zip(A, R)), L.zero()) % p
+            star = sum((loops.star_correction(L, M, phi, a, r) for a, r in zip(A, R)), zero) % p
+            star2 = sum((loops.star_star_correction(L, M, alpha, g, a, r) for a, r in zip(A, R)),
+                        zero) % p
+            assert np.array_equal(L._r2_correction(A, R), r2), (name, k)
+            assert np.array_equal(star_correction(L, M, phi, A, R), star), (name, k)
+            assert np.array_equal(star_star_correction(L, M, alpha, g, A, R), star2), (name, k)
+
+
+def test_orders_differ_on_a_non_cocycle_phi_as_in_the_loops():
+    # Witt p=3 with adjoint coefficients: phi not closed separates the orders
+    L = next(L for tag, L in CORPUS if tag == "witt_p3")
+    M = adjoint_module(L)
+    n, p, m = L.n, L.p, M.m
+    nphi = math.comb(n, 2) * m
+    d2cl = delta_cl_matrix(L, M, 2)
+    pts = points(L, 12, "noncocycle-g")
+    differ = 0
+    for t in range(4):
+        v = sample_vectors(p, nphi + n * m, 1, f"noncocycle-{t}")[0]
+        assert (d2cl @ v[:nphi] % p).any()
+        c2 = c2_from_vec(L, M, v)
+        c3 = c3_from_vec(L, M, sample_vectors(p, (1 + n * n) * m, 1, f"noncocycle3-{t}")[0])
+        assert_matches_the_loops(L, M, c2, c3, pts, ORDERS, t)
+        differ += any(not np.array_equal(eval_omega(L, M, c2, g, "asc"),
+                                         eval_omega(L, M, c2, g, "desc")) for g in pts)
+    assert differ
+
+
+def test_perturbed_tables_match_the_loops(corpus_entry):
+    # tables that fail the bracket law, where x^[p] may depend on the order
+    tag, L = corpus_entry
+    for t, T in enumerate(perturbed_tables(L, 2, f"stacked-{tag}")):
+        pts = points(T, 4, f"perturbed-{tag}-{t}")
+        for name, M in coefficient_modules(L):
+            M = RestrictedModule(T, M.rho)  # unchecked: T's table fails the module law too
+            c2, c3 = cochains(T, M, f"perturbed-{tag}-{t}-{name}")
+            assert_matches_the_loops(T, M, c2, c3, pts, ORDERS, (t, name))
+
+
+def test_peel_refuses_an_unknown_order():
+    L = next(L for tag, L in CORPUS if tag == "witt_p5")
+    M = adjoint_module(L)
+    c2, c3 = cochains(L, M, "order")
+    for bad in ("ascending", "DESC", "", None):
+        for x in (L.zero(), np.array([1, 2, 0, 0, 4])):
+            for call in (lambda: L.p_power(x, bad), lambda: eval_omega(L, M, c2, x, bad),
+                         lambda: eval_beta(L, M, c3, x, x, bad), lambda: _peel(x, bad)):
+                with pytest.raises(ValueError, match="peel order"):
+                    call()
+
+
+def test_vec_to_form_matches_the_permutation_loop(corpus_entry):
+    tag, L = corpus_entry
+    for name, M in coefficient_modules(L):
+        for k in (2, 3):
+            for v in sample_vectors(L.p, math.comb(L.n, k) * M.m + 3, 3, f"form{k}-{tag}-{name}"):
+                assert np.array_equal(_vec_to_form(L, M, v, k), loops.vec_to_form(L, M, v, k))
+            for table in _form_cells(L.n, k):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table.reshape(-1)[:1] = 0
 
 
 def test_verify_restricted_matches_the_loop(corpus_entry):
@@ -90,6 +211,34 @@ def test_verify_module_matches_the_loop(corpus_entry):
         modules.append(RestrictedModule(L, [np.diag(d) for d in diag]))
     reports = [verify_module(M) for M in modules]
     assert reports == [loops.verify_module(M) for M in modules]
+
+
+def test_verify_module_matches_the_loop_in_small_chunks(corpus_entry, monkeypatch):
+    # a bound of 1 cell checks one pair or element at a time; 100 several
+    tag, L = corpus_entry
+    A = adjoint_module(L)
+    modules = [M for _, M in coefficient_modules(L)] + [dual_module(A)]
+    modules += broken_modules(A, 4, f"chunks-{tag}")
+    expected = [loops.verify_module(M) for M in modules]
+    for bound in (1, 7, 100):
+        monkeypatch.setattr(linalg, "CHECK_CELLS", bound)
+        assert [verify_module(M) for M in modules] == expected, bound
+
+
+def test_failing_items_holds_at_most_the_bound_and_stops_at_a_failure(monkeypatch):
+    monkeypatch.setattr(linalg, "CHECK_CELLS", 7)
+    seen = []
+
+    def residues(s):  # items 3 and 8 fail; 3 cells an item
+        seen.append(s)
+        return np.array([[k in (3, 8)] * 3 for k in range(10)][s])
+
+    assert list(linalg._failing_items(10, 3, residues)) == [3, 8]
+    assert [(s.start, s.stop) for s in seen] == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
+    seen.clear()
+    assert next(linalg._failing_items(10, 3, residues)) == 3
+    assert len(seen) == 2
+    assert list(linalg._failing_items(4, 50, residues)) == [3]  # one item a chunk at least
 
 
 def test_verify_module_names_the_first_failing_pair():

@@ -154,7 +154,7 @@ def test_r2_correction_matches_enumeration():
         n = L.n
         for ab in sample_vectors(L.p, 2 * n, 6, f"r2-oracle-{tag}"):
             a, b = ab[:n], ab[n:]
-            assert np.array_equal(L._r2_correction(a, b), r2_enumeration(L, a, b)), (tag, ab)
+            assert np.array_equal(L._r2_correction(a[None], b[None]), r2_enumeration(L, a, b)), (tag, ab)
 
 
 def test_modulus_ceiling():

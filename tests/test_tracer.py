@@ -57,7 +57,9 @@ def test_tracer_records_the_layers_and_restores_every_original(tmp_path):
         for owner, attr in [(liealg.RestrictedLieAlgebra, "p_power"),
                             (liealg.RestrictedLieAlgebra, "bracket"),
                             (ures.Ures, "mono_times_gen"), (ures.Ures, "multiply"),
-                            (abelres, "rank"), (classical, "nullspace")]:
+                            (abelres, "rank"), (classical, "nullspace"),
+                            (rescochain, "star_correction"), (rescochain, "star_star_correction"),
+                            (rescochain, "beta_induced")]:
             assert hasattr(getattr(owner, attr), "__wrapped__"), (owner, attr)
         tracer.start_job("closure")
         closure_job()
@@ -66,8 +68,12 @@ def test_tracer_records_the_layers_and_restores_every_original(tmp_path):
     finally:
         tracer.uninstall()
     for name in ("liealg.p_power", "rescochain.eval_omega", "rescochain.eval_beta",
-                 "abelres.build_resolution"):
+                 "rescochain.star_correction", "rescochain.star_star_correction",
+                 "rescochain.beta_induced", "abelres.build_resolution"):
         assert tracer.stats[name][0] > 0, name
+    # one correction call per evaluation, however many pairs it sums
+    assert tracer.stats["rescochain.star_correction"][0] == 2  # eval_omega, and in beta_induced
+    assert tracer.stats["rescochain.star_star_correction"][0] == 1
     assert wrapped
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, (owner, attr)
