@@ -288,6 +288,8 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     Returns (dim, representatives); dim is C(n,k).  With zero p-operator
     the representatives are e_I ⊗ Π e_i^{p−1}; otherwise they are the
     products of the cycles c_i.  Both facts are verified, not assumed.
+    The 2n+1 right multiplications are built on the first call for L and
+    kept on it (read-only, as L._adjoint), so k = 0..n build them once.
     """
     if not L.is_abelian:
         raise NotAbelian("wedge-only complex needs an abelian algebra")
@@ -296,7 +298,9 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     p, n = L.p, L.n
     U = Ures(L)
     monos = U.basis()
-    ops = _right_operators(U)
+    if L._operators is None:
+        L._operators = tuple(_right_operators(U))
+    ops = L._operators
     cx = Complex(lambda j: _assemble(L, ops, -j, wedge_only=True) if 1 <= -j <= n else None, p)
     d_out, d_in = cx.delta(-k), cx.delta(-k - 1)
     if d_out is not None and d_in is not None:

@@ -5,7 +5,8 @@ basis element e_i acting on coordinate columns.  Compatibility means
 commutators realize the bracket table and rho[i]^p realizes pi[i];
 both conditions on the basis extend to the whole algebra, so the
 verifier only needs basis pairs, which it checks in stacks of at most
-linalg.CHECK_CELLS cells.
+linalg.CHECK_CELLS cells.  A module keeps rho as a read-only n x m^2
+table, so rho(x) at one point or at a stack of points is one product.
 
 A module keeps what the complexes over it compute (coboundaries, ranks,
 cohomology groups; see classical.ModuleComplex), so every complex of
@@ -35,7 +36,12 @@ def same_algebra(L1: RestrictedLieAlgebra, L2: RestrictedLieAlgebra) -> bool:
 
 
 class RestrictedModule:
-    __slots__ = ("L", "rho", "m", "_stores", "__weakref__")
+    """The action rho of L on GF(p)^m, with a read-only table of it built
+    once: _act holds rho(e_i) row-major in row i, so that x @ _act is
+    rho(x), and a stack of points x gives the stack of their matrices
+    from one product (and their transposes, for row vectors, as views)."""
+
+    __slots__ = ("L", "rho", "m", "_act", "_stores", "__weakref__")
 
     def __init__(self, L: RestrictedLieAlgebra, rho, check: bool = False):
         self.L = L
@@ -44,7 +50,9 @@ class RestrictedModule:
             raise ValueError(f"action array must have shape ({L.n}, m, m)")
         rho.setflags(write=False)
         self.rho = rho
-        self.m = rho.shape[1]
+        self.m = m = rho.shape[1]
+        self._act = rho.reshape(L.n, m * m)
+        self._act.setflags(write=False)
         self._stores = {}
         if check:
             failing = _failing(verify_module(self))
@@ -62,9 +70,10 @@ class RestrictedModule:
         return self._stores.setdefault(kind, ({}, {}, {}))
 
     def matrix_of(self, x) -> np.ndarray:
-        """Action matrix of the algebra element with coordinates x."""
+        """Action matrix of the algebra element with coordinates x: one
+        product with the table _act."""
         x = self.L._check_vec(x)
-        return np.tensordot(x, self.rho, axes=([0], [0])) % self.L.p
+        return (x @ self._act % self.L.p).reshape(self.m, self.m)
 
     def act(self, x, v) -> np.ndarray:
         v = as_fp(v, self.L.p)

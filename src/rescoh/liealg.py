@@ -6,7 +6,9 @@ the p-th power of basis element i.  The p-power of a general element is
 computed by peeling off basis components and applying Jacobson's
 additivity law, whose correction sums the length-p brackets [a, b, ...]
 with tail entries in {a, b}, each weighted by 1/#(a); see quadrature.
-The correction of every peel pair and quadrature node runs at once.
+The correction of every peel pair and quadrature node runs at once, in
+the one Horner pass (_jacobson_pass) that rescochain's *-correction
+runs with a longer step.
 Multiple brackets are always left-normed: [g1, g2, ..., gk] =
 [[...[g1 g2] ...] gk].
 
@@ -92,11 +94,46 @@ def _peel(x: np.ndarray, order: str = "asc") -> tuple[np.ndarray, np.ndarray]:
     """
     if order not in ("asc", "desc"):
         raise ValueError(f"peel order must be 'asc' or 'desc', not {order!r}")
-    nz = np.flatnonzero(x)
+    nz = x.nonzero()[0]
     at = nz[:-1] if order == "asc" else nz[:0:-1]
     A = np.zeros((len(at), len(x)), dtype=np.int64)
     A[np.arange(len(at)), at] = x[at]
-    return A, x - np.cumsum(A, axis=0)
+    return A, x - np.add.accumulate(A, axis=0)
+
+
+def _nodes(p: int, A: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature weights, and per pair of rows (a, r) of A and R the
+    nodes x = t a + r, a k x T x n stack."""
+    ts, ws = quadrature(p)
+    return ws, (ts[:, None] * A[:, None] + R[:, None]) % p
+
+
+def _jacobson_pass(p: int, A: np.ndarray, R: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
+    """The Horner pass behind Jacobson's corrections, summed over the
+    pairs (a, r) of rows of the k x n stacks A and R.
+
+    table[i] is the w x w matrix of one step at e_i on row vectors
+    [v | u] (v of length m, u of length w - m, the chain of brackets); a
+    step is linear in its point, so one product with the table gives the
+    steps at a stack of points.  Each pair starts from [0 | a] stepped at
+    r, then steps p - 2 times at each node x = t a + r, and the
+    quadrature weights sum the results.  The nodes' steps are built only
+    if some first step is nonzero, and the pass stops once every [v | u]
+    is zero.  Without a tail (p = 2: one node, t = 1, of weight 1) it is
+    the sum of the first steps."""
+    w = table.shape[-1]
+    table = table.reshape(len(table), w * w)
+    state = A[:, None] @ (R @ table % p).reshape(len(R), w, w)[:, m:] % p  # [v | u] at r
+    if p == 2 or not np.count_nonzero(state):
+        return state.sum(axis=(0, 1)) % p
+    ws, xs = _nodes(p, A, R)
+    steps = (xs @ table % p).reshape(xs.shape[:2] + (w, w))
+    state = state[:, None]
+    for _ in range(p - 2):
+        state = state @ steps % p
+        if not np.count_nonzero(state):
+            break
+    return ws @ state.sum(axis=0).reshape(len(ws), w) % p
 
 
 class RestrictedLieAlgebra:
@@ -124,6 +161,7 @@ class RestrictedLieAlgebra:
         for table in (self.c, self._c_right, self.pi):
             table.setflags(write=False)
         self._adjoint = None  # gmod.adjoint_module's action and store
+        self._operators = None  # abelres.aux_C_homology's right multiplications
         if check:
             bad = self._axiom_counterexample()
             if bad is not None:
@@ -189,23 +227,12 @@ class RestrictedLieAlgebra:
         """Sum over the pairs (a, r) of rows of A and R of all length-p
         brackets starting [a, r, ...] with tail entries drawn from {a, r},
         each weighted by 1/#(a): the quadrature sum over the nodes
-        x = t a + r of [a, r, x, ..., x], every pair and node at once.
-        Without a tail (p = 2: one node, t = 1, of weight 1) it is the
-        sum of the [a, r]."""
-        p = self.p
+        x = t a + r of [a, r, x, ..., x], every pair and node at once,
+        by _jacobson_pass with the steps u -> [u, x].  Without a tail
+        (p = 2: one node, t = 1, of weight 1) it is the sum of the [a, r]."""
         if not len(A):
             return self.zero()
-        u = A[:, None] @ self._right_ad(R) % p  # row (s, 0): [a_s, r_s]
-        if p == 2 or not u.any():
-            return u.sum(axis=(0, 1)) % p
-        ts, ws = quadrature(p)
-        ad_x = self._right_ad((ts[:, None] * A[:, None] + R[:, None]) % p)
-        u = u[:, None]
-        for _ in range(p - 2):
-            u = u @ ad_x % p
-            if not u.any():
-                return self.zero()
-        return ws @ u.sum(axis=0).reshape(-1, self.n) % p
+        return _jacobson_pass(self.p, A, R, self._c_right.reshape(self.n, self.n, self.n), 0)
 
     def p_power(self, x, order: str = "asc") -> np.ndarray:
         """x^[p] by Jacobson's formula: the sum of (lam e_i)^[p] = lam^p e_i^[p]

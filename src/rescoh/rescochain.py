@@ -19,9 +19,20 @@ sequences, each with every free entry equal to one x = t g + h; there
 the 2^j splits collapse into j applications of the action of x on
 Hom(L, M).  eval_omega and eval_beta take liealg._peel's pairs as two
 stacks and call their correction once: one Horner pass of batched
-products runs every (pair, node) at once.  Both correction formulas
-are pinned down by the delta2.delta1 = 0 matrix identity and by the
-closure tests.
+products runs every (pair, node) at once.  The *-pass steps the value
+and the bracket chain [a, r, x, ..., x] together, one matrix per point
+from one product with a table of the basis elements, and that chain is
+Jacobson's p-power correction: so star_correction returns both, and
+beta_induced peels h once to read omega(h) and h^[p] off one pass.
+rho at a point, or at a stack of points, is one product with the
+module's action table (gmod.RestrictedModule).  Both correction
+formulas are pinned down by the delta2.delta1 = 0 matrix identity and
+by the closure tests.
+
+Each public evaluation checks (reduces) its vector arguments once and
+hands the reduced vectors to the private kernels; c2_from_vec and
+c3_from_vec reduce their input once, and delta1 and delta2 read the
+cochain off the reduced product without reducing it again.
 
 The matrices of delta1 and delta2 stack the classical block over the
 terms of psi-tilde and of the induced beta on the basis, summed by
@@ -45,7 +56,7 @@ import numpy as np
 
 from .linalg import (Cohomology, InvariantFailure, as_fp, identity, kron_sum, mat_pow_mod,
                      rank, zeros)
-from .liealg import RestrictedLieAlgebra, _peel, quadrature
+from .liealg import RestrictedLieAlgebra, _jacobson_pass, _nodes, _peel
 from .gmod import RestrictedModule, invariants
 from .classical import ClassicalComplex, ModuleComplex
 
@@ -101,32 +112,39 @@ def _form_cells(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _vec_to_form(L, M, v: np.ndarray, k: int) -> np.ndarray:
-    """The alternating k-form with values v on the increasing k-tuples."""
+    """The alternating k-form with values v on the increasing k-tuples
+    (v need not be reduced: each value is reduced as it is placed)."""
     index, sign = _form_cells(L.n, k)
-    val = v[: index.shape[1] * M.m].reshape(-1, M.m) % L.p
+    val = v[: index.shape[1] * M.m].reshape(-1, M.m)
     form = np.zeros((L.n ** k, M.m), dtype=np.int64)
     form[index] = sign * val % L.p
     return form.reshape((L.n,) * k + (M.m,))
 
 
+def _cochain(L, M, v: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-form and the basis values (omega for k = 2, beta for k = 3)
+    of a reduced coordinate vector v; the basis values are a view of v."""
+    n, m = L.n, M.m
+    nform = _tuple_index(n, k)[0].size * m
+    return _vec_to_form(L, M, v, k), v[nform:].reshape((n,) * (k - 1) + (m,))
+
+
 def c2_from_vec(L, M, v: np.ndarray) -> Cochain2:
-    nphi = len(pair_tuples(L.n)) * M.m
-    return Cochain2(_vec_to_form(L, M, v, 2), v[nphi:].reshape(L.n, M.m) % L.p)
+    return Cochain2(*_cochain(L, M, as_fp(v, L.p), 2))
 
 
 def c2_to_vec(L, M, c2: Cochain2) -> np.ndarray:
     phi = c2.phi[_tuple_index(L.n, 2)].reshape(-1)
-    return as_fp(np.concatenate([phi, c2.omega_basis.reshape(-1)]), L.p)
+    return np.concatenate([phi, c2.omega_basis.reshape(-1)]) % L.p
 
 
 def c3_from_vec(L, M, v: np.ndarray) -> Cochain3:
-    nalpha = len(triple_tuples(L.n)) * M.m
-    return Cochain3(_vec_to_form(L, M, v, 3), v[nalpha:].reshape(L.n, L.n, M.m) % L.p)
+    return Cochain3(*_cochain(L, M, as_fp(v, L.p), 3))
 
 
 def c3_to_vec(L, M, c3: Cochain3) -> np.ndarray:
     alpha = c3.alpha[_tuple_index(L.n, 3)].reshape(-1)
-    return as_fp(np.concatenate([alpha, c3.beta_basis.reshape(-1)]), L.p)
+    return np.concatenate([alpha, c3.beta_basis.reshape(-1)]) % L.p
 
 
 def _fix_first(form: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
@@ -144,49 +162,41 @@ def _alpha_eval(alpha: np.ndarray, u, v, w, p: int) -> np.ndarray:
     return _phi_eval(_fix_first(alpha, u, p), v, w, p)
 
 
-def _nodes(L, A, R) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature weights, and per pair of rows (a, r) of A and R the
-    nodes x = t a + r, a k x T x n stack."""
-    ts, ws = quadrature(L.p)
-    return ws, (ts[:, None] * A[:, None] + R[:, None]) % L.p
+def _chain_table(L, M, phi: np.ndarray) -> np.ndarray:
+    """The matrices, at each basis element x, of one step of the chain of
+    the *-property on row vectors [v | u], v in M and u in L:
+    [v | u] -> [phi(u, x) - rho(x) v | [u, x]], built from M.rho, phi
+    and the bracket table.  A step is linear in x, so x @ table
+    (flattened) is the step at any x."""
+    n, m = L.n, M.m
+    table = np.zeros((n, m + n, m + n), dtype=np.int64)
+    table[:, :m, :m] = -M.rho.transpose(0, 2, 1)
+    table[:, m:, :m] = phi.transpose(1, 0, 2)
+    table[:, m:, m:] = L._c_right.reshape(n, n, n)
+    return table
 
 
-def star_correction(L, M, phi: np.ndarray, A: np.ndarray, R: np.ndarray) -> np.ndarray:
+def star_correction(L, M, phi: np.ndarray, A: np.ndarray, R: np.ndarray):
     """The *-property corrections for omega(a + r), with g_1 = a, g_2 = r,
-    summed over the pairs of rows (a, r) of the k x n stacks A and R.
+    summed over the pairs of rows (a, r) of the k x n stacks A and R, and
+    the p-power corrections of the same pairs, whose chain of brackets
+    the pass runs along: a pair (omega correction, x^[p] correction).
 
     Per sequence (l_1, ..., l_p) it is the sum over k of (-1)^k
     rho(l_p) ... rho(l_{p-k+1}) phi([l_1, ..., l_{p-k-1}], l_{p-k}).  At a
     node x every free l equals x, so the k-sum is a Horner pass in rho(x)
-    along the chain [a, r, x, ..., x].  One pass runs every pair and node
-    at once, stopped once every chain and accumulated value vanishes; the
-    chain's matrices are built only if some [a, r] is nonzero.  Without a
-    tail (p = 2: one node, t = 1, of weight 1) it is the sum of the phi(a, r).
+    along the chain [a, r, x, ..., x]: liealg._jacobson_pass steps the
+    value v and the chain u together as [v | u] by _chain_table, from
+    [phi(a, r) | [a, r]] after the first step, and the chain's last
+    value, weighted, is RestrictedLieAlgebra._r2_correction.  Without a
+    tail (p = 2: one node, t = 1, of weight 1) the pair is the sums of
+    the phi(a, r) and of the [a, r].
     """
-    p = L.p
+    m = M.m
     if not len(A):
-        return np.zeros(M.m, dtype=np.int64)
-    acc = R[:, None] @ _fix_first(phi, A, p) % p  # row (s, 0): phi(a_s, r_s)
-    u = A[:, None] @ L._right_ad(R) % p  # row (s, 0): [a_s, r_s]
-    if p == 2 or not (acc.any() or u.any()):
-        return acc.sum(axis=(0, 1)) % p
-    ws, xs = _nodes(L, A, R)
-    acc, u = acc[:, None], u[:, None]
-    rho_x = _fix_first(M.rho.transpose(0, 2, 1), xs, p)  # v -> rho(x) v on row vectors
-    chain = u.any()
-    if chain:
-        ad_x = L._right_ad(xs)
-        phi_x = _fix_first(phi.transpose(1, 0, 2), xs, p)  # row u: phi(u, x)
-    for _ in range(p - 2):
-        acc = -(acc @ rho_x)
-        if chain:
-            acc += u @ phi_x
-            u = u @ ad_x % p
-            chain = u.any()
-        acc %= p
-        if not (chain or acc.any()):
-            break
-    return ws @ acc.sum(axis=0).reshape(-1, M.m) % p
+        return np.zeros(m, dtype=np.int64), L.zero()
+    out = _jacobson_pass(L.p, A, R, _chain_table(L, M, phi), m)
+    return out[:m], out[m:]
 
 
 def star_star_correction(L, M, alpha: np.ndarray, g, H1: np.ndarray, H2: np.ndarray) -> np.ndarray:
@@ -201,7 +211,8 @@ def star_star_correction(L, M, alpha: np.ndarray, g, H1: np.ndarray, H2: np.ndar
     F_j = alpha(., [l_1, ..., l_{p-j-1}], l_{p-j}) and
     T F = rho(x) F + F([., x]) is the action of x on Hom(L, M).  The
     alternating j-sum is a Horner pass in T on n x m matrices, run as
-    star_correction runs its own; without a tail it is the sum of the
+    star_correction runs its own, with rho(x) at every node from one
+    product with M._act; without a tail it is the sum of the
     alpha(g, h1, h2).
     """
     p, n, m = L.p, L.n, M.m
@@ -212,11 +223,12 @@ def star_star_correction(L, M, alpha: np.ndarray, g, H1: np.ndarray, H2: np.ndar
     fixed = _fix_first(wvu, H2, p).reshape(k, n, n * m)
     acc = (H1[:, None] @ fixed % p).reshape(k, 1, n, m)  # row w: alpha(w, h1, h2)
     u = (H1[:, None] @ L._right_ad(H2) % p)[:, None]  # [h1, h2]
-    if p == 2 or not (acc.any() or u.any()):
+    chain = np.count_nonzero(u)
+    if p == 2 or not (chain or np.count_nonzero(acc)):
         return g @ acc.sum(axis=(0, 1)) % p
-    ws, xs = _nodes(L, H1, H2)
-    ad_x, rho_x = L._right_ad(xs), _fix_first(M.rho.transpose(0, 2, 1), xs, p)
-    chain = u.any()
+    ws, xs = _nodes(p, H1, H2)
+    ad_x = L._right_ad(xs)
+    rho_x = (xs @ M._act % p).reshape(xs.shape[:2] + (m, m)).swapaxes(2, 3)  # on row vectors
     if chain:
         alpha_x = _fix_first(wvu, xs, p).reshape(xs.shape[:2] + (n, n * m))  # row v: alpha(., v, x)
     for _ in range(p - 2):
@@ -224,9 +236,9 @@ def star_star_correction(L, M, alpha: np.ndarray, g, H1: np.ndarray, H2: np.ndar
         if chain:
             acc += (u @ alpha_x).reshape(acc.shape)
             u = u @ ad_x % p
-            chain = u.any()
+            chain = np.count_nonzero(u)
         acc %= p
-        if not (chain or acc.any()):
+        if not (chain or np.count_nonzero(acc)):
             break
     return g @ (ws @ acc.sum(axis=0).reshape(-1, n * m) % p).reshape(n, m) % p
 
@@ -236,7 +248,7 @@ def eval_omega(L, M, c2: Cochain2, g, order: str = "asc") -> np.ndarray:
     omega(lam e_i) = lam^p omega(e_i) = lam omega(e_i) on the components of
     g, plus the star_correction summed over liealg's peel of g."""
     g = L._check_vec(g)
-    return (g @ c2.omega_basis + star_correction(L, M, c2.phi, *_peel(g, order))) % L.p
+    return (g @ c2.omega_basis + star_correction(L, M, c2.phi, *_peel(g, order))[0]) % L.p
 
 
 def eval_beta(L, M, c3: Cochain3, g, h, order: str = "asc") -> np.ndarray:
@@ -251,42 +263,56 @@ def eval_beta(L, M, c3: Cochain3, g, h, order: str = "asc") -> np.ndarray:
     return (base - star_star_correction(L, M, c3.alpha, g, *_peel(h, order))) % p
 
 
+def _power_times(X: np.ndarray, k: int, v: np.ndarray, p: int) -> np.ndarray:
+    """X^k v for a reduced square matrix X and vector v, by repeated
+    squaring, stopped once the vector vanishes."""
+    while k and np.count_nonzero(v):
+        if k & 1:
+            v = X @ v % p
+        k >>= 1
+        if k:
+            X = X @ X % p
+    return v
+
+
 def psi_tilde(L, M, psi: np.ndarray, g) -> np.ndarray:
     """Direct formula psi(g^[p]) - g^(p-1).psi(g) for a linear psi given
-    by its basis values (n, m)."""
-    p = L.p
+    by its basis values (n, m); rho(g) is one product with M._act."""
+    p, m = L.p, M.m
     g = L._check_vec(g)
-    first = (L.p_power(g) @ psi) % p
-    act = mat_pow_mod(M.matrix_of(g), p - 1, p)
-    return (first - act @ ((g @ psi) % p)) % p
+    act = _power_times((g @ M._act % p).reshape(m, m), p - 1, g @ psi % p, p)
+    return (L.p_power(g) @ psi - act) % p
 
 
 def beta_induced(L, M, c2: Cochain2, g, h) -> np.ndarray:
     """Direct formula for the beta induced by (phi, omega) at (g, h):
     phi(g, h^[p]) - sum_a (-1)^a rho(h)^a phi([g, h, ..., h], h), with
-    p - 1 - a brackets, + rho(g) omega(h).  The chain g (ad h)^b is read
-    through the matrix of u -> [u, h] and each phi(., h) through one
-    matrix; the a-sum is a Horner pass in rho(h) along the chain, stopped
-    once the chain and the accumulated value vanish."""
-    p = L.p
+    p - 1 - a brackets, + rho(g) omega(h).
+
+    h is peeled once, and one star_correction of its stacks gives the
+    corrections of omega(h) and of h^[p].  The a-sum is a Horner pass at
+    the one point h, [v | u] stepping from [0 | g] by _chain_table,
+    stopped once it vanishes; rho(g) is one product with M._act."""
+    p, n, m = L.p, L.n, M.m
     g = L._check_vec(g)
     h = L._check_vec(h)
-    ad_h, rho_h = L._right_ad(h), M.matrix_of(h)
-    phi_h = _fix_first(c2.phi.transpose(1, 0, 2), h, p)  # row u: phi(u, h)
-    u, acc = g, np.zeros(M.m, dtype=np.int64)
-    for _ in range(p):
-        acc = (u @ phi_h - rho_h @ acc) % p
-        u = u @ ad_h % p
-        if not (u.any() or acc.any()):
+    omega_corr, power_corr = star_correction(L, M, c2.phi, *_peel(h))
+    omega_h = (h @ c2.omega_basis + omega_corr) % p
+    h_p = (h @ L.pi + power_corr) % p
+    step = (h @ _chain_table(L, M, c2.phi).reshape(n, -1) % p).reshape(m + n, m + n)
+    state = g @ step[m:] % p  # [phi(g, h) | [g, h]]
+    for _ in range(p - 1):
+        if not np.count_nonzero(state):
             break
-    out = _phi_eval(c2.phi, g, L.p_power(h), p) - acc
-    return (out + M.matrix_of(g) @ eval_omega(L, M, c2, h)) % p
+        state = state @ step % p
+    out = h_p @ _fix_first(c2.phi, g, p) - state[:m]
+    return (out + (g @ M._act % p).reshape(m, m) @ omega_h) % p
 
 
 def delta1(L, M, psi: np.ndarray) -> Cochain2:
     """Cochain-level delta1: psi -> (delta_cl psi, psi-tilde on basis)."""
     psi = np.asarray(psi, dtype=np.int64).reshape(-1) % L.p
-    return c2_from_vec(L, M, delta1_matrix(L, M) @ psi % L.p)
+    return Cochain2(*_cochain(L, M, delta1_matrix(L, M) @ psi % L.p, 2))
 
 
 def delta1_matrix(L, M) -> np.ndarray:
@@ -306,7 +332,7 @@ def _psi_tilde_block(L, M) -> np.ndarray:
 
 def delta2(L, M, c2: Cochain2) -> Cochain3:
     """Cochain-level delta2: (phi, omega) -> (delta_cl phi, induced beta)."""
-    return c3_from_vec(L, M, delta2_matrix(L, M) @ c2_to_vec(L, M, c2) % L.p)
+    return Cochain3(*_cochain(L, M, delta2_matrix(L, M) @ c2_to_vec(L, M, c2) % L.p, 3))
 
 
 def delta2_matrix(L, M) -> np.ndarray:

@@ -6,7 +6,10 @@ peel (a loop and two recursions, each coding the peel order itself),
 of the three Jacobson corrections one peel pair at a time, as they
 stood before each took the whole peel as two stacks, of
 rescochain.beta_induced as a loop of checked brackets and powers of
-rho(h), of rescochain._vec_to_form as a loop over the permutations,
+rho(h), of rescochain.psi_tilde with the loop p_power and a matrix
+power of rho(g), of gmod.RestrictedModule.matrix_of as the contraction
+np.tensordot made before the module kept its action table, of
+rescochain._vec_to_form as a loop over the permutations,
 and of liealg.verify_restricted, gmod.verify_module and
 field.verify_identities as they stood before their checks were batched
 or written as lazy searches: one basis element or index tuple at a
@@ -114,6 +117,20 @@ def beta_induced(L, M, c2, g, h, order: str = "asc") -> np.ndarray:
         out = (out - (-1) ** a * (acting @ vals[p - 1 - a])) % p
         acting = (acting @ rh) % p
     return (out + M.matrix_of(g) @ eval_omega(L, M, c2, h, order)) % p
+
+
+def matrix_of(M, x) -> np.ndarray:
+    """rho(x) by contracting x with the action stack."""
+    return np.tensordot(M.L._check_vec(x), M.rho, axes=([0], [0])) % M.L.p
+
+
+def psi_tilde(L, M, psi, g) -> np.ndarray:
+    """psi(g^[p]) - rho(g)^(p-1) psi(g), with the loop p_power and the
+    matrix power of rho(g)."""
+    p = L.p
+    g = L._check_vec(g)
+    act = mat_pow_mod(matrix_of(M, g), p - 1, p)
+    return (p_power(L, g) @ psi - act @ ((g @ psi) % p)) % p
 
 
 def vec_to_form(L, M, v, k: int) -> np.ndarray:

@@ -305,6 +305,23 @@ def test_aux_homology_dims(abelian_entry):
         assert reps.shape[0] == dim
 
 
+def test_aux_operators_are_built_once_per_algebra(monkeypatch):
+    # k = 0..n share the 2n+1 right multiplications kept on the algebra
+    built = []
+    original = abelres._right_operators
+    monkeypatch.setattr(abelres, "_right_operators", lambda U: built.append(U.L) or original(U))
+    L = abelian_algebra(3, 3, pi=nonzero_pi(3))
+    dims = [aux_C_homology(L, k)[0] for k in range(L.n + 1)]
+    assert dims == [math.comb(3, k) for k in range(4)]
+    assert built == [L]
+    ops = L._operators
+    assert len(ops) == 2 * L.n + 1
+    assert all(not a.flags.writeable for op in ops for a in (op.rows, op.cols, op.vals))
+    fresh = abelian_algebra(3, 3, pi=nonzero_pi(3))
+    assert aux_C_homology(fresh, 1)[0] == 3 and built == [L, fresh]
+    assert all(np.array_equal(np.asarray(a), np.asarray(b)) for a, b in zip(ops, fresh._operators))
+
+
 def test_aux_guards():
     with pytest.raises(NotAbelian):
         aux_C_homology(witt_algebra(3)[0], 1)

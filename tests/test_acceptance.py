@@ -49,7 +49,7 @@ from rescoh.ures import Ures
 
 from conftest import ABELIAN, CORPUS, coefficient_modules, nonzero_pi
 
-BUDGETS = {1: 1, 2: 1, 3: 2, 4: 8, 5: 1, 6: 1, 7: 1, 8: 1,
+BUDGETS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 1, 6: 1, 7: 1, 8: 1,
            9: 2, 10: 2, 11: 1, 12: 1}
 
 

@@ -13,14 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from rescoh import field, linalg
+from rescoh import field, liealg, linalg, rescochain
 from rescoh.field import verify_identities
 from rescoh.gmod import RestrictedModule, adjoint_module, dual_module, hom_module, verify_module
 from rescoh.classical import delta_cl_matrix
 from rescoh.liealg import _peel, verify_restricted
 from rescoh.linalg import sample_vectors
 from rescoh.rescochain import (_form_cells, _vec_to_form, beta_induced, c2_from_vec, c3_from_vec,
-                               eval_beta, eval_omega, star_correction, star_star_correction)
+                               eval_beta, eval_omega, psi_tilde, star_correction,
+                               star_star_correction)
 
 import jacobson_loops as loops
 from conftest import CORPUS, coefficient_modules, nonzero_pi
@@ -48,9 +49,11 @@ def cochains(L, M, tag: str):
 
 
 def assert_matches_the_loops(L, M, c2, c3, pts, orders, label):
-    """p_power, omega and beta in the given orders, and the induced beta,
-    equal to the loop and recursion oracles at every point (pairs g, h
-    run through the points forwards and backwards)."""
+    """p_power, omega and beta in the given orders, psi-tilde (of the
+    basis values of omega, as psi) and the induced beta, equal to the loop
+    and recursion oracles at every point (pairs g, h run through the
+    points forwards and backwards)."""
+    psi = c2.omega_basis
     for g, h in zip(pts, pts[::-1]):
         for order in orders:
             assert np.array_equal(L.p_power(g, order), loops.p_power(L, g, order)), (label, g)
@@ -58,6 +61,7 @@ def assert_matches_the_loops(L, M, c2, c3, pts, orders, label):
                                   loops.eval_omega(L, M, c2, g, order)), (label, order, g)
             assert np.array_equal(eval_beta(L, M, c3, g, h, order),
                                   loops.eval_beta(L, M, c3, g, h, order)), (label, order, g, h)
+        assert np.array_equal(psi_tilde(L, M, psi, g), loops.psi_tilde(L, M, psi, g)), (label, g)
         assert np.array_equal(beta_induced(L, M, c2, g, h),
                               loops.beta_induced(L, M, c2, g, h)), (label, g, h)
 
@@ -80,6 +84,8 @@ def test_peel_of_zero_and_of_one_component():
         assert np.array_equal(eval_omega(L, M, c2, g), loops.eval_omega(L, M, c2, g))
         assert np.array_equal(eval_beta(L, M, c3, g, h), loops.eval_beta(L, M, c3, g, h))
         assert np.array_equal(L.p_power(g), loops.p_power(L, g))
+        assert np.array_equal(psi_tilde(L, M, c2.omega_basis, g),
+                              loops.psi_tilde(L, M, c2.omega_basis, g))
         assert np.array_equal(beta_induced(L, M, c2, g, h), loops.beta_induced(L, M, c2, g, h))
     for x in (zero, e2, (e2 + L.basis_vector(4)) % 5):
         for order in ORDERS:
@@ -116,7 +122,9 @@ def test_stacked_corrections_sum_the_single_pair_oracles(corpus_entry):
             star2 = sum((loops.star_star_correction(L, M, alpha, g, a, r) for a, r in zip(A, R)),
                         zero) % p
             assert np.array_equal(L._r2_correction(A, R), r2), (name, k)
-            assert np.array_equal(star_correction(L, M, phi, A, R), star), (name, k)
+            omega_corr, power_corr = star_correction(L, M, phi, A, R)
+            assert np.array_equal(omega_corr, star), (name, k)
+            assert np.array_equal(power_corr, r2), (name, k)
             assert np.array_equal(star_star_correction(L, M, alpha, g, A, R), star2), (name, k)
 
 
@@ -161,6 +169,48 @@ def test_peel_refuses_an_unknown_order():
                          lambda: eval_beta(L, M, c3, x, x, bad), lambda: _peel(x, bad)):
                 with pytest.raises(ValueError, match="peel order"):
                     call()
+
+
+def test_each_evaluation_peels_its_point_once(monkeypatch):
+    # beta_induced reads h^[p] and omega(h) off one peel of h
+    L = next(L for tag, L in CORPUS if tag == "witt_p5")
+    M = adjoint_module(L)
+    c2, c3 = cochains(L, M, "count")
+    g, h = 1 + sample_vectors(L.p - 1, L.n, 2, "count-gh")
+    peeled = []
+
+    def counting(x, order="asc"):
+        peeled.append(x.tolist())
+        return _peel(x, order)
+
+    monkeypatch.setattr(liealg, "_peel", counting)
+    monkeypatch.setattr(rescochain, "_peel", counting)
+    calls = {"p_power": (lambda: L.p_power(g), g),
+             "eval_omega": (lambda: eval_omega(L, M, c2, g), g),
+             "psi_tilde": (lambda: psi_tilde(L, M, c2.omega_basis, g), g),
+             "eval_beta": (lambda: eval_beta(L, M, c3, g, h), h),
+             "beta_induced": (lambda: beta_induced(L, M, c2, g, h), h)}
+    for name, (call, point) in calls.items():
+        peeled.clear()
+        call()
+        assert peeled == [point.tolist()], name
+
+
+def test_matrix_of_is_one_product_with_a_read_only_table(corpus_entry):
+    tag, L = corpus_entry
+    A = adjoint_module(L)
+    modules = [M for _, M in coefficient_modules(L)] + [dual_module(A)]
+    if L.n <= 3:
+        modules.append(hom_module(A, A))
+    pts = points(L, 4, f"matrix-{tag}")
+    for M in modules:
+        for x in pts:
+            assert np.array_equal(M.matrix_of(x), loops.matrix_of(M, x)), (tag, x)
+            assert np.array_equal(M.matrix_of((x + L.p).tolist()), loops.matrix_of(M, x)), (tag, x)
+        assert np.array_equal(M._act.reshape(M.rho.shape), M.rho)
+        assert not M._act.flags.writeable
+        with pytest.raises(ValueError):
+            M._act[0, 0] = 1
 
 
 def test_vec_to_form_matches_the_permutation_loop(corpus_entry):

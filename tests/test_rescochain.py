@@ -232,9 +232,9 @@ def test_corrections_match_enumeration(entry):
             phi = phi.reshape(n, n, m)
             alpha = alpha.reshape(n, n, n, m)
             g, a, b = pts[:n], pts[n : 2 * n], pts[2 * n :]
-            assert np.array_equal(
-                star_correction(L, M, phi, a[None], b[None]), star_enumeration(L, M, phi, a, b)
-            ), (tag, mname, pts)
+            omega_corr, power_corr = star_correction(L, M, phi, a[None], b[None])
+            assert np.array_equal(omega_corr, star_enumeration(L, M, phi, a, b)), (tag, mname, pts)
+            assert np.array_equal(power_corr, L._r2_correction(a[None], b[None])), (tag, pts)
             assert np.array_equal(
                 star_star_correction(L, M, alpha, g, a[None], b[None]),
                 star_star_enumeration(L, M, alpha, g, a, b),
@@ -258,7 +258,7 @@ def test_star_property_of_psi_tilde():
                     - psi_tilde(L, M, psi, a)
                     - psi_tilde(L, M, psi, b)
                 ) % p
-                rhs = star_correction(L, M, phi, a[None], b[None])
+                rhs = star_correction(L, M, phi, a[None], b[None])[0]
                 assert (lhs == rhs).all(), (mname, a, b)
 
 
@@ -454,7 +454,7 @@ def test_closure_past_the_old_bound():
         lhs = (
             psi_tilde(L, M, psi, (a + b) % p) - psi_tilde(L, M, psi, a) - psi_tilde(L, M, psi, b)
         ) % p
-        assert np.array_equal(lhs, star_correction(L, M, phi, a[None], b[None])), mname
+        assert np.array_equal(lhs, star_correction(L, M, phi, a[None], b[None])[0]), mname
         c2 = random_c2(L, M, f"big-ss-{mname}")
         c3 = delta2(L, M, c2)
         g, h = sample_vectors(p, n, 2, f"big-ss-gh-{mname}")
