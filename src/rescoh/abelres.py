@@ -180,7 +180,7 @@ def _generator_terms(L: RestrictedLieAlgebra, src: list, dst: list) -> list[tupl
 def _times_generator(L: RestrictedLieAlgebra, rank, src, coef) -> list[np.ndarray]:
     """(rank, src, coef) entries of coef·(monomial `rank`)·x_g, g = src // p^n, unsummed.
 
-    The abelian branch of Ures.mono_times_gen in vectorised rounds: an
+    Ures.mono_times_gen on an abelian algebra, in vectorised rounds: an
     exponent of x_g below p-1 is bumped; one at p-1 is cleared and the
     entry goes on as one entry per nonzero π_gl, times x_l.  The cleared
     monomial's degree falls every round, so the rounds end.

@@ -15,8 +15,8 @@ ops rho(e_j) and 1, summed densely by linalg.kron_sum.
 
 A ClassicalComplex is the linalg.Complex of these coboundaries for one
 (L, M); the restricted complex of the pair takes its classical blocks from it.
-Both are ModuleComplexes: what they compute is kept on M, so every complex
-of one kind over M, and every call that builds one, shares it.
+What both compute is kept on M, so every complex of one kind over M, and
+every call that builds one, shares it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 # perfbench wraps classical.nullspace
-from .linalg import Cohomology, Complex, identity, kron_sum, nullspace  # noqa: F401
+from .linalg import Complex, identity, kron_sum, nullspace  # noqa: F401
 from .liealg import RestrictedLieAlgebra
 from .gmod import RestrictedModule
 
@@ -58,38 +58,17 @@ def delta_cl_matrix(L: RestrictedLieAlgebra, M: RestrictedModule, q: int) -> np.
     return kron_sum((len(dst), len(src)), terms, [*M.rho, identity(M.m)], L.p)
 
 
-def _read_only(a):
-    if a is not None:
-        a.setflags(write=False)
-    return a
-
-
-class ModuleComplex(Complex):
-    """A linalg.Complex over one (L, M) whose maps, ranks and groups live on
-    M, shared by every complex of the same ``kind`` over M.  Those maps and
-    the arrays of those groups are read-only.  M holds no complex, so no
+class ClassicalComplex(Complex):
+    """The Chevalley-Eilenberg complex of one (L, M), delta_cl_matrix from q = 0.
+    Its maps, ranks and groups live on M, which holds no complex, so no
     cycle keeps a dropped module alive.
 
     Raises MixedAlgebras if M is a module over another algebra than L.
     """
 
-    def __init__(self, L: RestrictedLieAlgebra, M: RestrictedModule, kind: str, build):
-        super().__init__(lambda k: _read_only(build(k)), L.p)
-        self._maps, self._ranks, self._groups = M._store(L, kind)
-
-    def cohomology(self, k: int) -> Cohomology:
-        H = super().cohomology(k)
-        for a in (H.cycles, H.boundaries, H.reps):
-            a.setflags(write=False)
-        return H
-
-
-class ClassicalComplex(ModuleComplex):
-    """The Chevalley-Eilenberg complex of one (L, M), delta_cl_matrix from q = 0."""
-
     def __init__(self, L: RestrictedLieAlgebra, M: RestrictedModule):
-        super().__init__(L, M, "classical",
-                         lambda q: delta_cl_matrix(L, M, q) if q >= 0 else None)
+        super().__init__(lambda q: delta_cl_matrix(L, M, q) if q >= 0 else None, L.p)
+        self._maps, self._ranks, self._groups = M._store(L, "classical")
 
 
 def classical_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule, q: int):

@@ -38,7 +38,7 @@ from .linalg import InvariantFailure, UsageError
 from .liealg import NotRestrictable, infer_p_operator, verify_restricted, witt_algebra
 from .rescochain import Cochain2, RestrictedComplex, compare_classical, restricted_cohomology
 
-_USAGE_ERRORS = (UsageError, FileNotFoundError)
+_USAGE_ERRORS = (UsageError, OSError)
 
 
 def _jsonable(x):

@@ -3,9 +3,8 @@
 Primality, inverses and modular binomial coefficients of plain ints, and
 exhaustive verifiers for the four families of binomial identities the cochain formulas depend on.
 Only prime fields are supported: over GF(p) the Frobenius map is the
-identity, so p-semilinear maps coincide with linear ones.  Formulas
-still raise scalars to the p-th power where the theory says so, in case
-the field type is ever generalized.
+identity, so p-semilinear maps coincide with linear ones, and the
+cochain formulas take lambda^p = lambda on coordinates.
 """
 
 from __future__ import annotations

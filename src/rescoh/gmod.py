@@ -9,7 +9,7 @@ linalg.CHECK_CELLS cells.  A module keeps rho as a read-only n x m^2
 table, so rho(x) at one point or at a stack of points is one product.
 
 A module keeps what the complexes over it compute (coboundaries, ranks,
-cohomology groups; see classical.ModuleComplex), so every complex of
+cohomology groups; see RestrictedModule._store), so every complex of
 one kind over it builds each map once.  It holds arrays and Cohomology
 objects only, never a complex, so a dropped module is freed at once,
 and its action is read-only, so what it keeps cannot go stale.  The

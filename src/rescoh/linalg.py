@@ -238,13 +238,13 @@ def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
     SparseMatrix, per op broadcasting its terms' block offsets over its
     index arrays: the north-star resolution's 6,250 × 12,500 d₃ cannot
     be dense.  Array ops give an array, one block add per term; each
-    adds below p² < 2^32, so one reduction at the end is exact.  The
-    median job of the jacobson-cohomology benchmark takes about 1 ms and
-    builds up to five tiny coboundaries, where the sparse branch took
-    0.08-0.24 ms a build against 0.01-0.05 ms dense (Heisenberg p=3 and
-    solvable p=5, adjoint; 2-core host, Python 3.11).  Refused from
-    MODULUS_LIMIT up, and a dense result above DENSE_CELLS cells with
-    TooLarge before it is allocated.
+    adds below p² < 2^32, so one reduction at the end is exact.  A CLI
+    cohomology job of the jacobson-cohomology benchmark (those jobs set
+    its 90th percentile) takes about 2 ms and builds up to five tiny
+    coboundaries, where the sparse branch took 0.08-0.24 ms a build
+    against 0.01-0.05 ms dense (Heisenberg p=3 and solvable p=5, adjoint;
+    2-core host, Python 3.11).  Refused from MODULUS_LIMIT up, and a dense
+    result above DENSE_CELLS cells with TooLarge before it is allocated.
     """
     _check_modulus(p, "kron_sum")
     R, C = blocks
@@ -740,7 +740,8 @@ def cohomology(incoming, outgoing, p: int) -> Cohomology:
 class Complex:
     """A cochain complex over GF(p): ``build(k)`` gives δ(k): C^k -> C^(k+1), an
     array, a SparseMatrix or None, and each map, rank and group is computed
-    once.  A chain complex d_k: C_k -> C_(k-1) is read as C^(-k) = C_k."""
+    once, each array map and group array read-only, since they may be shared.
+    A chain complex d_k: C_k -> C_(k-1) is read as C^(-k) = C_k."""
 
     def __init__(self, build, p: int):
         self._build, self.p = build, p
@@ -748,7 +749,9 @@ class Complex:
 
     def delta(self, k: int):
         if k not in self._maps:
-            self._maps[k] = self._build(k)
+            self._maps[k] = d = self._build(k)
+            if isinstance(d, np.ndarray):
+                d.setflags(write=False)
         return self._maps[k]
 
     def rank(self, k: int) -> int:
@@ -765,7 +768,9 @@ class Complex:
 
     def cohomology(self, k: int) -> Cohomology:
         if k not in self._groups:
-            self._groups[k] = cohomology(self.delta(k - 1), self.delta(k), self.p)
+            self._groups[k] = H = cohomology(self.delta(k - 1), self.delta(k), self.p)
+            for a in (H.cycles, H.boundaries, H.reps):
+                a.setflags(write=False)
         return self._groups[k]
 
 

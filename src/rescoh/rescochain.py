@@ -41,9 +41,10 @@ linalg.kron_sum with ops 1, rho(e_j)^a and rho(e_i)^(p-1).
 A RestrictedComplex is the linalg.Complex of these matrices for one
 (L, M), stacked on its own ClassicalComplex, so restricted H^k,
 classical H^k and the comparison map between them share every matrix.
-Both keep what they build on M (classical.ModuleComplex), so delta1,
-delta2, their matrices, restricted_cohomology and compare_classical
-build each coboundary of a module once, however often they are called.
+Both keep what they build on M (gmod.RestrictedModule._store), so
+delta1, delta2, their matrices, restricted_cohomology and
+compare_classical build each coboundary of a module once, however often
+they are called.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Cohomology, InvariantFailure, as_fp, identity, kron_sum, mat_pow_mod,
-                     rank, zeros)
+from .linalg import (Cohomology, Complex, InvariantFailure, as_fp, identity, kron_sum,
+                     mat_pow_mod, rank, zeros)
 from .liealg import RestrictedLieAlgebra, _jacobson_pass, _nodes, _peel
 from .gmod import RestrictedModule, invariants
-from .classical import ClassicalComplex, ModuleComplex
+from .classical import ClassicalComplex, cochain_tuples
 
 
 @dataclass
@@ -77,19 +78,11 @@ class Cochain3:
     beta_basis: np.ndarray
 
 
-def pair_tuples(n: int) -> list[tuple]:
-    return list(itertools.combinations(range(n), 2))
-
-
-def triple_tuples(n: int) -> list[tuple]:
-    return list(itertools.combinations(range(n), 3))
-
-
 @functools.lru_cache(maxsize=None)
 def _tuple_index(n: int, k: int) -> tuple:
     """The increasing k-tuples of range(n), in lex order, as k index arrays,
     read-only since every caller shares them."""
-    at = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64).reshape(-1, k).T
+    at = np.array(cochain_tuples(n, k), dtype=np.int64).reshape(-1, k).T
     at.setflags(write=False)
     return tuple(at)
 
@@ -352,7 +345,7 @@ def _beta_block(L, M) -> np.ndarray:
     sum of rho(e_j)^a phi([e_i, e_j, ..., e_j], e_j) over p-1-a brackets,
     read off powers of the matrix of u -> [u, e_j], and rho(e_i) omega(e_j)."""
     n, p = L.n, L.p
-    pairs, phi_block = pair_tuples(n), {}  # (a, b), a != b: phi column block and sign
+    pairs, phi_block = cochain_tuples(n, 2), {}  # (a, b), a != b: phi column block and sign
     for r, (a, b) in enumerate(pairs):
         phi_block[a, b], phi_block[b, a] = (r, 1), (r, -1)
     # rho(e_j)^a at j*p + a, then rho(e_i) at n*p + i
@@ -377,7 +370,7 @@ def _beta_block(L, M) -> np.ndarray:
     return kron_sum((n * n, len(pairs) + n), terms, ops, p)
 
 
-class RestrictedComplex(ModuleComplex):
+class RestrictedComplex(Complex):
     """The restricted complex of one (L, M) in degrees 0..3.  delta(0)
     and the classical blocks of delta(1) and delta(2) come from
     ``classical``, so the two complexes and the comparison map between
@@ -398,7 +391,8 @@ class RestrictedComplex(ModuleComplex):
                 return np.vstack([np.hstack([top, zeros(len(top), L.n * M.m)]), _beta_block(L, M)])
             return top
 
-        super().__init__(L, M, "restricted", stack)
+        super().__init__(stack, L.p)
+        self._maps, self._ranks, self._groups = M._store(L, "restricted")
 
     def cohomology(self, k: int) -> Cohomology:
         """Restricted H^k for k in {1, 2}."""

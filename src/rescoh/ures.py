@@ -45,7 +45,6 @@ class Ures:
         self.n = L.n
         self.basis_bound = basis_bound
         self.unit_mono = (0,) * L.n
-        self._commutative = L.is_abelian
         self._cache: dict = {}
 
     def dim(self) -> int:
@@ -90,19 +89,14 @@ class Ures:
 
     def mono_times_gen(self, mono: tuple, g: int) -> Element:
         """Normal form of (ordered monomial) * e_g.  Results are cached;
-        callers must not mutate them.
-
-        Over an abelian algebra e_g commutes with every factor, so the
-        product is one exponent bump or, at exponent p-1, one substitution
-        of e_g^p by its p-operator image.
-        """
+        callers must not mutate them."""
         key = (mono, g)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         p, n, c = self.p, self.n, self.L.c
         out: dict = {}
-        tail = [] if self._commutative else [h for h in range(g + 1, n) if mono[h] > 0]
+        tail = [h for h in range(g + 1, n) if mono[h] > 0]
         if not tail:
             k = mono[g]
             if k + 1 < p:

@@ -24,7 +24,7 @@ import numpy as np
 
 from rescoh.classical import cochain_tuples
 from rescoh.linalg import mat_pow_mod
-from rescoh.rescochain import Cochain2, Cochain3, _phi_eval, pair_tuples, triple_tuples
+from rescoh.rescochain import Cochain2, Cochain3, _phi_eval
 
 
 def delta_cl_matrix(L, M, q: int) -> np.ndarray:
@@ -66,7 +66,7 @@ def delta_cl_matrix(L, M, q: int) -> np.ndarray:
 def pair_vec_to_tensor(L, M, v: np.ndarray) -> np.ndarray:
     n, m, p = L.n, M.m, L.p
     phi = np.zeros((n, n, m), dtype=np.int64)
-    for r, (i, j) in enumerate(pair_tuples(n)):
+    for r, (i, j) in enumerate(cochain_tuples(n, 2)):
         val = v[r * m : (r + 1) * m] % p
         phi[i, j] = val
         phi[j, i] = (-val) % p
@@ -75,7 +75,7 @@ def pair_vec_to_tensor(L, M, v: np.ndarray) -> np.ndarray:
 
 def tensor_to_pair_vec(L, M, phi: np.ndarray) -> np.ndarray:
     m = M.m
-    ps = pair_tuples(L.n)
+    ps = cochain_tuples(L.n, 2)
     out = np.zeros(len(ps) * m, dtype=np.int64)
     for r, (i, j) in enumerate(ps):
         out[r * m : (r + 1) * m] = phi[i, j] % L.p
@@ -85,7 +85,7 @@ def tensor_to_pair_vec(L, M, phi: np.ndarray) -> np.ndarray:
 def triple_vec_to_tensor(L, M, v: np.ndarray) -> np.ndarray:
     n, m, p = L.n, M.m, L.p
     alpha = np.zeros((n, n, n, m), dtype=np.int64)
-    for r, (i, j, k) in enumerate(triple_tuples(n)):
+    for r, (i, j, k) in enumerate(cochain_tuples(n, 3)):
         val = v[r * m : (r + 1) * m] % p
         for perm, sgn in (
             ((i, j, k), 1),

@@ -11,10 +11,10 @@ oracle for linalg.cohomology and the complexes built on it.
 
 import numpy as np
 
-from rescoh.classical import delta_cl_matrix
+from rescoh.classical import cochain_tuples, delta_cl_matrix
 from rescoh.gmod import invariants
 from rescoh.linalg import NotAComplex, as_fp, matmul_mod, zeros
-from rescoh.rescochain import delta1_matrix, delta2_matrix, pair_tuples
+from rescoh.rescochain import delta1_matrix, delta2_matrix
 
 from dense_rref import nullspace, row_space, rref, solve
 
@@ -110,7 +110,7 @@ def compare_classical(L, M, k: int):
     d_res, reps_res = restricted_cohomology(L, M, k)
     d_cl, reps_cl = classical_cohomology(L, M, k)
     boundary = delta_cl_matrix(L, M, k - 1)
-    nphi = len(pair_tuples(L.n)) * M.m
+    nphi = len(cochain_tuples(L.n, 2)) * M.m
     map_matrix = np.zeros((d_cl, d_res), dtype=np.int64)
     for col in range(d_res):
         z = reps_res[col]

@@ -212,6 +212,15 @@ def test_missing_file_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["witt", "--p", "3", "--emit"]],
+                         ids=["validate", "witt_emit"])
+def test_a_directory_path_exits_two(tmp_path, capsys, argv):
+    # an OSError other than a missing file is a usage error too, not a traceback
+    code, report, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 2 and report is None
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_non_prime_field_exits_two(tmp_path, capsys):
     path = write(tmp_path, "gf4.alg", "algebra a over GF(4)\nbasis x\npmap x^[p] = 0\n")
     code, report, err = run_cli(capsys, "validate", path)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rescoh import linalg
 from rescoh.linalg import (
     MODULUS_LIMIT,
+    Complex,
     InvariantFailure,
     ModulusTooLarge,
     NotAComplex,
@@ -218,6 +219,24 @@ def test_sparse_matrix_arrays_are_read_only():
             x += 1
     shape, *entries = linalg._nonzeros(m, 7)
     assert shape == m.shape and all(x is y for x, y in zip(entries, (m.rows, m.cols, m.vals)))
+
+
+def test_a_complex_keeps_read_only_maps_and_groups():
+    # a plain Complex over a dense build, as the dualized resolution and the
+    # formal complex make: its callers share what it keeps
+    p = 3
+    maps = {0: [[1, 0], [0, 0], [0, 0]], 1: [[0, 1, 0]]}
+    cx = Complex(lambda k: as_fp(maps[k], p) if k in maps else None, p)
+    for k in maps:
+        d = cx.delta(k)
+        assert d is cx.delta(k) and not d.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 0] = 2
+    for k, dim in enumerate([1, 1, 0]):
+        H = cx.cohomology(k)
+        assert H is cx.cohomology(k) and H.dim == cx.dim(k) == dim
+        for a in (H.cycles, H.boundaries, H.reps):
+            assert not a.flags.writeable
 
 
 def test_kernels_leave_the_sparse_arrays_as_they_were():

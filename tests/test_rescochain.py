@@ -1,5 +1,7 @@
 """Restricted cochain complex: coboundaries, extensions, comparison map."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,15 +32,13 @@ from rescoh.rescochain import (
     delta2_matrix,
     eval_beta,
     eval_omega,
-    pair_tuples,
     psi_tilde,
     restricted_cohomology,
     star_correction,
     star_star_correction,
-    triple_tuples,
 )
 
-from rescoh.classical import classical_cohomology, delta_cl_matrix
+from rescoh.classical import classical_cohomology, cochain_tuples, delta_cl_matrix
 
 import cochain_loops
 import jacobson_loops
@@ -91,8 +91,13 @@ def test_matrix_shapes(corpus_entry):
     d2 = delta2_matrix(L, M)
     assert d1.shape == (n * (n + 1) // 2 * m, n * m), tag
     assert d2.shape == (n * (n + 1) * (n + 2) // 6 * m, n * (n + 1) // 2 * m), tag
-    assert len(pair_tuples(n)) == n * (n - 1) // 2
-    assert len(triple_tuples(n)) == n * (n - 1) * (n - 2) // 6
+    for size in {n, *range(6)}:
+        for k in (1, 2, 3):
+            tuples = cochain_tuples(size, k)
+            assert len(tuples) == math.comb(size, k)
+            # _tuple_index holds the same tuples, one index array per slot
+            rows = np.stack(rescochain._tuple_index(size, k), axis=1).tolist()
+            assert list(map(tuple, rows)) == tuples
 
 
 def test_composites_vanish(corpus_entry):
@@ -309,7 +314,7 @@ def test_peel_order_independence_iff_classical_cocycle_part():
     for L in (witt_algebra(3)[0], heisenberg_algebra(5), solvable2_algebra(3)):
         for mname, M in coefficient_modules(L):
             p, n, m = L.p, L.n, M.m
-            nphi = len(pair_tuples(n)) * m
+            nphi = len(cochain_tuples(n, 2)) * m
             width = n * (n + 1) // 2 * m
             Z = nullspace(delta_cl_matrix(L, M, 2), p)
             for t in range(4):
@@ -350,7 +355,7 @@ def test_peel_order_witness_for_non_cocycle_phi():
     L = witt_algebra(3)[0]
     M = adjoint_module(L)
     p, n, m = L.p, L.n, M.m
-    nphi = len(pair_tuples(n)) * m
+    nphi = len(cochain_tuples(n, 2)) * m
     width = n * (n + 1) // 2 * m
     d2cl = delta_cl_matrix(L, M, 2)
     tries = 0
