@@ -285,9 +285,10 @@ def resolution_homology(res: Resolution, k: int) -> int:
 def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     """Homology of the wedge-only complex Λ^k ⊗ U_res at degree k.
 
-    Returns (dim, representatives); dim is C(n,k).  With zero p-operator
-    the representatives are e_I ⊗ Π e_i^{p−1}; otherwise they are the
-    products of the cycles c_i.  Both facts are verified, not assumed.
+    Returns (dim, representatives); dim is C(n,k), and the
+    representatives are the products c_I of the cycles c_i, which with
+    zero p-operator are (−1)^k e_I ⊗ Π x_i^{p−1}.  Both facts are
+    verified, not assumed.
     The 2n+1 right multiplications are built on the first call for L and
     kept on it (read-only, as L._adjoint), so k = 0..n build them once.
     """
@@ -309,12 +310,8 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
         itertools.combinations(range(n), k), monos))}
     reps = zeros(math.comb(n, k), len(basis_index))
     for row, I in enumerate(itertools.combinations(range(n), k)):
-        if L.pi.any():
-            for x, v in _c_product(L, U, I).items():
-                reps[row, basis_index[(x.I, x.r)]] = v
-        else:
-            mono = tuple(p - 1 if j in I else 0 for j in range(n))
-            reps[row, basis_index[(I, mono)]] = 1
+        for x, v in _c_product(L, U, I).items():
+            reps[row, basis_index[(x.I, x.r)]] = v
     which, at = np.nonzero(reps)
     rep_cols = SparseMatrix((len(basis_index), len(reps)), at, which, reps[which, at], p)
     if d_out is not None and (d_out @ rep_cols).vals.size:

@@ -83,10 +83,10 @@ def verify_identities(p: int, bound: int = IDENTITY_BOUND) -> list[dict]:
     values and both sides.
     """
     p = int(p)
-    if not is_prime(p):
-        raise NonPrimeModulus(f"{p} is not prime")
     if p > bound:
         raise UsageError(f"p={p} above configured bound {bound}")
+    if not is_prime(p):
+        raise NonPrimeModulus(f"{p} is not prime")
     comb = math.comb
     reflection = ((s, t, binom_mod(p - 1 - s, t, p), pow(-1, s + t) * comb(p - 1 - t, s) % p)
                   for s in range(p) for t in range(p))

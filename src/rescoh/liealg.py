@@ -35,7 +35,8 @@ import numpy as np
 
 from .field import NonPrimeModulus, is_prime
 from .linalg import (MODULUS_LIMIT, InvariantFailure, ModulusTooLarge, UsageError, _check,
-                     _failing, _report, as_fp, identity, mat_pow_mod)
+                     _check_modulus as _check_limit, _failing, _report, as_fp, identity,
+                     mat_pow_mod, rref)
 
 
 class DimensionMismatch(ValueError):
@@ -53,8 +54,7 @@ class VerificationFailed(UsageError):
 def _check_modulus(p) -> int:
     """p as an int if it is a prime below MODULUS_LIMIT, the limit tested first."""
     p = int(p)
-    if p >= MODULUS_LIMIT:
-        raise ModulusTooLarge(f"GF({p}): modulus {p} is not below {MODULUS_LIMIT}")
+    _check_limit(p, f"GF({p})")
     if not is_prime(p):
         raise NonPrimeModulus(f"GF({p}): modulus {p} is not prime")
     return p
@@ -277,8 +277,11 @@ def infer_p_operator(c, p: int) -> np.ndarray:
     """Solve for a p-operator table making (p, c) a restricted Lie algebra.
 
     For each basis element the p-th power of its adjoint matrix must be
-    inner; the returned table uses the deterministic particular solution
-    of each linear system (free coordinates zero).  When the center is
+    inner: one rref of [A | (ad e_0)^p ... (ad e_{n-1})^p], A's columns
+    the ad e_i, solves all n systems.  The first target column to take a
+    pivot is the first (ad e_j)^p outside A's span; with none, row j of
+    the table is the particular solution of system j with free
+    coordinates zero, read off the pivot rows.  When the center is
     nonzero the solutions form a coset of the center, and every one of
     them is a valid p-map (module docstring); the verification pass
     after solving re-checks the choice made.
@@ -288,19 +291,15 @@ def infer_p_operator(c, p: int) -> np.ndarray:
         InvariantFailure: the solved table fails verification, which
             Jacobson's theorem rules out, so this is a bug.
     """
-    from .linalg import solve
-
     probe = RestrictedLieAlgebra(p, c, np.zeros((np.asarray(c).shape[0],) * 2), check=True)
     n = probe.n
-    ads = probe.ad_basis()
-    A = np.stack([m.reshape(-1) for m in ads], axis=1) % p
+    ads = np.stack(probe.ad_basis())
+    R, rk, pivots = rref(np.concatenate([ads, mat_pow_mod(ads, p, p)]).reshape(2 * n, -1).T, p)
+    outside = [k - n for k in pivots if k >= n]
+    if outside:
+        raise NotRestrictable(f"(ad e_{outside[0]})^{p} is not an inner derivation")
     pi = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        target = mat_pow_mod(ads[j], p, p).reshape(-1)
-        x = solve(A, target, p)
-        if x is None:
-            raise NotRestrictable(f"(ad e_{j})^{p} is not an inner derivation")
-        pi[j] = x
+    pi[:, pivots] = R[:rk, n:].T
     failing = _failing(verify_restricted(RestrictedLieAlgebra(p, c, pi, check=True)))
     if failing is not None:
         raise InvariantFailure(f"inferred table fails verification: {failing!r}")

@@ -3,17 +3,19 @@
 Matrices are numpy int64 arrays with entries reduced mod p, acting on
 coordinate column vectors; very sparse ones, such as the abelian
 resolution's differentials, are kept as a SparseMatrix.  ``rref`` and
-``rank`` read either form as nonzero index arrays, exact for any p:
-``rref`` eliminates on {column: value} row dicts in Python ints;
-``rank`` peels the pivots of columns and rows with one nonzero, reduces
-the small connected components of the rest together in numpy stacks
-and leaves the big ones to the row dicts, which alone need the entries
-sorted by row.  The products and ``cohomology`` sum in int64 and refuse
-p from MODULUS_LIMIT up.  A reduced echelon form is unique, so every
-basis returned here is reproducible.  ``cohomology`` turns a pair of
-composable maps into their quotient ker/im with canonical
-representatives, eliminating each map once; a ``Complex``, which every
-complex of the package is, builds and ranks each of its maps once.
+``rank`` read either form as nonzero index arrays: ``rref`` eliminates
+on {column: value} row dicts; ``rank`` peels the pivots of columns and
+rows with one nonzero, reduces the small connected components of the
+rest together in int64 numpy stacks and leaves the big ones to the row
+dicts, which alone need the entries sorted by row.  Every kernel is
+int64 and refuses p from MODULUS_LIMIT up: the eliminations where they
+read their input, a SparseMatrix at construction, the products and
+``kron_sum``, which read raw arrays, on entry.  A reduced echelon form
+is unique, so every basis returned here is reproducible.
+``cohomology`` turns a pair of composable maps into their quotient
+ker/im with canonical representatives, eliminating each map once; a
+``Complex``, which every complex of the package is, builds and ranks
+each of its maps once.
 ``kron_sum`` builds every coboundary and differential of the package
 from its list of block terms, dense or sparse by the type of its ops.
 The error bases live here, with the one check form (``_check``,
@@ -93,7 +95,7 @@ MODULUS_LIMIT = 1 << 16
 def _check_modulus(p: int, label: str) -> None:
     """Refuse p from MODULUS_LIMIT up, where int64 product sums stop being exact."""
     if p >= MODULUS_LIMIT:
-        raise ModulusTooLarge(f"{label}: GF({p}) products need p below {MODULUS_LIMIT}")
+        raise ModulusTooLarge(f"{label}: modulus {p} is not below {MODULUS_LIMIT}")
 
 
 def _summed(n_rows: int, rows, cols, vals, p: int):
@@ -120,13 +122,14 @@ class SparseMatrix:
     takes entries in any order, sums those at one position mod p and
     drops zeros, so a matrix has one form and equal matrices equal arrays.
     ``np.asarray`` gives the dense int64 form for dense consumers
-    (``matmul_mod``, tests); ``@`` and ``check_composite`` refuse p from
-    MODULUS_LIMIT up.
+    (``matmul_mod``, tests).  A p from MODULUS_LIMIT up is refused here,
+    so ``@`` and ``check_composite`` sum in int64 exactly.
     """
 
     __slots__ = ("shape", "rows", "cols", "vals", "ptr", "p")
 
     def __init__(self, shape: tuple[int, int], rows, cols, vals, p: int):
+        _check_modulus(p, "SparseMatrix")
         n_rows, n_cols = shape = (int(shape[0]), int(shape[1]))
         rows, cols, vals = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (rows, cols, vals))
         if not rows.size == cols.size == vals.size:
@@ -193,7 +196,6 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
     """
     if a.shape[1] != b.shape[0] or a.p != b.p:
         raise ValueError(f"{label}: GF({a.p}) {a.shape} and GF({b.p}) {b.shape} do not compose")
-    _check_modulus(a.p, label)
     a_start = a.ptr[b.rows]  # column b.rows[e] of a starts here
     counts = a.ptr[b.rows + 1] - a_start
     work = np.concatenate(([0], np.cumsum(counts)))[b.ptr]  # products before each column of b
@@ -270,7 +272,9 @@ def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
 def _nonzeros(a, p: int):
     """Shape and the nonzero entries of a as int64 arrays (rows, cols, vals),
     with vals in [1, p): a SparseMatrix's sorted by column, then row (its
-    own arrays at its own p), an array's sorted by row, then column."""
+    own arrays at its own p), an array's sorted by row, then column.  Every
+    elimination starts here, so this refuses p from MODULUS_LIMIT up."""
+    _check_modulus(p, "elimination")
     if isinstance(a, SparseMatrix):
         if a.p == p:
             return a.shape, a.rows, a.cols, a.vals
@@ -390,8 +394,7 @@ def _stacked_rank(shape, r, c, v, p):
     reduced mod p, back to B = p − 1, only when (p − 1)B reaches 2^62
     and the next step could leave int64.  So it is reduced every 62
     steps at p = 2, 20 at p = 5, 12 at p = 13, 3 up to p = 32749 and 2
-    from there to MODULUS_LIMIT, where the entries become Python ints,
-    reduced every step.  ``resolve`` components have at most 49 rows plus columns; past
+    from there to MODULUS_LIMIT.  ``resolve`` components have at most 49 rows plus columns; past
     64 a lone sparse one is cheaper in Markowitz (an n x n cycle took 1.1
     ms stacked against 0.4 at n=32, 10.3 against 1.1 at n=128; 2-core host).
     """
@@ -401,13 +404,12 @@ def _stacked_rank(shape, r, c, v, p):
     tall, wide = np.maximum(nr, nc), np.minimum(nr, nc)
     stack = np.where(nr + nc > _STACK_CUT, -1, np.frexp(wide - 1)[1])
     long, short = np.where((nr < nc)[comp], [lc, lr], [lr, lc])
-    rank, dtype = 0, (np.int64 if p < MODULUS_LIMIT else object)
-    cap = (1 << 62) // (p - 1) if dtype is np.int64 else 0  # a step is safe while B < cap
+    rank, cap = 0, (1 << 62) // (p - 1)  # a step is safe while B < cap
     for s in np.unique(stack[stack >= 0]):
         mine = stack == s
         e = mine[comp]
-        A = np.zeros((np.count_nonzero(mine), wide[mine].max(), tall[mine].max()), dtype)
-        A[(np.cumsum(mine) - 1)[comp[e]], short[e], long[e]] = v[e].astype(dtype)
+        A = np.zeros((np.count_nonzero(mine), wide[mine].max(), tall[mine].max()), np.int64)
+        A[(np.cumsum(mine) - 1)[comp[e]], short[e], long[e]] = v[e]
         at, bound = np.arange(len(A)), p - 1
         while A.shape[1]:
             col = A[:, 0, :] % p
@@ -440,12 +442,11 @@ def rref(a, p: int):
     Rows join a basis keyed by leading column one at a time, and the
     basis stays reduced: a row first loses its entries on the basis
     pivots, and a nonzero remainder, scaled to lead with 1, clears its
-    leading column from the basis rows before it joins.  Python-int
-    arithmetic, so no product overflows whatever the size of p.
+    leading column from the basis rows before it joins.
 
     Args:
         a: matrix-like or SparseMatrix, any shape, zero rows or columns too.
-        p: prime modulus.
+        p: prime modulus below MODULUS_LIMIT, or ModulusTooLarge.
 
     Returns:
         (R, rank, pivots): the reduced form as a dense array of a's
@@ -489,10 +490,9 @@ def rank(a, p: int) -> int:
     3.8 reducing only before int64 overflow; numbering nodes, not entries,
     took them from 2.9 to 2.4 (2-core host, Python 3.11, numpy 2.4).
 
-    Markowitz eliminates the components too big to stack on row dicts in
-    Python ints, exact whatever the size of p, pivoting on a row of least
-    weight and, within it, on the column held by the fewest rows, which
-    keeps fill-in low.  A pivot row is dropped once it has cleared its
+    Markowitz eliminates the components too big to stack on row dicts,
+    pivoting on a row of least weight and, within it, on the column held
+    by the fewest rows, which keeps fill-in low.  A pivot row is dropped once it has cleared its
     column.  The column rule is not rref's on purpose: on the three
     differentials of ``rescoh resolve`` for n=4, p=5, --kmax 2 with a
     dense p-operator, leftmost-column pivots took 1.2 s and rref's row by
@@ -562,24 +562,6 @@ def row_space(a, p: int) -> np.ndarray:
     """Nonzero rows of the reduced echelon form."""
     R, rk, _ = rref(a, p)
     return R[:rk]
-
-
-def solve(a, b, p: int):
-    """One exact solution of a @ x = b, or None if inconsistent.
-
-    The particular solution has zeros in all free coordinates (the
-    deterministic-pivot choice).
-    """
-    a = as_fp(a, p)
-    b = as_fp(b, p).reshape(-1)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("incompatible shapes")
-    R, rk, pivots = rref(np.hstack([a, b.reshape(-1, 1)]), p)
-    if pivots and pivots[-1] == a.shape[1]:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    x[pivots] = R[:rk, -1]
-    return x
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
@@ -715,9 +697,8 @@ def cohomology(incoming, outgoing, p: int) -> Cohomology:
 
     Raises:
         NotAComplex: if outgoing @ incoming != 0.
-        ModulusTooLarge: if p >= MODULUS_LIMIT.
+        ModulusTooLarge: if p >= MODULUS_LIMIT, from the eliminations.
     """
-    _check_modulus(p, "cohomology")
     if outgoing is None and incoming is None:
         raise ValueError("need at least one map to fix the middle dimension")
     # The maps are only read: each elimination reduces its own copy.

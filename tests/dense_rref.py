@@ -4,8 +4,9 @@ Reference implementation of the reduced row echelon form: pivot on the
 leftmost column with a nonzero entry at or below the current row, take
 the first such row, clear the column with one numpy outer product.
 Every product stays below 2^63 only for p below linalg.MODULUS_LIMIT.
-It serves only as an oracle for linalg.rref, nullspace and solve, and
-backs the cohomology oracle in quotients.py.
+It serves only as an oracle for linalg.rref, nullspace and the systems
+of liealg.infer_p_operator, and backs the cohomology oracle in
+quotients.py.
 """
 
 import numpy as np

@@ -2,14 +2,17 @@ import math
 
 import pytest
 
+from rescoh import field
 from rescoh.field import (
     IDENTITY_BOUND,
+    NonPrimeModulus,
     ZeroInverse,
     binom_mod,
     inv_mod,
     is_prime,
     verify_identities,
 )
+from rescoh.linalg import UsageError
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -61,6 +64,20 @@ def test_identities_guard():
     with pytest.raises(ValueError):
         verify_identities(IDENTITY_BOUND + 4)
     assert verify_identities(17, bound=17)[0]["pass"]
+
+
+def test_identities_test_the_bound_before_primality(monkeypatch):
+    # trial division up to sqrt(p) would not end for a p this size
+    def refuse(p):
+        raise AssertionError(f"primality tested on {p} above the bound")
+
+    monkeypatch.setattr(field, "is_prime", lambda p: refuse(p) if p > IDENTITY_BOUND else is_prime(p))
+    with pytest.raises(UsageError, match=f"^p={10**24 + 7} above configured bound 13$"):
+        verify_identities(10**24 + 7)
+    with pytest.raises(UsageError, match="^p=15 above configured bound 13$"):
+        verify_identities(15)
+    with pytest.raises(NonPrimeModulus, match="^4 is not prime$"):
+        verify_identities(4)
 
 
 def test_reflection_identity_spot_values():

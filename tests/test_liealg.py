@@ -19,6 +19,7 @@ from rescoh.liealg import (
 from rescoh.field import inv_mod, is_prime
 from rescoh.linalg import InvariantFailure, mat_pow_mod, sample_vectors
 
+import dense_rref
 from conftest import CORPUS, nonzero_pi
 from enumerations import r2_enumeration
 from restricted_scans import all_elements, first_failing, perturbed_tables, scan_verify_restricted
@@ -246,6 +247,50 @@ def test_infer_p_operator_not_restrictable():
     pi = infer_p_operator(c % 3, 3)
     L = RestrictedLieAlgebra(3, c % 3, pi)
     assert verify_restricted(L)["pass"]
+
+
+def _changed_basis(c, p, rng):
+    """Structure constants in the basis f_i = Σ_k T_ik e_k, T seeded and invertible."""
+    n = c.shape[0]
+    while True:
+        T = rng.integers(0, p, size=(n, n))
+        if dense_rref.rref(T, p)[1] == n:
+            break
+    Tinv = dense_rref.rref(np.hstack([T, np.eye(n, dtype=np.int64)]), p)[0][:, n:]
+    return np.einsum("ia,jb,abk,kl->ijl", T, T, c, Tinv) % p
+
+
+def _direct_sum(*cs):
+    n = sum(len(c) for c in cs)
+    out, at = np.zeros((n, n, n), dtype=np.int64), 0
+    for c in cs:
+        k = len(c)
+        out[at : at + k, at : at + k, at : at + k] = c
+        at += k
+    return out
+
+
+def _own_solve(c, p, j):
+    """Row j of the p-operator table by the dense oracle on system j alone."""
+    ads = RestrictedLieAlgebra(p, c, np.zeros((len(c),) * 2)).ad_basis()
+    A = np.stack([m.reshape(-1) for m in ads], axis=1)
+    return dense_rref.solve(A, mat_pow_mod(ads[j], p, p).reshape(-1), p)
+
+
+def test_infer_p_operator_rows_match_their_own_systems():
+    # the one elimination of all n systems against one oracle solve each
+    for tag, L in CORPUS:
+        for seed in range(4):
+            c = L.c if seed == 0 else _changed_basis(L.c, L.p, np.random.default_rng(seed))
+            pi = infer_p_operator(c, L.p)
+            for j in range(L.n):
+                assert (pi[j] == _own_solve(c, L.p, j)).all(), (tag, seed, j)
+    # an abelian summand, then two filiform copies: (ad e_1)^2 and
+    # (ad e_5)^2 are not inner, and the first of them is named
+    c = _direct_sum(np.zeros((1, 1, 1), dtype=np.int64), _filiform4(), _filiform4()) % 2
+    assert [j for j in range(9) if _own_solve(c, 2, j) is None] == [1, 5]
+    with pytest.raises(NotRestrictable, match=r"^\(ad e_1\)\^2 is not an inner derivation$"):
+        infer_p_operator(c, 2)
 
 
 def test_witt_representation_failure_is_internal(monkeypatch):

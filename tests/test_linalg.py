@@ -28,7 +28,6 @@ from rescoh.linalg import (
     row_space,
     rref,
     sample_vectors,
-    solve,
     zeros,
 )
 
@@ -160,9 +159,8 @@ def test_sparse_matrix_canonical_form():
         SparseMatrix((2, 2), [2], [0], [1], 3)
     with pytest.raises(ValueError):
         SparseMatrix((2, 2), [0, 1], [0], [1], 3)
-    big = SparseMatrix((1, 1), [0], [0], [1], MODULUS_LIMIT + 1)
-    with pytest.raises(ModulusTooLarge):
-        big.check_composite(big, "big")
+    with pytest.raises(ModulusTooLarge, match="^SparseMatrix: modulus 65537 is not below 65536$"):
+        SparseMatrix((1, 1), [0], [0], [1], MODULUS_LIMIT + 1)
 
 
 def summed_by_dict(rows, cols, vals, p):
@@ -339,9 +337,29 @@ def test_sparse_product_in_small_blocks_matches_dense(monkeypatch):
         assert sparse_verdict(a, b, p) is None and dense_verdict(a, b, p) is None
 
 
+def read_off(a, b, p: int):
+    """The solution of a @ x = b that is zero on the free columns, read off
+    rref([a | b]) as infer_p_operator reads its n systems; None when b's
+    column takes a pivot, that is when the system is inconsistent."""
+    R, rk, pivots = rref(np.hstack([as_fp(a, p), as_fp(b, p).reshape(-1, 1)]), p)
+    if pivots and pivots[-1] == np.shape(a)[1]:
+        return None
+    x = np.zeros(np.shape(a)[1], dtype=np.int64)
+    x[pivots] = R[:rk, -1]
+    return x
+
+
 def test_rank_exact_near_the_int64_bound():
-    # Entries near 2**32 make every product in elimination exceed int64.
-    p = 4294967291
+    # Entries near 2**32 would make every product in elimination exceed
+    # int64: refused.  At 65521, the last prime below MODULUS_LIMIT, the
+    # stacks reduce every second step and the same matrices stay exact.
+    a = np.array([[4294967290, 1], [2, 3]], dtype=np.int64)
+    for m in (a, to_sparse(a, 65521)):
+        with pytest.raises(ModulusTooLarge):
+            rank(m, 4294967291)
+        with pytest.raises(ModulusTooLarge):
+            rref(m, 4294967291)
+    p = 65521
     rng = random.Random(p)
     products = []
     for rows, cols, r in [(6, 7, 3), (8, 5, 5), (5, 9, 1), (4, 4, 4)]:
@@ -367,10 +385,10 @@ def test_rank_exact_near_the_int64_bound():
         # e_r, off the column space {(y, X y)} of a
         x0 = [rng.randrange(p) for _ in range(cols)]
         b = [sum(x * y for x, y in zip(row, x0)) % p for row in prod]
-        x = solve(a, b, p).tolist()
+        x = read_off(a, b, p).tolist()
         assert [sum(u * v for u, v in zip(row, x)) % p for row in prod] == b
         if rows > r:
-            assert solve(a, [int(i == r) for i in range(rows)], p) is None
+            assert read_off(a, [int(i == r) for i in range(rows)], p) is None
     # A border of singletons around the 6 x 7 product of rank 3: column 7
     # holds one entry, in row 6, which spans columns 0..7, and row 7 holds
     # one entry, in column 8, which meets rows 0..5 too.  The peel takes
@@ -470,12 +488,18 @@ def block_diagonal(blocks, rng, extra_rows=0, extra_cols=0):
 @pytest.mark.parametrize("p", [65521, 65537, 4294967291])
 def test_stacked_rank_exact_across_the_dtype_switch(p):
     # The products of test_rank_exact_near_the_int64_bound, block by block:
-    # int64 stacks at 65521, the last prime below MODULUS_LIMIT, and
-    # Python ints at 65537 and near 2**32, where int64 would overflow.
+    # int64 stacks at 65521, the last prime below MODULUS_LIMIT; from
+    # there up, where int64 would overflow, the entries are refused
+    # before any is read.
     rng = random.Random(p)
     shapes = [(6, 7, 3), (8, 5, 5), (5, 9, 1), (4, 4, 4)]
     blocks = [low_rank_product(rng, *s, p) for s in shapes * 2]
     a = block_diagonal(blocks, np.random.default_rng(p), 2, 3)
+    if p >= MODULUS_LIMIT:
+        for call in (linalg._nonzeros, rank, to_sparse):
+            with pytest.raises(ModulusTooLarge):
+                call(a, p)
+        return
     shape, r, c, v = linalg._nonzeros(a, p)
     stacked, left, _, _ = linalg._stacked_rank(shape, r, c, v, p)
     assert stacked == 2 * sum(rk for *_, rk in shapes) and left.size == 0
@@ -509,7 +533,7 @@ def test_stacked_rank_exact_across_the_deferred_reductions(p):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(p=st.sampled_from([4294967291, 2, 3, 5, 7, 65521]),
+@given(p=st.sampled_from([2, 3, 5, 7, 65521]),
        small=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9), st.floats(0, 1)), max_size=6),
        cycles=st.lists(st.integers(2, 45), max_size=2),
        extra=st.tuples(st.integers(0, 3), st.integers(0, 3)), seed=st.integers(0, 2**32 - 1))
@@ -526,9 +550,7 @@ def test_rank_of_permuted_blocks_matches_the_oracles(p, small, cycles, extra, se
         blocks.append(b)
     a = block_diagonal(blocks, rng, *extra)
     want = markowitz.rank(a, p)
-    assert rank(a, p) == rank(to_sparse(a, p), p) == want
-    if p < MODULUS_LIMIT:
-        assert dense_rref.rref(a, p)[1] == want
+    assert rank(a, p) == rank(to_sparse(a, p), p) == want == dense_rref.rref(a, p)[1]
 
 
 def test_products_refuse_a_large_modulus():
@@ -538,6 +560,34 @@ def test_products_refuse_a_large_modulus():
         matmul_mod([[p - 1]], [[p - 1]], p)
     with pytest.raises(ModulusTooLarge):
         mat_pow_mod([[p - 1]], 2, p)
+
+
+ELIMINATIONS = (
+    rank,
+    rref,
+    nullspace,
+    row_space,
+    lambda m, p: Subspace(m, 3, p),
+    lambda m, p: cohomology(np.transpose(m), None, p),
+    lambda m, p: cohomology(None, m, p),
+)
+
+
+@pytest.mark.parametrize("p", [65537, 4294967291])
+def test_every_elimination_refuses_a_large_modulus(p):
+    # one int64 path: each elimination refuses on dense input and on a
+    # SparseMatrix read at that p, and the same calls work at 65521
+    a = np.array([[1, 2, 0], [0, 0, 3]], dtype=np.int64)
+    sparse = to_sparse(a, 65521)
+    for call in ELIMINATIONS:
+        for m in (a, sparse):
+            call(m, 65521)
+            with pytest.raises(ModulusTooLarge, match=f"modulus {p} is not below 65536$"):
+                call(m, p)
+    r, c = np.nonzero(a)
+    assert np.array_equal(np.asarray(SparseMatrix(a.shape, r, c, a[r, c], 65521)), a)
+    with pytest.raises(ModulusTooLarge, match=f"^SparseMatrix: modulus {p} is not below 65536$"):
+        SparseMatrix(a.shape, r, c, a[r, c], p)
 
 
 def test_cohomology_refuses_a_large_modulus():
@@ -553,7 +603,7 @@ def test_cohomology_refuses_a_large_modulus():
 @given(p=st.sampled_from([2, 3, 5, 7, 65521]), rows=st.integers(0, 9), cols=st.integers(0, 9),
        density=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_eliminations_match_the_dense_oracle(p, rows, cols, density, seed):
-    # rref, nullspace and solve byte-identical to numpy elimination
+    # rref and nullspace byte-identical to numpy elimination
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
 
@@ -564,10 +614,6 @@ def test_eliminations_match_the_dense_oracle(p, rows, cols, density, seed):
     assert same(R, R0) and rk == rk0 and piv == piv0
     assert rref(to_sparse(a, p), p)[1:] == (rk0, piv0)
     assert same(nullspace(a, p), dense_rref.nullspace(a, p))
-    x0 = rng.integers(0, p, size=cols)
-    for b in ((a @ x0) % p, rng.integers(0, p, size=rows)):
-        x, want = solve(a, b, p), dense_rref.solve(a, b, p)
-        assert (x is None and want is None) or same(x, want)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -628,10 +674,12 @@ def test_kron_sum_branches_agree(p, blocks, op_shape, n_ops, n_terms, pile, seed
 
 
 def test_kron_sum_refuses_a_large_modulus():
+    # the dense op on entry; a sparse op cannot be built at that p at all
     p = 65537
-    for ops in ([identity(2)], [to_sparse(identity(2), p)]):
-        with pytest.raises(ModulusTooLarge):
-            kron_sum((1, 1), [(0, 0, 1, 0)], ops, p)
+    with pytest.raises(ModulusTooLarge):
+        kron_sum((1, 1), [(0, 0, 1, 0)], [identity(2)], p)
+    with pytest.raises(ModulusTooLarge):
+        kron_sum((1, 1), [(0, 0, 1, 0)], [to_sparse(identity(2), p)], p)
 
 
 def test_kron_sum_refuses_a_dense_result_above_the_bound(monkeypatch):
@@ -675,15 +723,16 @@ def test_nullspace_properties():
 
 
 def test_solve_consistent_and_inconsistent():
+    # rref([a | b]) has a pivot in b's column exactly when a @ x = b has
+    # no solution; otherwise x[pivots] = R[:rank, -1] is one
     p = 7
     a = as_fp([[1, 2, 3], [2, 4, 6]], p)  # rank 1
     b = [1, 2]
-    x = solve(a, b, p)
-    assert x is not None
+    x = read_off(a, b, p)
+    assert x is not None and x.tolist() == [1, 0, 0]
     assert (matmul_mod(a, x.reshape(-1, 1), p).ravel() == as_fp(b, p)).all()
-    assert solve(a, [1, 3], p) is None
-    with pytest.raises(ValueError):
-        solve(a, [1, 2, 3], p)
+    assert rref(np.hstack([a, [[1], [3]]]), p)[2] == [0, 3]
+    assert read_off(a, [1, 3], p) is None
 
 
 def test_matmul_mod_matches_int_reference():
