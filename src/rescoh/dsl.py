@@ -8,7 +8,7 @@ combinations only, comments with ``#``.
     bracket [<id>,<id>] = <int>*<id>+<int>*<id>...   (or 0)
     pmap <id>^[p] = <int>*<id>+...                   (or 0)
     module <name> dim <m>
-    action <id> = [[1,0];[0,1]]
+    action <id> = [[1,0;0,1]]                       (',' between entries, ';' between rows)
 
 Undeclared brackets are zero.  Every basis element needs an explicit
 pmap line (parse with require_pmap=False only to feed the p-operator
@@ -16,6 +16,14 @@ inference command).  Parsing canonicalizes: coefficients are reduced
 mod p, terms are combined and sorted by basis position, zero brackets
 are dropped, and reversed bracket keys are normalized with a sign, so
 emit followed by parse is the identity on the model.
+
+Lines are read token by token with patterns compiled once at import,
+except the matrix literal of an ``action`` line: one compiled match
+accepts a whole well-formed m × m literal, whose entries are then split
+off with str.split and read with int.  A literal the match rejects, or
+one of the wrong shape, goes through the token walk, the only source of
+DslSyntaxError, so the reported line, column and expected token are
+those of the walk.
 """
 
 from __future__ import annotations
@@ -30,8 +38,15 @@ from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra, VerificationFailed, _check_modulus, verify_restricted
 from .linalg import UsageError, _failing
 
-_ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_INT = r"-?[0-9]+"
+# Token patterns, compiled once; _Cursor matches literal tokens as strings.
+_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT = re.compile(r"-?[0-9]+")
+_KEYWORD = re.compile(r"[a-z]+")
+_BLANKS = re.compile(r"[ \t]*")
+# A whole matrix literal from the cursor to the end of the line, with the
+# blanks _Cursor skips: group 1 holds the entries, ',' between the entries
+# of a row and ';' between rows.
+_MATRIX = re.compile(r"[ \t]*\[\[([ \t]*-?[0-9]+[ \t]*(?:[,;][ \t]*-?[0-9]+[ \t]*)*)\]\][ \t]*")
 
 
 class DslSyntaxError(UsageError):
@@ -68,7 +83,11 @@ class AlgebraFile:
 
 
 class _Cursor:
-    """Single-line scanner that reports 1-based columns on failure."""
+    """Single-line scanner that reports 1-based columns on failure.
+
+    A token is a compiled pattern or a literal string; blanks (space and
+    tab) before each token are skipped.
+    """
 
     def __init__(self, text: str, lineno: int):
         self.text = text
@@ -76,20 +95,24 @@ class _Cursor:
         self.pos = 0
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+        self.pos = _BLANKS.match(self.text, self.pos).end()
 
-    def peek(self, pattern: str) -> bool:
+    def _match(self, token: re.Pattern | str) -> str | None:
         self._skip_ws()
-        return re.compile(pattern).match(self.text, self.pos) is not None
+        if isinstance(token, str):
+            return token if self.text.startswith(token, self.pos) else None
+        m = token.match(self.text, self.pos)
+        return None if m is None else m.group()
 
-    def expect(self, pattern: str, expected: str) -> str:
-        self._skip_ws()
-        m = re.compile(pattern).match(self.text, self.pos)
-        if m is None:
+    def peek(self, token: re.Pattern | str) -> bool:
+        return self._match(token) is not None
+
+    def expect(self, token: re.Pattern | str, expected: str) -> str:
+        found = self._match(token)
+        if found is None:
             raise DslSyntaxError(self.lineno, self.pos + 1, expected)
-        self.pos = m.end()
-        return m.group(0)
+        self.pos += len(found)
+        return found
 
     def done(self) -> None:
         self._skip_ws()
@@ -99,18 +122,18 @@ class _Cursor:
 
 def _parse_terms(cur: _Cursor) -> list[tuple[int, str]]:
     first = cur.expect(_INT, "integer coefficient or 0")
-    if not cur.peek(r"\*"):
+    if not cur.peek("*"):
         if first == "0":
             cur.done()
             return []
         raise DslSyntaxError(cur.lineno, cur.pos + 1, "'*' after coefficient")
     terms = []
-    cur.expect(r"\*", "'*'")
+    cur.expect("*", "'*'")
     terms.append((int(first), cur.expect(_ID, "basis label")))
-    while cur.peek(r"\+"):
-        cur.expect(r"\+", "'+'")
+    while cur.peek("+"):
+        cur.expect("+", "'+'")
         coeff = cur.expect(_INT, "integer coefficient")
-        cur.expect(r"\*", "'*'")
+        cur.expect("*", "'*'")
         terms.append((int(coeff), cur.expect(_ID, "basis label")))
     cur.done()
     return terms
@@ -128,21 +151,32 @@ def _canon_terms(terms, p: int, order: dict[str, int], where: str) -> tuple:
 
 
 def _parse_matrix(cur: _Cursor, m: int) -> tuple:
-    cur.expect(r"\[\[", "'[['")
+    """The m × m matrix literal from the cursor to the end of the line.
+
+    A well-formed literal of the right shape is read in one _MATRIX match
+    and split into its entries; any other line goes through the token walk
+    below, which raises the DslSyntaxError that locates its first fault.
+    """
+    whole = _MATRIX.fullmatch(cur.text, cur.pos)
+    if whole is not None:
+        rows = [row.split(",") for row in whole[1].split(";")]
+        if len(rows) == m and all(len(row) == m for row in rows):
+            return tuple(tuple(map(int, row)) for row in rows)
+    cur.expect("[[", "'[['")
     rows = []
     while True:
         row = [int(cur.expect(_INT, "matrix entry"))]
-        while cur.peek(r","):
-            cur.expect(r",", "','")
+        while cur.peek(","):
+            cur.expect(",", "','")
             row.append(int(cur.expect(_INT, "matrix entry")))
         if len(row) != m:
             raise DslSyntaxError(cur.lineno, cur.pos + 1, f"row of {m} entries")
         rows.append(tuple(row))
-        if cur.peek(r";"):
-            cur.expect(r";", "';'")
+        if cur.peek(";"):
+            cur.expect(";", "';'")
             continue
         break
-    cur.expect(r"\]\]", "']]'")
+    cur.expect("]]", "']]'")
     cur.done()
     if len(rows) != m:
         raise DslSyntaxError(cur.lineno, cur.pos + 1, f"{m} matrix rows")
@@ -171,17 +205,17 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
         if not line.strip():
             continue
         cur = _Cursor(line, lineno)
-        kw = cur.expect(r"[a-z]+", "keyword (algebra/basis/bracket/pmap/module/action)")
+        kw = cur.expect(_KEYWORD, "keyword (algebra/basis/bracket/pmap/module/action)")
         if name is None and kw != "algebra":
             raise DslSyntaxError(lineno, 1, "'algebra' as the first declaration")
         if kw == "algebra":
             if name is not None:
                 raise DuplicateLabel("algebra declared twice")
             name = cur.expect(_ID, "algebra name")
-            cur.expect(r"over", "'over'")
-            cur.expect(r"GF\(", "'GF('")
+            cur.expect("over", "'over'")
+            cur.expect("GF(", "'GF('")
             p = int(cur.expect(_INT, "prime modulus"))
-            cur.expect(r"\)", "')'")
+            cur.expect(")", "')'")
             cur.done()
             _check_modulus(p)
         elif kw == "basis":
@@ -201,12 +235,12 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
                 raise DslSyntaxError(lineno, 1, "'basis' before 'bracket'")
             if current is not None:
                 raise DslSyntaxError(lineno, 1, "'action' (bracket lines precede modules)")
-            cur.expect(r"\[", "'['")
+            cur.expect("[", "'['")
             a = cur.expect(_ID, "basis label")
-            cur.expect(r",", "','")
+            cur.expect(",", "','")
             b = cur.expect(_ID, "basis label")
-            cur.expect(r"\]", "']'")
-            cur.expect(r"=", "'='")
+            cur.expect("]", "']'")
+            cur.expect("=", "'='")
             terms = _canon_terms(_parse_terms(cur), p, order,
                                  f"bracket [{a},{b}]")
             for lab in (a, b):
@@ -226,8 +260,8 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
             if current is not None:
                 raise DslSyntaxError(lineno, 1, "'action' (pmap lines precede modules)")
             a = cur.expect(_ID, "basis label")
-            cur.expect(r"\^\[p\]", "'^[p]'")
-            cur.expect(r"=", "'='")
+            cur.expect("^[p]", "'^[p]'")
+            cur.expect("=", "'='")
             if a not in order:
                 raise UnresolvedReference(f"pmap uses unknown label {a!r}")
             if a in pmap:
@@ -237,7 +271,7 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
             if not basis:
                 raise DslSyntaxError(lineno, 1, "'basis' before 'module'")
             mname = cur.expect(_ID, "module name")
-            cur.expect(r"dim", "'dim'")
+            cur.expect("dim", "'dim'")
             m = int(cur.expect(_INT, "positive dimension"))
             cur.done()
             if m <= 0:
@@ -250,7 +284,7 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
             if current is None:
                 raise DslSyntaxError(lineno, 1, "'module' before 'action'")
             a = cur.expect(_ID, "basis label")
-            cur.expect(r"=", "'='")
+            cur.expect("=", "'='")
             if a not in order:
                 raise UnresolvedReference(f"action uses unknown label {a!r}")
             if a in current.actions:
@@ -401,14 +435,14 @@ def parse_cocycle(text: str, af: AlgebraFile):
         if not line.strip():
             continue
         cur = _Cursor(line, lineno)
-        kw = cur.expect(r"[a-z]+", "keyword (phi/omega)")
+        kw = cur.expect(_KEYWORD, "keyword (phi/omega)")
         if kw == "phi":
-            cur.expect(r"\[", "'['")
+            cur.expect("[", "'['")
             a = cur.expect(_ID, "basis label")
-            cur.expect(r",", "','")
+            cur.expect(",", "','")
             b = cur.expect(_ID, "basis label")
-            cur.expect(r"\]", "']'")
-            cur.expect(r"=", "'='")
+            cur.expect("]", "']'")
+            cur.expect("=", "'='")
             terms = _canon_terms(_parse_terms(cur), p, order, f"phi [{a},{b}]")
             key = (a, b) if order.get(a, 0) <= order.get(b, 0) else (b, a)
             if a not in order or b not in order:
@@ -426,7 +460,7 @@ def parse_cocycle(text: str, af: AlgebraFile):
             phi[j, i] = (-phi[i, j]) % p
         elif kw == "omega":
             a = cur.expect(_ID, "basis label")
-            cur.expect(r"=", "'='")
+            cur.expect("=", "'='")
             if a not in order:
                 raise UnresolvedReference(f"omega uses unknown label {a!r}")
             if a in seen_omega:

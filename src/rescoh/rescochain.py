@@ -308,9 +308,17 @@ def delta1(L, M, psi: np.ndarray) -> Cochain2:
     return Cochain2(*_cochain(L, M, delta1_matrix(L, M) @ psi % L.p, 2))
 
 
+def _kept_delta(L, M, k: int) -> np.ndarray:
+    """delta(k) of the restricted complex of (L, M): the map M keeps, read
+    from its store (which refuses a module over another algebra), or built
+    by a RestrictedComplex when none is kept yet."""
+    d = M._store(L, "restricted")[0].get(k)
+    return RestrictedComplex(L, M).delta(k) if d is None else d
+
+
 def delta1_matrix(L, M) -> np.ndarray:
     """Matrix of delta1: delta_cl(1) over the psi-tilde block."""
-    return RestrictedComplex(L, M).delta(1)
+    return _kept_delta(L, M, 1)
 
 
 def _psi_tilde_block(L, M) -> np.ndarray:
@@ -330,7 +338,7 @@ def delta2(L, M, c2: Cochain2) -> Cochain3:
 
 def delta2_matrix(L, M) -> np.ndarray:
     """Matrix of delta2 on (phi pairs | omega basis): delta_cl(2) over the beta block."""
-    return RestrictedComplex(L, M).delta(2)
+    return _kept_delta(L, M, 2)
 
 
 def _powers(a: np.ndarray, p: int) -> list[np.ndarray]:
