@@ -5,6 +5,9 @@ command, results, and a checks list.  Exit code 0 means every check
 passed, 1 means some check failed, 2 means the invocation or input
 file was unusable, 3 means an internal invariant failed (a bug, not a
 bad input; the message goes to stderr and no report is printed).
+
+The subcommands and their arguments are declared in one table,
+_COMMANDS; each runs its handler _cmd_<name>, with '-' read as '_'.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .classical import classical_cohomology
 from .dsl import (
     AlgebraFile,
     UnresolvedReference,
+    _format_terms,
+    _terms,
     build,
     emit,
     parse,
@@ -35,7 +40,7 @@ from .field import verify_identities
 from .gmod import adjoint_module, trivial_module, verify_module
 from .interp import deformation_check, inner_derivations, restricted_derivations
 from .linalg import InvariantFailure, UsageError
-from .liealg import NotRestrictable, infer_p_operator, verify_restricted, witt_algebra
+from .liealg import NotRestrictable, infer_p_operator, verify_restricted
 from .rescochain import Cochain2, RestrictedComplex, compare_classical, restricted_cohomology
 
 _USAGE_ERRORS = (UsageError, OSError)
@@ -79,7 +84,7 @@ def _load(path: str) -> tuple[AlgebraFile, bytes]:
     return parse(text), data
 
 
-def _pick_module(L, af: AlgebraFile, modules: dict, name: str):
+def _pick_module(L, modules: dict, name: str):
     if name == "trivial":
         return trivial_module(L, 1)
     if name == "adjoint":
@@ -110,7 +115,7 @@ def _cmd_validate(args):
 def _cmd_cohomology(args):
     af, data = _load(args.file)
     L, modules = build(af)
-    M = _pick_module(L, af, modules, args.module)
+    M = _pick_module(L, modules, args.module)
     k = args.degree
     checks = []
     if args.classical:
@@ -233,17 +238,16 @@ def _cmd_identities(args):
 
 
 def _cmd_witt(args):
-    L, _rep = witt_algebra(args.p)
     af = witt_file(args.p)
+    L, _ = build(af, check=False)
+    text = emit(af)
     checks = [
         {"name": "verify_restricted", "pass": verify_restricted(L)["pass"]},
-        {"name": "emit_parse_roundtrip", "pass": parse(emit(af)) == af},
+        {"name": "emit_parse_roundtrip", "pass": parse(text) == af},
     ]
-    written = None
     if args.emit:
-        Path(args.emit).write_text(emit(af), encoding="utf-8")
-        written = args.emit
-    results = {"p": args.p, "dim": args.p, "written": written}
+        Path(args.emit).write_text(text, encoding="utf-8")
+    results = {"p": args.p, "dim": args.p, "written": args.emit or None}
     return results, checks, [f"witt:p={args.p}".encode()]
 
 
@@ -257,11 +261,8 @@ def _cmd_infer(args):
         checks = [{"name": "p_operator_exists", "pass": False,
                    "counterexample": str(exc)}]
         return {"name": af.name}, checks, [data]
-    lines = []
-    for i, label in enumerate(af.basis):
-        terms = [(int(pi[i, k]), af.basis[k]) for k in range(len(af.basis)) if pi[i, k]]
-        rhs = "+".join(f"{cf}*{lab}" for cf, lab in terms) if terms else "0"
-        lines.append(f"pmap {label}^[p] = {rhs}")
+    lines = [f"pmap {label}^[p] = {_format_terms(_terms(row, af.basis))}"
+             for label, row in zip(af.basis, pi)]
     results = {"name": af.name, "pi": pi.tolist(), "pmap_lines": lines}
     return results, [{"name": "p_operator_exists", "pass": True}], [data]
 
@@ -272,54 +273,38 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+_FILE = ("file", {})
+_P = ("--p", {"type": int, "required": True})
+# name -> (help, [(argument, add_argument keywords)])
+_COMMANDS = {
+    "validate": ("axiom report for a definition file", [_FILE]),
+    "cohomology": ("restricted and classical dimensions", [
+        _FILE,
+        ("--module", {"default": "trivial",
+                      "help": "module name from the file, or trivial/adjoint"}),
+        ("--degree", {"type": _nonnegative_int, "required": True}),
+        ("--classical", {"action": "store_true", "help": "classical cohomology only (any degree)"}),
+    ]),
+    "dims": ("cochain dimension formulas", [_FILE]),
+    "derivations": ("restricted derivations vs H1", [_FILE]),
+    "resolve": ("abelian resolution homology",
+                [_FILE, ("--kmax", {"type": _nonnegative_int, "required": True})]),
+    "deform-check": ("deformation vs cocycle predicate",
+                     [_FILE, ("--cocycle", {"required": True})]),
+    "identities": ("binomial identity families over GF(p)", [_P]),
+    "witt": ("built-in Witt algebra, optionally emitted", [_P, ("--emit", {"metavar": "PATH"})]),
+    "infer": ("infer a p-operator from brackets", [_FILE]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rescoh",
                                  description="restricted Lie algebra cohomology")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="axiom report for a definition file")
-    sp.add_argument("file")
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("cohomology", help="restricted and classical dimensions")
-    sp.add_argument("file")
-    sp.add_argument("--module", default="trivial",
-                    help="module name from the file, or trivial/adjoint")
-    sp.add_argument("--degree", type=_nonnegative_int, required=True)
-    sp.add_argument("--classical", action="store_true",
-                    help="classical cohomology only (any degree)")
-    sp.set_defaults(func=_cmd_cohomology)
-
-    sp = sub.add_parser("dims", help="cochain dimension formulas")
-    sp.add_argument("file")
-    sp.set_defaults(func=_cmd_dims)
-
-    sp = sub.add_parser("derivations", help="restricted derivations vs H1")
-    sp.add_argument("file")
-    sp.set_defaults(func=_cmd_derivations)
-
-    sp = sub.add_parser("resolve", help="abelian resolution homology")
-    sp.add_argument("file")
-    sp.add_argument("--kmax", type=_nonnegative_int, required=True)
-    sp.set_defaults(func=_cmd_resolve)
-
-    sp = sub.add_parser("deform-check", help="deformation vs cocycle predicate")
-    sp.add_argument("file")
-    sp.add_argument("--cocycle", required=True)
-    sp.set_defaults(func=_cmd_deform_check)
-
-    sp = sub.add_parser("identities", help="binomial identity families over GF(p)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(func=_cmd_identities)
-
-    sp = sub.add_parser("witt", help="built-in Witt algebra, optionally emitted")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--emit", metavar="PATH", default=None)
-    sp.set_defaults(func=_cmd_witt)
-
-    sp = sub.add_parser("infer", help="infer a p-operator from brackets")
-    sp.add_argument("file")
-    sp.set_defaults(func=_cmd_infer)
+    for name, (help_text, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for argument, keywords in arguments:
+            sp.add_argument(argument, **keywords)
     return ap
 
 
@@ -329,8 +314,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # looked up now, not at import, so a replaced handler is the one run
+    run = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        results, checks, digest_parts = args.func(args)
+        results, checks, digest_parts = run(args)
     except InvariantFailure as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

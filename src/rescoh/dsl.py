@@ -10,6 +10,9 @@ combinations only, comments with ``#``.
     module <name> dim <m>
     action <id> = [[1,0;0,1]]                       (',' between entries, ';' between rows)
 
+A cocycle file (parse_cocycle) holds ``phi`` lines, read like bracket
+lines, and ``omega <id> = ...`` lines, read like pmap lines.
+
 Undeclared brackets are zero.  Every basis element needs an explicit
 pmap line (parse with require_pmap=False only to feed the p-operator
 inference command).  Parsing canonicalizes: coefficients are reduced
@@ -35,7 +38,8 @@ import numpy as np
 
 from .field import NonPrimeModulus  # noqa: F401  (re-exported: parse raises it)
 from .gmod import RestrictedModule
-from .liealg import RestrictedLieAlgebra, VerificationFailed, _check_modulus, verify_restricted
+from .liealg import (RestrictedLieAlgebra, VerificationFailed, _check_modulus, verify_restricted,
+                     witt_algebra)
 from .linalg import UsageError, _failing
 
 # Token patterns, compiled once; _Cursor matches literal tokens as strings.
@@ -172,15 +176,57 @@ def _parse_matrix(cur: _Cursor, m: int) -> tuple:
         if len(row) != m:
             raise DslSyntaxError(cur.lineno, cur.pos + 1, f"row of {m} entries")
         rows.append(tuple(row))
-        if cur.peek(";"):
-            cur.expect(";", "';'")
-            continue
-        break
+        if not cur.peek(";"):
+            break
+        cur.expect(";", "';'")
     cur.expect("]]", "']]'")
     cur.done()
     if len(rows) != m:
         raise DslSyntaxError(cur.lineno, cur.pos + 1, f"{m} matrix rows")
     return tuple(rows)
+
+
+def _lines(text: str):
+    """A cursor on each line of text that holds more than blanks and a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line.strip():
+            yield lineno, _Cursor(line, lineno)
+
+
+def _read_pair(cur: _Cursor, kw: str, p: int, order: dict[str, int], seen) -> tuple:
+    """The rest of a ``[a,b] = terms`` line (bracket, phi): the key in basis
+    order and its canonical terms, negated for a reversed pair."""
+    cur.expect("[", "'['")
+    a = cur.expect(_ID, "basis label")
+    cur.expect(",", "','")
+    b = cur.expect(_ID, "basis label")
+    cur.expect("]", "']'")
+    cur.expect("=", "'='")
+    terms = _canon_terms(_parse_terms(cur), p, order, f"{kw} [{a},{b}]")
+    for lab in (a, b):
+        if lab not in order:
+            raise UnresolvedReference(f"{kw} uses unknown label {lab!r}")
+    if order[a] > order[b]:
+        a, b = b, a
+        terms = tuple(((-c) % p, l) for c, l in terms)
+    if (a, b) in seen:
+        raise DuplicateLabel(f"{kw} [{a},{b}] declared twice")
+    return (a, b), terms
+
+
+def _read_value(cur: _Cursor, kw: str, p: int, order: dict[str, int], seen) -> tuple:
+    """The rest of an ``a = terms`` line (omega; pmap writes ``a^[p] =``):
+    the label and its canonical terms."""
+    a = cur.expect(_ID, "basis label")
+    if kw == "pmap":
+        cur.expect("^[p]", "'^[p]'")
+    cur.expect("=", "'='")
+    if a not in order:
+        raise UnresolvedReference(f"{kw} uses unknown label {a!r}")
+    if a in seen:
+        raise DuplicateLabel(f"{kw} for {a!r} declared twice")
+    return a, _canon_terms(_parse_terms(cur), p, order, f"{kw} {a}")
 
 
 def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
@@ -194,20 +240,17 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
     basis: list[str] = []
     order: dict[str, int] = {}
     brackets: dict[tuple[str, str], tuple] = {}
-    declared_brackets: set[tuple[str, str]] = set()
     pmap: dict[str, tuple] = {}
     modules: list[ModuleBlock] = []
     current: ModuleBlock | None = None
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        cur = _Cursor(line, lineno)
+    for lineno, cur in _lines(text):
         kw = cur.expect(_KEYWORD, "keyword (algebra/basis/bracket/pmap/module/action)")
         if name is None and kw != "algebra":
             raise DslSyntaxError(lineno, 1, "'algebra' as the first declaration")
+        if not basis and kw in ("bracket", "pmap", "module"):
+            raise DslSyntaxError(lineno, 1, f"'basis' before '{kw}'")
+        if current is not None and kw in ("bracket", "pmap"):
+            raise DslSyntaxError(lineno, 1, f"'action' ({kw} lines precede modules)")
         if kw == "algebra":
             if name is not None:
                 raise DuplicateLabel("algebra declared twice")
@@ -231,45 +274,12 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
             if not basis:
                 raise DslSyntaxError(lineno, cur.pos + 1, "at least one basis label")
         elif kw == "bracket":
-            if not basis:
-                raise DslSyntaxError(lineno, 1, "'basis' before 'bracket'")
-            if current is not None:
-                raise DslSyntaxError(lineno, 1, "'action' (bracket lines precede modules)")
-            cur.expect("[", "'['")
-            a = cur.expect(_ID, "basis label")
-            cur.expect(",", "','")
-            b = cur.expect(_ID, "basis label")
-            cur.expect("]", "']'")
-            cur.expect("=", "'='")
-            terms = _canon_terms(_parse_terms(cur), p, order,
-                                 f"bracket [{a},{b}]")
-            for lab in (a, b):
-                if lab not in order:
-                    raise UnresolvedReference(f"bracket uses unknown label {lab!r}")
-            key, sign = ((a, b), 1) if order[a] <= order[b] else ((b, a), -1)
-            if key in declared_brackets:
-                raise DuplicateLabel(f"bracket [{key[0]},{key[1]}] declared twice")
-            declared_brackets.add(key)
-            if sign < 0:
-                terms = tuple(((-c) % p, l) for c, l in terms)
-            if terms:
-                brackets[key] = terms
+            key, terms = _read_pair(cur, kw, p, order, brackets)
+            brackets[key] = terms
         elif kw == "pmap":
-            if not basis:
-                raise DslSyntaxError(lineno, 1, "'basis' before 'pmap'")
-            if current is not None:
-                raise DslSyntaxError(lineno, 1, "'action' (pmap lines precede modules)")
-            a = cur.expect(_ID, "basis label")
-            cur.expect("^[p]", "'^[p]'")
-            cur.expect("=", "'='")
-            if a not in order:
-                raise UnresolvedReference(f"pmap uses unknown label {a!r}")
-            if a in pmap:
-                raise DuplicateLabel(f"pmap for {a!r} declared twice")
-            pmap[a] = _canon_terms(_parse_terms(cur), p, order, f"pmap {a}")
+            a, terms = _read_value(cur, kw, p, order, pmap)
+            pmap[a] = terms
         elif kw == "module":
-            if not basis:
-                raise DslSyntaxError(lineno, 1, "'basis' before 'module'")
             mname = cur.expect(_ID, "module name")
             cur.expect("dim", "'dim'")
             m = int(cur.expect(_INT, "positive dimension"))
@@ -294,10 +304,9 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
         else:
             raise DslSyntaxError(lineno, 1,
                                  "keyword (algebra/basis/bracket/pmap/module/action)")
-    if name is None:
-        raise DslSyntaxError(max(last_line, 1), 1, "'algebra' declaration")
-    if not basis:
-        raise DslSyntaxError(max(last_line, 1), 1, "'basis' declaration")
+    if name is None or not basis:
+        keyword = "'algebra'" if name is None else "'basis'"
+        raise DslSyntaxError(max(len(text.splitlines()), 1), 1, f"{keyword} declaration")
     if require_pmap:
         missing = [b for b in basis if b not in pmap]
         if missing:
@@ -310,6 +319,7 @@ def parse(text: str, require_pmap: bool = True) -> AlgebraFile:
             raise UnresolvedReference(
                 f"module {mb.name!r} has no action for {absent[0]!r}"
             )
+    brackets = {key: terms for key, terms in brackets.items() if terms}
     return AlgebraFile(name, p, basis, brackets, pmap, modules)
 
 
@@ -337,30 +347,43 @@ def emit(af: AlgebraFile) -> str:
     return "\n".join(out) + "\n"
 
 
-def structure_constants(af: AlgebraFile) -> np.ndarray:
-    n = len(af.basis)
-    order = {b: i for i, b in enumerate(af.basis)}
+def _pair_array(pairs: dict, order: dict[str, int], p: int) -> np.ndarray:
+    """The n × n × n array of ``[a,b] = terms`` entries, negated on [b,a]."""
+    n = len(order)
     c = np.zeros((n, n, n), dtype=np.int64)
-    for (a, b), terms in af.brackets.items():
+    for (a, b), terms in pairs.items():
         i, j = order[a], order[b]
         for coeff, label in terms:
-            c[i, j, order[label]] = coeff % af.p
+            c[i, j, order[label]] = coeff % p
         if i != j:
-            c[j, i] = (-c[i, j]) % af.p
+            c[j, i] = (-c[i, j]) % p
     return c
 
 
+def _row_array(values: dict, order: dict[str, int], p: int) -> np.ndarray:
+    """The n × n array whose row a holds the ``a = terms`` entry."""
+    n = len(order)
+    rows = np.zeros((n, n), dtype=np.int64)
+    for a, terms in values.items():
+        for coeff, label in terms:
+            rows[order[a], order[label]] = coeff % p
+    return rows
+
+
+def _terms(row: np.ndarray, labels: list[str]) -> tuple:
+    """The canonical terms of one array row: the inverse of the two above."""
+    return tuple((v, labels[k]) for k, v in enumerate(row.tolist()) if v)
+
+
+def structure_constants(af: AlgebraFile) -> np.ndarray:
+    return _pair_array(af.brackets, {b: i for i, b in enumerate(af.basis)}, af.p)
+
+
 def p_map_matrix(af: AlgebraFile) -> np.ndarray:
-    n = len(af.basis)
-    order = {b: i for i, b in enumerate(af.basis)}
     missing = [b for b in af.basis if b not in af.pmap]
     if missing:
         raise UnresolvedReference(f"no pmap declared for {missing[0]!r}")
-    pi = np.zeros((n, n), dtype=np.int64)
-    for a, terms in af.pmap.items():
-        for coeff, label in terms:
-            pi[order[a], order[label]] = coeff % af.p
-    return pi
+    return _row_array(af.pmap, {b: i for i, b in enumerate(af.basis)}, af.p)
 
 
 def build(af: AlgebraFile, check: bool = True):
@@ -381,9 +404,7 @@ def build(af: AlgebraFile, check: bool = True):
             raise VerificationFailed(f"not a restricted Lie algebra: {failing}")
     modules = {}
     for mb in af.modules:
-        rho = np.zeros((len(af.basis), mb.dim, mb.dim), dtype=np.int64)
-        for a, rows in mb.actions.items():
-            rho[af.basis.index(a)] = np.array(rows, dtype=np.int64)
+        rho = np.array([mb.actions[a] for a in af.basis], dtype=np.int64)
         modules[mb.name] = RestrictedModule(L, rho, check=check)
     return L, modules
 
@@ -395,79 +416,34 @@ def from_algebra(L: RestrictedLieAlgebra, name: str,
     labels = labels or [f"e{i}" for i in range(n)]
     if len(labels) != n or len(set(labels)) != n:
         raise DuplicateLabel("need n distinct labels")
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = tuple(
-                (int(L.c[i, j, k]), labels[k]) for k in range(n) if L.c[i, j, k]
-            )
-            if terms:
-                brackets[(labels[i], labels[j])] = terms
-    pmap = {
-        labels[i]: tuple((int(L.pi[i, k]), labels[k]) for k in range(n) if L.pi[i, k])
-        for i in range(n)
-    }
+    brackets = {(labels[i], labels[j]): terms for i in range(n) for j in range(i + 1, n)
+                if (terms := _terms(L.c[i, j], labels))}
+    pmap = {labels[i]: _terms(L.pi[i], labels) for i in range(n)}
     return AlgebraFile(name, p, list(labels), brackets, pmap, [])
 
 
 def witt_file(p: int) -> AlgebraFile:
-    from .liealg import witt_algebra
-
     L, _ = witt_algebra(p)
     return from_algebra(L, f"witt{p}", [f"D{i}" for i in range(p)])
 
 
 def parse_cocycle(text: str, af: AlgebraFile):
-    """Degree-2 cochain file with adjoint coefficients.
-
-    Lines: ``phi [<id>,<id>] = <terms>`` and ``omega <id> = <terms>``;
-    undeclared entries are zero.  Returns (phi, omega) arrays shaped
-    (n,n,n) and (n,n).
-    """
-    n, p = len(af.basis), af.p
+    """Degree-2 cochain file with adjoint coefficients: the (phi, omega)
+    arrays shaped (n,n,n) and (n,n); undeclared entries are zero and a
+    phi entry on the diagonal must be 0."""
     order = {b: i for i, b in enumerate(af.basis)}
-    phi = np.zeros((n, n, n), dtype=np.int64)
-    omega = np.zeros((n, n), dtype=np.int64)
-    seen_phi: set[tuple[str, str]] = set()
-    seen_omega: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        cur = _Cursor(line, lineno)
+    phi: dict[tuple[str, str], tuple] = {}
+    omega: dict[str, tuple] = {}
+    for lineno, cur in _lines(text):
         kw = cur.expect(_KEYWORD, "keyword (phi/omega)")
         if kw == "phi":
-            cur.expect("[", "'['")
-            a = cur.expect(_ID, "basis label")
-            cur.expect(",", "','")
-            b = cur.expect(_ID, "basis label")
-            cur.expect("]", "']'")
-            cur.expect("=", "'='")
-            terms = _canon_terms(_parse_terms(cur), p, order, f"phi [{a},{b}]")
-            key = (a, b) if order.get(a, 0) <= order.get(b, 0) else (b, a)
-            if a not in order or b not in order:
-                raise UnresolvedReference(f"phi uses unknown label {a!r} or {b!r}")
-            if key in seen_phi:
-                raise DuplicateLabel(f"phi [{key[0]},{key[1]}] declared twice")
-            seen_phi.add(key)
-            if a == b:
-                if terms:
-                    raise DslSyntaxError(lineno, 1, "zero entry on the diagonal")
-                continue
-            i, j = order[a], order[b]
-            for coeff, label in terms:
-                phi[i, j, order[label]] = coeff
-            phi[j, i] = (-phi[i, j]) % p
+            key, terms = _read_pair(cur, kw, af.p, order, phi)
+            if key[0] == key[1] and terms:
+                raise DslSyntaxError(lineno, 1, "zero entry on the diagonal")
+            phi[key] = terms
         elif kw == "omega":
-            a = cur.expect(_ID, "basis label")
-            cur.expect("=", "'='")
-            if a not in order:
-                raise UnresolvedReference(f"omega uses unknown label {a!r}")
-            if a in seen_omega:
-                raise DuplicateLabel(f"omega {a!r} declared twice")
-            seen_omega.add(a)
-            for coeff, label in _canon_terms(_parse_terms(cur), p, order, f"omega {a}"):
-                omega[order[a], order[label]] = coeff
+            a, terms = _read_value(cur, kw, af.p, order, omega)
+            omega[a] = terms
         else:
             raise DslSyntaxError(lineno, 1, "keyword (phi/omega)")
-    return phi, omega
+    return _pair_array(phi, order, af.p), _row_array(omega, order, af.p)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescoh.dsl import (
     AlgebraFile,
@@ -171,7 +173,7 @@ def test_matrix_shape_errors():
     with pytest.raises(DslSyntaxError, match="row of 2"):
         parse(
             "algebra a over GF(3)\nbasis x\npmap x^[p] = 0\n"
-            "module m dim 2\naction x = [[1,0,0];[0,1,0]]\n"
+            "module m dim 2\naction x = [[1,0,0;0,1,0]]\n"
         )
     with pytest.raises(DslSyntaxError, match="2 matrix rows"):
         parse(
@@ -244,6 +246,57 @@ def test_parse_cocycle_errors():
         parse_cocycle("omega D9 = 1*D0\n", af)
     with pytest.raises(DslSyntaxError, match="phi/omega"):
         parse_cocycle("gamma D0 = 0\n", af)
+
+
+@st.composite
+def cocycle_files(draw):
+    """(af, phi, omega, text): a random antisymmetric phi and an omega over
+    1-4 labels, written as a cocycle file with reversed pairs, values split
+    into repeated terms (some cancelling), zero diagonal lines, comments and
+    blank lines, in any order."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    labels = draw(st.permutations(["x", "y", "z", "w"]))[:draw(st.integers(1, 4))]
+    n = len(labels)
+    rows = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    phi = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            phi[i, j] = draw(rows)
+            phi[j, i] = (-phi[i, j]) % p
+    omega = np.array([draw(rows) for _ in range(n)], dtype=np.int64).reshape(n, n)
+
+    def terms(row):
+        out = []
+        for k, v in enumerate(row.tolist()):
+            if v or draw(st.booleans()):
+                parts = draw(st.lists(st.integers(-2 * p, 2 * p), max_size=2))
+                last = v + p * draw(st.integers(-1, 1)) - sum(parts)
+                out += [(c, labels[k]) for c in parts + [last]]
+        return "+".join(f"{c}*{label}" for c, label in draw(st.permutations(out))) or "0"
+
+    lines = []
+    for i in range(n):
+        for j in range(n):
+            if i < j and (phi[i, j].any() or draw(st.booleans())):
+                i2, j2 = (j, i) if draw(st.booleans()) else (i, j)
+                lines.append(f"phi [{labels[i2]},{labels[j2]}] = {terms(phi[i2, j2])}")
+        if draw(st.booleans()):
+            lines.append(f"phi [{labels[i]},{labels[i]}] = {terms(np.zeros(n, np.int64))}")
+        if omega[i].any() or draw(st.booleans()):
+            lines.append(f"omega {labels[i]} = {terms(omega[i])}")
+    lines += draw(st.lists(st.sampled_from(["", "  ", "# a comment", "\t# phi [x,y] = 1*x"]),
+                           max_size=3))
+    lines = [line + draw(st.sampled_from(["", " ", "  # note"]))
+             for line in draw(st.permutations(lines))]
+    return AlgebraFile("a", p, labels, {}, {}, []), phi, omega, "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=cocycle_files())
+def test_parse_cocycle_reads_back_what_was_written(case):
+    af, phi, omega, text = case
+    read_phi, read_omega = parse_cocycle(text, af)
+    assert np.array_equal(read_phi, phi) and np.array_equal(read_omega, omega), text
 
 
 def test_emitted_text_is_stable():
