@@ -16,12 +16,11 @@ U_res is commutative here, so d is U_res-linear: d_k = Σ_i A_i ⊗ x_i +
 B ⊗ 1 + Σ_j C_j ⊗ x_j^{p-1}, small tables on the free generators times
 2n+1 right multiplications.  All 2n+1 tables are built at once from π
 by exponent arithmetic on PBW ranks, and each d_k is its list of
-generator terms summed by linalg.kron_sum into a SparseMatrix; d∘d = 0
-is checked with one sparse product per composite.  A slice carries only
-its dimension; the basis elements e^mu ⊗ e_I ⊗ r, in the order of the
-matrix coordinates, are built by _slice_basis for the few callers that
-read them.  The dual complex sums the same terms,
-transposed, on the operators' matrices on the module, densely.
+generator terms summed by linalg.kron_sum into a SparseMatrix, whose
+composites the Resolution checks.  A slice carries only its dimension;
+_slice_basis builds its basis elements e^mu ⊗ e_I ⊗ r, in coordinate
+order, for the few callers that read them.  The dual complex sums the
+same terms, transposed, on the operators' matrices on the module, densely.
 
 Two auxiliary complexes support the exactness argument and are checked
 directly here: the wedge-only complex on Λ^k ⊗ U_res (the A_i part of
@@ -46,7 +45,7 @@ import numpy as np
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
 from .linalg import (Complex, InvariantFailure, SparseMatrix, TooLarge, UsageError, _check, _report,
-                     _summed, identity, kron_sum, mat_pow_mod, matmul_mod, rank, zeros)
+                     _nonzeros, _summed, identity, kron_sum, mat_pow_mod, matmul_mod, rank, zeros)
 from .ures import Ures
 
 SLICE_BOUND = 20_000
@@ -81,7 +80,8 @@ class ChainComplexSlice:
 
 class Resolution(Complex):
     """Slices 0..k_max of the augmented complex, plus one hidden slice,
-    as the Complex with delta(-k) = d_k and delta(0) = eps.
+    as the Complex with delta(-k) = d_k and delta(0) = eps, which checks
+    its composites ε∘d₁ and d_k∘d_(k+1), k ≤ k_max, when it is built.
 
     The extra slice at k_max+1 exists so homology at k_max itself can be
     computed; it is not part of ``slices``.
@@ -92,6 +92,8 @@ class Resolution(Complex):
         maps = [eps] + [s.d for s in slices[1:]] + [extra.d]
         super().__init__(lambda k: maps[-k] if k <= 0 else None, eps.p)
         self._ranks[0] = 1  # eps is onto GF(p)
+        for k in range(k_max + 1):
+            self.check(-k)
 
 
 def _check_bound(name: str, k: int, p: int) -> None:
@@ -250,7 +252,7 @@ def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
     """Slices 0..k_max of the augmented complex, with d² and ε∘d₁ checked.
 
     One further slice is built internally so that homology can be taken
-    at k_max itself.  Each composite is checked once, sparsely, here.
+    at k_max itself.  The Resolution checks each composite once, sparsely.
 
     Raises:
         NotAbelian: nonzero bracket.
@@ -264,9 +266,6 @@ def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
     U = Ures(L)
     slices = _build_slices(L, U, k_max + 1)
     eps = SparseMatrix((1, U.dim()), [0], [U.mono_rank(U.unit_mono)], [1], L.p)
-    eps.check_composite(slices[1].d, "eps d_1")
-    for k in range(2, k_max + 2):
-        slices[k - 1].d.check_composite(slices[k].d, f"d_{k-1} d_{k}")
     return Resolution(k_max, slices[: k_max + 1], eps, slices[k_max + 1])
 
 
@@ -274,8 +273,8 @@ def resolution_homology(res: Resolution, k: int) -> int:
     """Homology dimension of the augmented complex at degree k <= k_max.
 
     dim C_k − rank d_k − rank d_{k+1}, where degree 0 uses ker ε in place
-    of ker d₀ (ε is onto GF(p), so its rank is 1).  The complex was
-    checked when it was built.  Expected 0 for 0 <= k < p.
+    of ker d₀ (ε is onto GF(p), so its rank is 1): ``res.dim``, whose d∘d
+    check the Resolution made when it was built.  Expected 0 for 0 <= k < p.
     """
     if k < 0 or k > res.k_max:
         raise UsageError(f"k={k} outside built range 0..{res.k_max}")
@@ -303,17 +302,15 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
         L._operators = tuple(_right_operators(U))
     ops = L._operators
     cx = Complex(lambda j: _assemble(L, ops, -j, wedge_only=True) if 1 <= -j <= n else None, p)
+    dim = cx.dim(-k)  # checks d_k∘d_(k+1) = 0 first
     d_out, d_in = cx.delta(-k), cx.delta(-k - 1)
-    if d_out is not None and d_in is not None:
-        d_out.check_composite(d_in, f"aux d_{k} d_{k + 1}")
     basis_index = {b: i for i, b in enumerate(itertools.product(
         itertools.combinations(range(n), k), monos))}
     reps = zeros(math.comb(n, k), len(basis_index))
     for row, I in enumerate(itertools.combinations(range(n), k)):
         for x, v in _c_product(L, U, I).items():
             reps[row, basis_index[(x.I, x.r)]] = v
-    which, at = np.nonzero(reps)
-    rep_cols = SparseMatrix((len(basis_index), len(reps)), at, which, reps[which, at], p)
+    rep_cols = SparseMatrix(*_nonzeros(reps.T, p), p)
     if d_out is not None and (d_out @ rep_cols).vals.size:
         raise InvariantFailure(f"aux_C_homology(k={k}): a representative is not a cycle")
     if d_in is None:
@@ -324,9 +321,9 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
                               np.concatenate([d_in.vals, rep_cols.vals]), p), p)
     if joint != cx.rank(-k - 1) + reps.shape[0]:
         raise InvariantFailure(f"aux_C_homology(k={k}): representatives dependent mod boundaries")
-    if reps.shape[0] != cx.dim(-k):
+    if reps.shape[0] != dim:
         raise InvariantFailure(f"aux_C_homology(k={k}): {reps.shape[0]} representatives "
-                               f"for homology of dimension {cx.dim(-k)}")
+                               f"for homology of dimension {dim}")
     return reps.shape[0], reps
 
 
@@ -365,9 +362,7 @@ def frakC_check(L: RestrictedLieAlgebra, k_max: int) -> dict:
         return (lhs - np.diag([sum(mu) + len(I) for mu, I in bases[k]])) % p
 
     cx = Complex(lambda j: bdry(-j) if 1 <= -j <= k_max + 1 else None, p)
-    h_dims = {0: L.p ** n - cx.rank(-1)}
-    for k in range(1, k_max + 1):
-        h_dims[k] = cx.cohomology(-k).dim
+    h_dims = {0: L.p ** n - cx.rank(-1)} | {k: cx.dim(-k) for k in range(1, k_max + 1)}
     checks = [
         # degree 1 maps into U_res itself; every degree-1 symbol has mu = 0
         {"name": "d1_zero", "pass": not cx.delta(-1).any()},
@@ -524,4 +519,4 @@ def abelian_cochain_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule,
                  in _generator_terms(L, pairs[j + 1], pairs[j])]
         return kron_sum((len(pairs[j + 1]), len(pairs[j])), terms, rhos, p)
 
-    return Complex(lambda j: delta(j) if j >= 0 else None, p).cohomology(k).dim
+    return Complex(lambda j: delta(j) if j >= 0 else None, p).dim(k)

@@ -68,7 +68,7 @@ class ClassicalComplex(Complex):
 
     def __init__(self, L: RestrictedLieAlgebra, M: RestrictedModule):
         super().__init__(lambda q: delta_cl_matrix(L, M, q) if q >= 0 else None, L.p)
-        self._maps, self._ranks, self._groups = M._store(L, "classical")
+        self._maps, self._ranks, self._checked, self._groups = M._store(L, "classical")
 
 
 def classical_cohomology(L: RestrictedLieAlgebra, M: RestrictedModule, q: int):

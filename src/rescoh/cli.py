@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .abelres import _formal_basis, build_resolution, resolution_homology
-from .classical import classical_cohomology
+from .classical import ClassicalComplex
 from .dsl import (
     AlgebraFile,
     UnresolvedReference,
@@ -119,7 +119,7 @@ def _cmd_cohomology(args):
     k = args.degree
     checks = []
     if args.classical:
-        dim, _ = classical_cohomology(L, M, k)
+        dim = ClassicalComplex(L, M).dim(k)
         results = {"module": args.module, "degree": k, "classical_dim": dim}
         return results, checks, [data]
     if k > 2:
@@ -127,7 +127,7 @@ def _cmd_cohomology(args):
                          "use --classical for higher degrees")
     if k == 0:
         rdim, _ = restricted_cohomology(L, M, k)
-        cdim, _ = classical_cohomology(L, M, k)
+        cdim = ClassicalComplex(L, M).dim(0)
         checks.append({"name": "h0_matches_classical", "pass": rdim == cdim})
         results = {"module": args.module, "degree": k,
                    "restricted_dim": rdim, "classical_dim": cdim}
@@ -189,7 +189,7 @@ def _cmd_derivations(args):
     D = restricted_derivations(L)
     inner = inner_derivations(L)
     A = adjoint_module(L)
-    h1, _ = restricted_cohomology(L, A, 1)
+    h1 = RestrictedComplex(L, A).dim(1)
     results = {
         "derivation_dim": D.dim,
         "inner_dim": inner.dim,

@@ -8,8 +8,8 @@ verifier only needs basis pairs, which it checks in stacks of at most
 linalg.CHECK_CELLS cells.  A module keeps rho as a read-only n x m^2
 table, so rho(x) at one point or at a stack of points is one product.
 
-A module keeps what the complexes over it compute (coboundaries, ranks,
-cohomology groups; see RestrictedModule._store), so every complex of
+A module keeps what the complexes over it compute (maps, ranks, checked
+composites, groups; see RestrictedModule._store), so every complex of
 one kind over it builds each map once.  It holds arrays and Cohomology
 objects only, never a complex, so a dropped module is freed at once,
 and its action is read-only, so what it keeps cannot go stale.  The
@@ -59,15 +59,15 @@ class RestrictedModule:
             if failing is not None:
                 raise VerificationFailed(f"not a restricted module: {failing}")
 
-    def _store(self, L: RestrictedLieAlgebra, kind: str) -> tuple[dict, dict, dict]:
-        """The maps, ranks and groups of the complex ``kind`` over (L, self).
+    def _store(self, L: RestrictedLieAlgebra, kind: str) -> tuple[dict, dict, set, dict]:
+        """The maps, ranks, checked composites and groups of ``kind`` over (L, self).
 
         Raises MixedAlgebras if L is not this module's algebra: the store
         answers for M.L only.
         """
         if not same_algebra(L, self.L):
             raise MixedAlgebras(f"a {kind} complex needs a module over its own algebra")
-        return self._stores.setdefault(kind, ({}, {}, {}))
+        return self._stores.setdefault(kind, ({}, {}, set(), {}))
 
     def matrix_of(self, x) -> np.ndarray:
         """Action matrix of the algebra element with coordinates x: one

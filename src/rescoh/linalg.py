@@ -14,8 +14,8 @@ read their input, a SparseMatrix at construction, the products and
 is unique, so every basis returned here is reproducible.
 ``cohomology`` turns a pair of composable maps into their quotient
 ker/im with canonical representatives, eliminating each map once; a
-``Complex``, which every complex of the package is, builds and ranks
-each of its maps once.
+``Complex``, which every complex of the package is, builds, ranks and
+checks each map once; a dimension alone is two ranks.
 ``kron_sum`` builds every coboundary and differential of the package
 from its list of block terms, dense or sparse by the type of its ops.
 The error bases live here, with the one check form (``_check``,
@@ -45,9 +45,9 @@ class InvariantFailure(Exception):
 class NotAComplex(InvariantFailure):
     """Composite of consecutive differentials is nonzero.
 
-    Raised by cohomology and SparseMatrix.check_composite; hitting
-    this means a differential or coboundary matrix is wrong upstream,
-    so it is deliberately loud.
+    Raised by cohomology and SparseMatrix.check_composite, which
+    Complex.check (so Complex.dim) runs once a pair; hitting this means
+    a differential or coboundary matrix is wrong upstream, so it is loud.
     """
 
 
@@ -720,13 +720,13 @@ def cohomology(incoming, outgoing, p: int) -> Cohomology:
 
 class Complex:
     """A cochain complex over GF(p): ``build(k)`` gives δ(k): C^k -> C^(k+1), an
-    array, a SparseMatrix or None, and each map, rank and group is computed
+    array, a SparseMatrix or None; each map, rank, check and group is made
     once, each array map and group array read-only, since they may be shared.
     A chain complex d_k: C_k -> C_(k-1) is read as C^(-k) = C_k."""
 
     def __init__(self, build, p: int):
         self._build, self.p = build, p
-        self._maps, self._ranks, self._groups = {}, {}, {}
+        self._maps, self._ranks, self._checked, self._groups = {}, {}, set(), {}
 
     def delta(self, k: int):
         if k not in self._maps:
@@ -741,8 +741,23 @@ class Complex:
             self._ranks[k] = 0 if d is None else rank(d, self.p)
         return self._ranks[k]
 
+    def check(self, k: int) -> None:
+        """Raise NotAComplex unless δ(k)∘δ(k−1) = 0, exactly and once per pair
+        of maps; skipped when group k is kept, whose rank test proved it."""
+        if k in self._checked or k in self._groups:
+            return
+        p, out, inc = self.p, self.delta(k), self.delta(k - 1)
+        if out is None and inc is None:
+            raise ValueError("need at least one map to fix the middle dimension")
+        if out is not None and inc is not None:
+            out, inc = (d if isinstance(d, SparseMatrix) else SparseMatrix(*_nonzeros(d, p), p)
+                        for d in (out, inc))
+            out.check_composite(inc, f"delta({k}) delta({k - 1})")
+        self._checked.add(k)
+
     def dim(self, k: int) -> int:
-        """dim C^k − rank δ(k) − rank δ(k−1), taking δ(k)∘δ(k−1) = 0 on trust."""
+        """dim C^k − rank δ(k) − rank δ(k−1), after ``check(k)``."""
+        self.check(k)
         out, inc = self.delta(k), self.delta(k - 1)
         size = np.shape(inc)[0] if out is None else np.shape(out)[1]
         return size - self.rank(k) - self.rank(k - 1)

@@ -400,7 +400,7 @@ class RestrictedComplex(Complex):
             return top
 
         super().__init__(stack, L.p)
-        self._maps, self._ranks, self._groups = M._store(L, "restricted")
+        self._maps, self._ranks, self._checked, self._groups = M._store(L, "restricted")
 
     def cohomology(self, k: int) -> Cohomology:
         """Restricted H^k for k in {1, 2}."""

@@ -404,3 +404,22 @@ def test_dual_cochain_matches_restricted_complex(abelian_entry):
             dual = abelian_cochain_cohomology(L, M, k, allow_unproven=unproven)
             direct = restricted_cohomology(L, M, k)[0]
             assert dual == direct, (tag, mname, k)
+
+
+def test_dimensions_from_ranks_match_the_group_path(monkeypatch):
+    # frakC_check, aux_C_homology and abelian_cochain_cohomology read their
+    # dimensions from two ranks; read from the groups instead, as they were,
+    # every report and value is the same
+    def answers():
+        out = []
+        for tag, L in ABELIAN:
+            out.append(frakC_check(L, min(L.p - 1, 4)))
+            out += [(dim, reps.tolist()) for dim, reps in (aux_C_homology(L, k)
+                                                          for k in range(L.n + 1))]
+            out += [abelian_cochain_cohomology(L, M, k, allow_unproven=k + 1 >= L.p)
+                    for _, M in coefficient_modules(L) for k in range(4)]
+        return out
+
+    from_ranks = answers()
+    monkeypatch.setattr(linalg.Complex, "dim", lambda self, k: self.cohomology(k).dim)
+    assert answers() == from_ranks

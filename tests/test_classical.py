@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from rescoh.classical import (
     ClassicalComplex,
@@ -15,7 +16,7 @@ from rescoh.liealg import (
     solvable2_algebra,
     witt_algebra,
 )
-from rescoh.linalg import Subspace, matmul_mod, nullspace, rank
+from rescoh.linalg import SparseMatrix, Subspace, matmul_mod, nullspace, rank
 from rescoh.rescochain import RestrictedComplex
 
 import cochain_loops
@@ -159,3 +160,30 @@ def test_dim_from_ranks_matches_the_group(corpus_entry):
                             (RestrictedComplex(L, M), (1, 2))):
             for k in degrees:
                 assert cx.dim(k) == cx.cohomology(k).dim, (tag, mname, type(cx).__name__, k)
+
+
+def test_dim_without_a_map_is_refused_like_the_group():
+    L = heisenberg_algebra(3)
+    cx = ClassicalComplex(L, trivial_module(L, 1))
+    for read in (cx.dim, cx.cohomology):
+        with pytest.raises(ValueError, match="need at least one map to fix the middle dimension"):
+            read(-1)
+
+
+def test_each_composite_is_checked_once_per_module(monkeypatch):
+    # The module's store remembers a passed check next to the ranks, so a
+    # second complex over it checks nothing again; a kept group has proved
+    # its pair already, and another module checks its own.
+    labels = []
+    original = SparseMatrix.check_composite
+    monkeypatch.setattr(SparseMatrix, "check_composite",
+                        lambda self, inner, label: labels.append(label) or original(self, inner, label))
+    L = witt_algebra(5)[0]
+    A = adjoint_module(L)
+    assert ClassicalComplex(L, A).dim(3) == ClassicalComplex(L, A).dim(3)
+    assert labels == ["delta(3) delta(2)"]
+    H = ClassicalComplex(L, A).cohomology(2)
+    assert ClassicalComplex(L, A).dim(2) == H.dim
+    assert labels == ["delta(3) delta(2)"]
+    ClassicalComplex(L, trivial_module(L, 1)).dim(3)
+    assert labels == ["delta(3) delta(2)"] * 2

@@ -459,6 +459,75 @@ def test_resolve_ranks_each_differential_once(tmp_path, capsys, monkeypatch):
     assert all(a is not res.eps for a in ranked)
 
 
+def test_each_composite_is_checked_once_and_only_where_no_group_proves_it(
+        tmp_path, capsys, monkeypatch):
+    # resolve checks its three composites when the Resolution is built; a
+    # classical dimension checks its one pair and eliminates with rank
+    # alone; the groups of cohomology --degree 2 prove their pairs themselves
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg.SparseMatrix, "check_composite",
+                        counted("check_composite", linalg.SparseMatrix.check_composite))
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    flat = write(tmp_path, "flat.alg", ABELIAN)
+    witt = write(tmp_path, "witt5.alg", emit(witt_file(5)))
+    for argv, checks, rrefs in [(("resolve", flat, "--kmax", "2"), 3, 0),
+                                (("cohomology", witt, "--degree", "3", "--classical"), 1, 0),
+                                (("cohomology", witt, "--degree", "2"), 0, 6)]:
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv, "--module", "adjoint") if argv[0] == "cohomology" \
+            else run_cli(capsys, *argv)
+        assert code == 0
+        assert (calls["check_composite"], calls["rref"]) == (checks, rrefs), argv
+
+
+def test_a_corrupted_classical_coboundary_exits_three(tmp_path, capsys, monkeypatch):
+    original = classical.delta_cl_matrix
+
+    def corrupted(L, M, q):
+        d = original(L, M, q)
+        return d if q != 2 else (d + np.eye(*d.shape, dtype=np.int64)) % L.p
+
+    monkeypatch.setattr(classical, "delta_cl_matrix", corrupted)
+    path = write(tmp_path, "witt5.alg", emit(witt_file(5)))
+    code, report, err = run_cli(capsys, "cohomology", path, "--module", "adjoint",
+                                "--degree", "3", "--classical")
+    assert code == 3 and report is None
+    assert err.startswith("error: internal: NotAComplex:")
+
+
+CLI_FILES = {"borel.alg": SOLVABLE, "flat.alg": ABELIAN, "flat0.alg": FLAT_ZERO,
+             "witt3.alg": emit(witt_file(3))}  # FILIFORM declares no p-map
+
+
+def test_dimension_reports_match_the_group_path(tmp_path, capsys, monkeypatch):
+    # --classical, the classical H0 of --degree 0 and derivations read their
+    # dimensions from two ranks; read from the groups instead, as they were,
+    # every report is the same
+    runs = []
+    for name, text in CLI_FILES.items():
+        path = write(tmp_path, name, text)
+        runs.append(("derivations", path))
+        for module in ["trivial", "adjoint"] + (["line"] if text is SOLVABLE else []):
+            runs.append(("cohomology", path, "--module", module, "--degree", "0"))
+            runs += [("cohomology", path, "--module", module, "--degree", str(k), "--classical")
+                     for k in range(6)]
+
+    def reports():
+        return [run_cli(capsys, *argv) for argv in runs]
+
+    from_ranks = reports()
+    assert all(report is not None for _, report, _ in from_ranks)
+    monkeypatch.setattr(linalg.Complex, "dim", lambda self, k: self.cohomology(k).dim)
+    assert reports() == from_ranks
+
+
 DROP_A_CLASSICAL_REP = """\
 import sys
 import rescoh.linalg as linalg

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +238,60 @@ def test_a_complex_keeps_read_only_maps_and_groups():
         assert H is cx.cohomology(k) and H.dim == cx.dim(k) == dim
         for a in (H.cycles, H.boundaries, H.reps):
             assert not a.flags.writeable
+
+
+# δ(1)∘δ(0) = [[0, 1, 1]]: columns 1 and 2 have a nonzero image
+NOT_A_COMPLEX = {0: [[0, 0, 0], [0, 1, 0], [0, 0, 1]], 1: [[0, 1, 1]]}
+
+
+def complex_of(maps, p, sparse):
+    """A plain Complex over the dense or the SparseMatrix form of each map."""
+    form = to_sparse if sparse else as_fp
+    return Complex(lambda k: form(maps[k], p) if k in maps else None, p)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_dim_refuses_a_nonzero_composite(sparse):
+    # the two ranks alone would read dim H^1 = 3 - 1 - 2 = 0; dim checks
+    # the composite exactly first and names its first nonzero column
+    cx = complex_of(NOT_A_COMPLEX, 5, sparse)
+    with pytest.raises(NotAComplex, match=r"^delta\(1\) delta\(0\) is nonzero on column 1$"):
+        cx.dim(1)
+    with pytest.raises(NotAComplex):
+        cx.dim(1)  # a failed check is not remembered as passed
+    assert (cx.dim(0), cx.dim(2)) == (1, 0)  # one map each: no pair to check
+
+
+REFUSE_A_NONZERO_COMPOSITE = f"""\
+import sys
+import numpy as np
+from rescoh.linalg import Complex, NotAComplex, SparseMatrix, as_fp
+dense = {{k: as_fp(a, 5) for k, a in {NOT_A_COMPLEX!r}.items()}}
+sparse = {{k: SparseMatrix(a.shape, *np.nonzero(a), a[np.nonzero(a)], 5) for k, a in dense.items()}}
+for maps in (dense, sparse):
+    try:
+        Complex(maps.get, 5).dim(1)
+    except NotAComplex as exc:
+        print(exc)
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_dim_refuses_a_nonzero_composite_under_optimize():
+    # the check is no assert: it has to survive python -O
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", REFUSE_A_NONZERO_COMPOSITE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "delta(1) delta(0) is nonzero on column 1\n" * 2 + "optimize 1\n"
+
+
+def test_dim_without_a_map_is_refused_like_the_group():
+    cx = complex_of(NOT_A_COMPLEX, 5, False)
+    for k in (-1, 3):
+        for read in (cx.dim, cx.cohomology):
+            with pytest.raises(ValueError, match="need at least one map to fix the middle dimension"):
+                read(k)
 
 
 def test_kernels_leave_the_sparse_arrays_as_they_were():
