@@ -11,7 +11,7 @@ uses the sign convention (1-indexed positions s < t)
 
 so that in degree 0, (delta v)(g) = -g.v.  The matrix is that formula
 as a list of (target block, source block, coefficient, op) terms with
-ops rho(e_j) and 1, summed densely by linalg.kron_sum.
+ops rho(e_j) and 1, summed into a SparseMatrix by linalg.kron_sum.
 
 A ClassicalComplex is the linalg.Complex of these coboundaries for one
 (L, M); the restricted complex of the pair takes its classical blocks from it.
@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 # perfbench wraps classical.nullspace
-from .linalg import Complex, identity, kron_sum, nullspace  # noqa: F401
+from .linalg import Complex, SparseMatrix, identity, kron_sum, nullspace  # noqa: F401
 from .liealg import RestrictedLieAlgebra
 from .gmod import RestrictedModule
 
@@ -35,7 +35,7 @@ def cochain_tuples(n: int, q: int) -> list[tuple]:
     return list(itertools.combinations(range(n), q))
 
 
-def delta_cl_matrix(L: RestrictedLieAlgebra, M: RestrictedModule, q: int) -> np.ndarray:
+def delta_cl_matrix(L: RestrictedLieAlgebra, M: RestrictedModule, q: int) -> SparseMatrix:
     """Matrix of delta: C^q -> C^(q+1) in the coordinate bases: its action
     terms (T, T without g_s) with op rho(g_s) and its bracket terms (T, S)
     with op 1, S holding a basis element of [g_s, g_t] in place of g_s, g_t."""

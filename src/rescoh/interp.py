@@ -33,7 +33,6 @@ from .linalg import (
     _report,
     identity,
     mat_pow_mod,
-    matmul_mod,
     nullspace,
     sample_vectors,
     zeros,
@@ -108,7 +107,7 @@ def module_extension_roundtrip(L: RestrictedLieAlgebra, N: RestrictedModule,
     H = hom_module(N, M)
     p = L.p
     psi = np.asarray(psi, dtype=np.int64).reshape(-1) % p
-    if matmul_mod(delta1_matrix(L, H), psi.reshape(-1, 1), p).any():
+    if (delta1_matrix(L, H) @ psi).any():
         raise NotACocycle("psi is not a degree-1 cocycle in Hom(N, M)")
     nn, m = N.m, M.m
     psi_mats = psi.reshape(L.n, nn, m).transpose(0, 2, 1)
@@ -134,7 +133,7 @@ def module_extension_roundtrip(L: RestrictedLieAlgebra, N: RestrictedModule,
     rho2 = inj.copy()
     rho2[nn:] = (-f.reshape(nn, m).T) % p
     shifted = recovered(rho2)[:, nn:].transpose(0, 2, 1).reshape(-1)
-    want = (psi + matmul_mod(delta_cl_matrix(L, H, 0), f.reshape(-1, 1), p).ravel()) % p
+    want = (psi + delta_cl_matrix(L, H, 0) @ f) % p
     checks.append({"name": "perturbed_splitting_shift_is_coboundary",
                    "pass": bool((shifted == want).all())})
     return _report(checks)
@@ -157,7 +156,7 @@ def algebra_extension_roundtrip(L: RestrictedLieAlgebra, h_dim: int, c2: Cochain
     p, n = L.p, L.n
     T = trivial_module(L, h_dim)
     vec = c2_to_vec(L, T, c2)
-    if matmul_mod(delta2_matrix(L, T), vec.reshape(-1, 1), p).any():
+    if (delta2_matrix(L, T) @ vec).any():
         raise NotACocycle("(phi, omega) is not a degree-2 cocycle")
     phi, omega = c2.phi, c2.omega_basis
     ne = h_dim + n
@@ -201,7 +200,7 @@ def algebra_extension_roundtrip(L: RestrictedLieAlgebra, h_dim: int, c2: Cochain
     psi = sample_vectors(p, n * h_dim, 1, "algebra-extension-perturbation")[0]
     psi_mat = psi.reshape(n, h_dim)
     ph1, om1 = extract(lambda g: sigma(g, shift=(g @ psi_mat) % p))
-    d1 = matmul_mod(delta1_matrix(L, T), psi.reshape(-1, 1), p).ravel()
+    d1 = delta1_matrix(L, T) @ psi
     want = c2_from_vec(L, T, (vec + d1) % p)
     checks.append({"name": "perturbed_splitting_shift_is_delta1",
                    "pass": bool((ph1 == want.phi).all() and (om1 == want.omega_basis).all())})
@@ -239,7 +238,7 @@ def deformation_check(L: RestrictedLieAlgebra, c2: Cochain2) -> dict:
     p = L.p
     A = adjoint_module(L)
     vec = c2_to_vec(L, A, c2)
-    cocycle = not matmul_mod(delta2_matrix(L, A), vec.reshape(-1, 1), p).any()
+    cocycle = not (delta2_matrix(L, A) @ vec).any()
     report = verify_restricted(_deformed_algebra(L, c2))
     restricted = report["pass"]
     bad = _failing(report)

@@ -1,24 +1,25 @@
 """Exact linear algebra over GF(p).
 
 Matrices are numpy int64 arrays with entries reduced mod p, acting on
-coordinate column vectors; very sparse ones, such as the abelian
-resolution's differentials, are kept as a SparseMatrix.  ``rref`` and
-``rank`` read either form as nonzero index arrays: ``rref`` eliminates
-on {column: value} row dicts; ``rank`` peels the pivots of columns and
-rows with one nonzero, reduces the small connected components of the
-rest together in int64 numpy stacks and leaves the big ones to the row
-dicts, which alone need the entries sorted by row.  Every kernel is
-int64 and refuses p from MODULUS_LIMIT up: the eliminations where they
-read their input, a SparseMatrix at construction, the products and
-``kron_sum``, which read raw arrays, on entry.  A reduced echelon form
-is unique, so every basis returned here is reproducible.
-``cohomology`` turns a pair of composable maps into their quotient
-ker/im with canonical representatives, eliminating each map once; a
-``Complex``, which every complex of the package is, builds, ranks and
-checks each map once; a dimension alone is two ranks.
-``kron_sum`` builds every coboundary and differential of the package
-from its list of block terms, dense or sparse by the type of its ops.
-The error bases live here, with the one check form (``_check``,
+coordinate column vectors; the maps of every complex are kept as a
+SparseMatrix.  ``rref`` and ``rank`` read either form as nonzero index
+arrays: ``rref`` eliminates on {column: value} row dicts; ``rank`` peels
+the pivots of columns and rows with one nonzero, reduces the small
+connected components of the rest together in int64 numpy stacks and
+leaves the big ones to the row dicts, which alone need the entries
+sorted by row.  Every kernel is int64 and refuses p from MODULUS_LIMIT
+up: the eliminations where they read their input, a SparseMatrix at
+construction, the products and ``kron_sum``, which read raw arrays, on
+entry.  A reduced echelon form is unique, so every basis returned here
+is reproducible.  ``cohomology`` turns a pair of composable maps into
+their quotient ker/im with canonical representatives, eliminating each
+map once; a ``Complex``, which every complex of the package is, builds,
+ranks and checks each SparseMatrix map once; a dimension alone is two
+ranks.  ``kron_sum`` builds every coboundary and differential of the
+package from its list of block terms, as a SparseMatrix whatever the
+type of its ops.  One size bound, DENSE_CELLS, caps the entries
+``kron_sum`` makes and the dense reduced form ``rref`` returns.  The
+error bases live here, with the one check form (``_check``,
 ``_report``, ``_failing``) that every verifier's report takes.
 """
 
@@ -52,7 +53,7 @@ class NotAComplex(InvariantFailure):
 
 
 class TooLarge(UsageError):
-    """A dense array would exceed its size bound."""
+    """An array or a matrix would exceed its size bound."""
 
 
 def _check(name: str, search) -> dict:
@@ -121,9 +122,9 @@ class SparseMatrix:
     (compressed sparse column pointers), all read-only.  The constructor
     takes entries in any order, sums those at one position mod p and
     drops zeros, so a matrix has one form and equal matrices equal arrays.
-    ``np.asarray`` gives the dense int64 form for dense consumers
-    (``matmul_mod``, tests).  A p from MODULUS_LIMIT up is refused here,
-    so ``@`` and ``check_composite`` sum in int64 exactly.
+    ``np.asarray`` gives the dense int64 form, which no computation of
+    the package takes.  A p from MODULUS_LIMIT up is refused here, so
+    ``@`` and ``check_composite`` sum in int64 exactly.
     """
 
     __slots__ = ("shape", "rows", "cols", "vals", "ptr", "p")
@@ -148,27 +149,26 @@ class SparseMatrix:
         out[self.rows, self.cols] = self.vals
         return out if dtype is None else out.astype(dtype)
 
+    @property
+    def T(self) -> SparseMatrix:
+        """The transpose, at the same p."""
+        return SparseMatrix(self.shape[::-1], self.cols, self.rows, self.vals, self.p)
+
     def __matmul__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        blocks = list(_product_blocks(self, other))
-        parts = [np.concatenate(x) for x in zip(*blocks)] if blocks else [(), (), ()]
-        return SparseMatrix((self.shape[0], other.shape[1]), *parts, self.p)
-
-    def matvec(self, x: dict[int, int]) -> dict[int, int]:
-        """self @ x for x given as {column: value}; zeros are dropped.
-
-        Python-int arithmetic over the columns x names, for short x; a
-        column outside the shape is refused with ValueError.
-        """
-        out: dict[int, int] = {}
-        for c, xv in x.items():
-            if not 0 <= c < self.shape[1]:
-                raise ValueError(f"matvec: column {c} lies outside the shape {self.shape}")
-            lo, hi = self.ptr[c : c + 2].tolist()
-            for r, v in zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()):
-                out[r] = (out.get(r, 0) + v * xv) % self.p
-        return {r: v for r, v in out.items() if v}
+        """A SparseMatrix for a SparseMatrix; for a 1-d or 2-d array x, the
+        int64 array self @ x reduced mod p.  With x reduced first, each
+        product is below p² < 2^32, summed by row in int64 exactly; an x
+        of another length than the column count is refused (ValueError)."""
+        if isinstance(other, SparseMatrix):
+            blocks = list(_product_blocks(self, other))
+            parts = [np.concatenate(x) for x in zip(*blocks)] if blocks else [(), (), ()]
+            return SparseMatrix((self.shape[0], other.shape[1]), *parts, self.p)
+        x = as_fp(other, self.p)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"@: a {self.shape} matrix and a {x.shape} array do not compose")
+        out = np.zeros(self.shape[:1] + x.shape[1:], dtype=np.int64)
+        np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols])
+        return out % self.p
 
     def check_composite(self, inner: SparseMatrix, label: str) -> None:
         """Raise NotAComplex unless self @ inner == 0.
@@ -212,7 +212,8 @@ def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
         lo = hi
 
 
-DENSE_CELLS = 1 << 25  # 256 MiB of int64: Witt p=17's adjoint classical δ₂ fits, p=19's does not
+DENSE_CELLS = 1 << 26  # kron_sum's entries, rref's cells: Witt's adjoint restricted δ₂
+# fits at p=17 (16,473 x 2,601 = 42.8 M cells), not at p=19 (25,270 x 3,610 = 91.2 M)
 CHECK_CELLS = 1 << 20  # 8 MiB of int64 a stack: Witt p=11's Hom(ad, ad) pairs (0.8 M cells) fit
 
 
@@ -227,46 +228,39 @@ def _failing_items(count: int, cells: int, residues):
         yield from (start + np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))).tolist()
 
 
-def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int):
-    """Σ coef · E_rc ⊗ ops[o] over the terms (r, c, coef, o), reduced mod p.
+def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int) -> SparseMatrix:
+    """Σ coef · E_rc ⊗ ops[o] over the terms (r, c, coef, o), as a SparseMatrix.
 
     E_rc is the (r, c) unit matrix of a ``blocks`` grid.  The ops (at
-    least one, all of one shape) are the ρ(e_j), 1, ρ(e_j)^a and right
-    multiplications by x_i and x_j^(p−1) that make up every coboundary
-    and resolution differential of the package; terms may repeat a
-    block and carry any integer coefficient.
+    least one, all of one shape, arrays or SparseMatrix objects) are the
+    ρ(e_j), 1, ρ(e_j)^a and right multiplications by x_i and x_j^(p−1)
+    that make up every coboundary and resolution differential of the
+    package; terms may repeat a block and carry any integer coefficient.
 
-    The type of the ops picks the branch.  SparseMatrix ops give a
-    SparseMatrix, per op broadcasting its terms' block offsets over its
-    index arrays: the north-star resolution's 6,250 × 12,500 d₃ cannot
-    be dense.  Array ops give an array, one block add per term; each
-    adds below p² < 2^32, so one reduction at the end is exact.  A CLI
-    cohomology job of the jacobson-cohomology benchmark (those jobs set
-    its 90th percentile) takes about 2 ms and builds up to five tiny
-    coboundaries, where the sparse branch took 0.08-0.24 ms a build
-    against 0.01-0.05 ms dense (Heisenberg p=3 and solvable p=5, adjoint;
-    2-core host, Python 3.11).  Refused from MODULUS_LIMIT up, and a dense
-    result above DENSE_CELLS cells with TooLarge before it is allocated.
+    The ops' entries are read once, an array stack's by one ``np.nonzero``;
+    each term gathers those of its op, offset to its block, by index
+    arithmetic, and the constructor sums them.  Refused from MODULUS_LIMIT
+    up, and with TooLarge when the terms hold more than DENSE_CELLS entries
+    together, before any index array is made.
     """
     _check_modulus(p, "kron_sum")
-    R, C = blocks
     if isinstance(ops[0], SparseMatrix):
-        a, b = ops[0].shape
-        terms = np.array(terms, dtype=np.int64).reshape(-1, 4)
-        parts = []
-        for o, op in enumerate(ops):
-            r, c, cf = terms[terms[:, 3] == o, :3].T
-            parts.append(((r[:, None] * a + op.rows).ravel(), (c[:, None] * b + op.cols).ravel(),
-                          ((cf % p)[:, None] * op.vals).ravel()))
-        return SparseMatrix((R * a, C * b), *(np.concatenate(x) for x in zip(*parts)), p)
-    ops = as_fp(ops, p)
-    a, b = ops.shape[1:]
-    if R * a * C * b > DENSE_CELLS:
-        raise TooLarge(f"kron_sum: a dense {R * a} x {C * b} matrix exceeds {DENSE_CELLS} cells")
-    out = zeros(R * a, C * b)
-    for r, c, coef, o in terms:
-        out[r * a : (r + 1) * a, c * b : (c + 1) * b] += coef % p * ops[o]
-    return out % p
+        (a, b), sizes = ops[0].shape, np.array([op.vals.size for op in ops], dtype=np.int64)
+        er, ec, ev = (np.concatenate([getattr(op, x) for op in ops])
+                      for x in ("rows", "cols", "vals"))
+    else:
+        stack = as_fp(ops, p)
+        a, b = stack.shape[1:]
+        op, er, ec = np.nonzero(stack)  # by op, then row
+        sizes, ev = np.bincount(op, minlength=len(stack)), stack[op, er, ec]
+    r, c, cf, o = np.array(terms, dtype=np.int64).reshape(-1, 4).T
+    count = sizes[o]
+    if (total := int(count.sum())) > DENSE_CELLS:
+        raise TooLarge(f"kron_sum: {total} entries exceed {DENSE_CELLS}")
+    t = np.repeat(np.arange(o.size), count)
+    at = np.repeat(np.cumsum(sizes)[o] - np.cumsum(count), count) + np.arange(t.size)
+    return SparseMatrix((blocks[0] * a, blocks[1] * b), r[t] * a + er[at], c[t] * b + ec[at],
+                        cf[t] % p * ev[at], p)
 
 
 def _nonzeros(a, p: int):
@@ -445,7 +439,8 @@ def rref(a, p: int):
     leading column from the basis rows before it joins.
 
     Args:
-        a: matrix-like or SparseMatrix, any shape, zero rows or columns too.
+        a: matrix-like or SparseMatrix, any shape, zero rows or columns too,
+            of at most DENSE_CELLS cells, or TooLarge before any elimination.
         p: prime modulus below MODULUS_LIMIT, or ModulusTooLarge.
 
     Returns:
@@ -453,6 +448,8 @@ def rref(a, p: int):
         shape, its rank and the strictly increasing list of pivot columns.
     """
     shape, *entries = _nonzeros(a, p)
+    if shape[0] * shape[1] > DENSE_CELLS:
+        raise TooLarge(f"rref: a dense {shape[0]} x {shape[1]} matrix exceeds {DENSE_CELLS} cells")
     rows = _row_dicts(shape, *entries)
     basis: dict[int, dict[int, int]] = {}
     for row in rows.values():
@@ -703,14 +700,17 @@ def cohomology(incoming, outgoing, p: int) -> Cohomology:
         raise ValueError("need at least one map to fix the middle dimension")
     # The maps are only read: each elimination reduces its own copy.
     mid = np.shape(outgoing)[1] if outgoing is not None else np.shape(incoming)[0]
+    if incoming is not None and np.shape(incoming)[0] != mid:
+        raise ValueError("incoming/outgoing dimensions disagree")
+    # the cycles first, so an oversized outgoing map is refused before any elimination
+    cycles = nullspace(outgoing, p) if outgoing is not None else identity(mid)
     if incoming is None:
         boundaries, pivots = zeros(0, mid), []
     else:
-        if np.shape(incoming)[0] != mid:
-            raise ValueError("incoming/outgoing dimensions disagree")
-        R, rk, pivots = rref(np.transpose(incoming), p)
+        if not isinstance(incoming, SparseMatrix):
+            incoming = SparseMatrix(*_nonzeros(incoming, p), p)
+        R, rk, pivots = rref(incoming.T, p)
         boundaries = R[:rk]
-    cycles = nullspace(outgoing, p) if outgoing is not None else identity(mid)
     stripped = (cycles - cycles[:, pivots] @ boundaries) % p
     R, dim, _ = rref(stripped, p)
     if dim != cycles.shape[0] - len(pivots):
@@ -719,20 +719,18 @@ def cohomology(incoming, outgoing, p: int) -> Cohomology:
 
 
 class Complex:
-    """A cochain complex over GF(p): ``build(k)`` gives δ(k): C^k -> C^(k+1), an
-    array, a SparseMatrix or None; each map, rank, check and group is made
-    once, each array map and group array read-only, since they may be shared.
-    A chain complex d_k: C_k -> C_(k-1) is read as C^(-k) = C_k."""
+    """A cochain complex over GF(p): ``build(k)`` gives δ(k): C^k -> C^(k+1), a
+    SparseMatrix or None; each map, rank, check and group is made once, and
+    each group's arrays are read-only (as a SparseMatrix's are), since they
+    may be shared.  A chain complex d_k: C_k -> C_(k-1) is read as C^(-k) = C_k."""
 
     def __init__(self, build, p: int):
         self._build, self.p = build, p
         self._maps, self._ranks, self._checked, self._groups = {}, {}, set(), {}
 
-    def delta(self, k: int):
+    def delta(self, k: int) -> SparseMatrix | None:
         if k not in self._maps:
-            self._maps[k] = d = self._build(k)
-            if isinstance(d, np.ndarray):
-                d.setflags(write=False)
+            self._maps[k] = self._build(k)
         return self._maps[k]
 
     def rank(self, k: int) -> int:
@@ -746,12 +744,10 @@ class Complex:
         of maps; skipped when group k is kept, whose rank test proved it."""
         if k in self._checked or k in self._groups:
             return
-        p, out, inc = self.p, self.delta(k), self.delta(k - 1)
+        out, inc = self.delta(k), self.delta(k - 1)
         if out is None and inc is None:
             raise ValueError("need at least one map to fix the middle dimension")
         if out is not None and inc is not None:
-            out, inc = (d if isinstance(d, SparseMatrix) else SparseMatrix(*_nonzeros(d, p), p)
-                        for d in (out, inc))
             out.check_composite(inc, f"delta({k}) delta({k - 1})")
         self._checked.add(k)
 
@@ -759,7 +755,7 @@ class Complex:
         """dim C^k − rank δ(k) − rank δ(k−1), after ``check(k)``."""
         self.check(k)
         out, inc = self.delta(k), self.delta(k - 1)
-        size = np.shape(inc)[0] if out is None else np.shape(out)[1]
+        size = inc.shape[0] if out is None else out.shape[1]
         return size - self.rank(k) - self.rank(k - 1)
 
     def cohomology(self, k: int) -> Cohomology:

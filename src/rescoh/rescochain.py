@@ -34,9 +34,10 @@ hands the reduced vectors to the private kernels; c2_from_vec and
 c3_from_vec reduce their input once, and delta1 and delta2 read the
 cochain off the reduced product without reducing it again.
 
-The matrices of delta1 and delta2 stack the classical block over the
-terms of psi-tilde and of the induced beta on the basis, summed by
-linalg.kron_sum with ops 1, rho(e_j)^a and rho(e_i)^(p-1).
+The matrices of delta1 and delta2 are the SparseMatrix entries of the
+classical block over those of the terms of psi-tilde and of the induced
+beta on the basis, summed by linalg.kron_sum with ops 1, rho(e_j)^a and
+rho(e_i)^(p-1).
 
 A RestrictedComplex is the linalg.Complex of these matrices for one
 (L, M), stacked on its own ClassicalComplex, so restricted H^k,
@@ -55,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Cohomology, Complex, InvariantFailure, as_fp, identity, kron_sum,
-                     mat_pow_mod, rank, zeros)
+from .linalg import (Cohomology, Complex, InvariantFailure, SparseMatrix, as_fp, identity,
+                     kron_sum, mat_pow_mod, rank)
 from .liealg import RestrictedLieAlgebra, _jacobson_pass, _nodes, _peel
 from .gmod import RestrictedModule, invariants
 from .classical import ClassicalComplex, cochain_tuples
@@ -304,11 +305,10 @@ def beta_induced(L, M, c2: Cochain2, g, h) -> np.ndarray:
 
 def delta1(L, M, psi: np.ndarray) -> Cochain2:
     """Cochain-level delta1: psi -> (delta_cl psi, psi-tilde on basis)."""
-    psi = np.asarray(psi, dtype=np.int64).reshape(-1) % L.p
-    return Cochain2(*_cochain(L, M, delta1_matrix(L, M) @ psi % L.p, 2))
+    return Cochain2(*_cochain(L, M, delta1_matrix(L, M) @ np.ravel(psi), 2))
 
 
-def _kept_delta(L, M, k: int) -> np.ndarray:
+def _kept_delta(L, M, k: int) -> SparseMatrix:
     """delta(k) of the restricted complex of (L, M): the map M keeps, read
     from its store (which refuses a module over another algebra), or built
     by a RestrictedComplex when none is kept yet."""
@@ -316,12 +316,12 @@ def _kept_delta(L, M, k: int) -> np.ndarray:
     return RestrictedComplex(L, M).delta(k) if d is None else d
 
 
-def delta1_matrix(L, M) -> np.ndarray:
+def delta1_matrix(L, M) -> SparseMatrix:
     """Matrix of delta1: delta_cl(1) over the psi-tilde block."""
     return _kept_delta(L, M, 1)
 
 
-def _psi_tilde_block(L, M) -> np.ndarray:
+def _psi_tilde_block(L, M) -> SparseMatrix:
     """The rows of delta1 below delta_cl(1): terms pi[i, l] · 1 at block
     (i, l) and -rho(e_i)^(p-1) at block (i, i)."""
     n, p = L.n, L.p
@@ -333,10 +333,10 @@ def _psi_tilde_block(L, M) -> np.ndarray:
 
 def delta2(L, M, c2: Cochain2) -> Cochain3:
     """Cochain-level delta2: (phi, omega) -> (delta_cl phi, induced beta)."""
-    return Cochain3(*_cochain(L, M, delta2_matrix(L, M) @ c2_to_vec(L, M, c2) % L.p, 3))
+    return Cochain3(*_cochain(L, M, delta2_matrix(L, M) @ c2_to_vec(L, M, c2), 3))
 
 
-def delta2_matrix(L, M) -> np.ndarray:
+def delta2_matrix(L, M) -> SparseMatrix:
     """Matrix of delta2 on (phi pairs | omega basis): delta_cl(2) over the beta block."""
     return _kept_delta(L, M, 2)
 
@@ -347,7 +347,7 @@ def _powers(a: np.ndarray, p: int) -> list[np.ndarray]:
                                      initial=identity(len(a))))
 
 
-def _beta_block(L, M) -> np.ndarray:
+def _beta_block(L, M) -> SparseMatrix:
     """The rows of delta2 below the classical block.  Row block (i, j)
     holds the terms of beta(e_i, e_j): phi(e_i, e_j^[p]), the alternating
     sum of rho(e_j)^a phi([e_i, e_j, ..., e_j], e_j) over p-1-a brackets,
@@ -393,11 +393,12 @@ class RestrictedComplex(Complex):
             if k > 2:
                 raise ValueError("restricted coboundaries are built here for k <= 2 only")
             top = classical.delta(k)
-            if k == 1:
-                return np.vstack([top, _psi_tilde_block(L, M)])
-            if k == 2:
-                return np.vstack([np.hstack([top, zeros(len(top), L.n * M.m)]), _beta_block(L, M)])
-            return top
+            if k <= 0:
+                return top
+            rest = (_psi_tilde_block if k == 1 else _beta_block)(L, M)
+            return SparseMatrix((top.shape[0] + rest.shape[0], rest.shape[1]), *map(
+                np.concatenate, zip((top.rows, top.cols, top.vals),
+                                    (rest.rows + top.shape[0], rest.cols, rest.vals))), L.p)
 
         super().__init__(stack, L.p)
         self._maps, self._ranks, self._checked, self._groups = M._store(L, "restricted")

@@ -109,7 +109,7 @@ def compare_classical(L, M, k: int):
     p = L.p
     d_res, reps_res = restricted_cohomology(L, M, k)
     d_cl, reps_cl = classical_cohomology(L, M, k)
-    boundary = delta_cl_matrix(L, M, k - 1)
+    boundary = np.asarray(delta_cl_matrix(L, M, k - 1))
     nphi = len(cochain_tuples(L.n, 2)) * M.m
     map_matrix = np.zeros((d_cl, d_res), dtype=np.int64)
     for col in range(d_res):

@@ -19,7 +19,7 @@ from rescoh.dsl import (DslSyntaxError, DuplicateLabel, NonPrimeModulus, Unresol
 from rescoh.gmod import MixedAlgebras
 from rescoh.interp import NotACocycle, NotStronglyAbelian
 from rescoh.liealg import ModulusTooLarge, NotRestrictable, VerificationFailed
-from rescoh.linalg import UsageError
+from rescoh.linalg import SparseMatrix, UsageError
 from rescoh.ures import TooLarge
 
 from conftest import add_one_at_origin
@@ -197,13 +197,14 @@ def test_build_refuses_a_table_that_is_not_a_p_map():
 
 
 def test_an_oversized_dense_coboundary_exits_two(tmp_path, capsys):
-    # classical delta_2 of Witt p=19 with adjoint coefficients has 59.8 M cells
+    # restricted delta_2 of Witt p=19 with adjoint coefficients would reduce
+    # to a dense 91.2 M cells; it is refused before any elimination
     path = str(tmp_path / "witt19.alg")
     assert main(["witt", "--p", "19", "--emit", path]) == 0
     capsys.readouterr()
     code, report, err = run_cli(capsys, "cohomology", path, "--module", "adjoint", "--degree", "2")
     assert code == 2 and report is None
-    assert err == "error: kron_sum: a dense 18411 x 3249 matrix exceeds 33554432 cells\n"
+    assert err == "error: rref: a dense 25270 x 3610 matrix exceeds 67108864 cells\n"
 
 
 def test_missing_file_exits_two(capsys):
@@ -492,7 +493,9 @@ def test_a_corrupted_classical_coboundary_exits_three(tmp_path, capsys, monkeypa
 
     def corrupted(L, M, q):
         d = original(L, M, q)
-        return d if q != 2 else (d + np.eye(*d.shape, dtype=np.int64)) % L.p
+        diag = np.arange(min(d.shape))
+        return d if q != 2 else SparseMatrix(d.shape, np.r_[d.rows, diag], np.r_[d.cols, diag],
+                                             np.r_[d.vals, diag * 0 + 1], L.p)
 
     monkeypatch.setattr(classical, "delta_cl_matrix", corrupted)
     path = write(tmp_path, "witt5.alg", emit(witt_file(5)))
@@ -526,6 +529,34 @@ def test_dimension_reports_match_the_group_path(tmp_path, capsys, monkeypatch):
     assert all(report is not None for _, report, _ in from_ranks)
     monkeypatch.setattr(linalg.Complex, "dim", lambda self, k: self.cohomology(k).dim)
     assert reports() == from_ranks
+
+
+def test_cli_runs_read_no_coboundary_densely(tmp_path, capsys, monkeypatch):
+    # numpy turns a SparseMatrix dense through __array__ without a warning;
+    # no cohomology, derivations or resolve run of the CLI files may do so
+    densified = []
+    original = SparseMatrix.__array__
+
+    def counted(self, *args, **kwargs):
+        densified.append(self.shape)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "__array__", counted)
+    runs = []
+    for name, text in CLI_FILES.items():
+        path = write(tmp_path, name, text)
+        runs.append(("derivations", path))
+        if text in (ABELIAN, FLAT_ZERO):
+            runs.append(("resolve", path, "--kmax", "2"))
+        for module in ["trivial", "adjoint"] + (["line"] if text is SOLVABLE else []):
+            for k in range(3):
+                runs.append(("cohomology", path, "--module", module, "--degree", str(k)))
+                runs.append(("cohomology", path, "--module", module, "--degree", str(k),
+                             "--classical"))
+    for argv in runs:
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 0 and report is not None, (argv, err)
+    assert densified == []
 
 
 DROP_A_CLASSICAL_REP = """\

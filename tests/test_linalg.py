@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -68,10 +69,6 @@ def to_sparse(a, p):
     return SparseMatrix(a.shape, r, c, a[r, c], p)
 
 
-def column_dict(a, c):
-    return {int(r): int(a[r, c]) for r in np.nonzero(a[:, c])[0]}
-
-
 def test_rank_agrees_with_rref():
     shapes = [(4, 6), (6, 4), (5, 5), (1, 8), (8, 1), (12, 9), (0, 4), (4, 0), (0, 0)]
     for p in (2, 3, 5, 7, 11, 13):
@@ -98,15 +95,14 @@ def test_sparse_matrix_rank_matches_dense():
             assert rank(sa, p) == rank(a, p) == rref(a, p)[1]
 
 
-def test_sparse_matrix_matvec_and_composite_check():
+def test_sparse_matrix_products_and_composite_check():
     p = 5
     rng = np.random.default_rng(7)
     a = rng.integers(0, p, size=(4, 6)) * (rng.random((4, 6)) < 0.5)
     b = rng.integers(0, p, size=(6, 3)) * (rng.random((6, 3)) < 0.5)
     sa, sb = to_sparse(a, p), to_sparse(b, p)
     for c in range(3):
-        want = (a @ b[:, c]) % p
-        assert sa.matvec(column_dict(b, c)) == {r: int(v) for r, v in enumerate(want) if v}
+        assert np.array_equal(sa @ b[:, c], (a @ b[:, c]) % p)
     # incoming maps into the kernel of d_out, so the composite vanishes
     d_out = to_sparse([[0, 0, 1]], 3)
     d_in = to_sparse([[1, 2], [2, 0], [0, 0]], 3)
@@ -118,12 +114,39 @@ def test_sparse_matrix_matvec_and_composite_check():
     assert (matmul_mod(sa, sb, p) == (a @ b) % p).all()
 
 
-def test_matvec_refuses_a_column_outside_the_shape():
+def test_matmul_refuses_an_array_of_another_length():
     m = SparseMatrix((2, 3), [0, 1], [0, 2], [1, 1], 5)
-    assert m.matvec({2: 3}) == {1: 3}
-    for c in (7, 3, -1):
-        with pytest.raises(ValueError, match=rf"column {c} lies outside the shape \(2, 3\)"):
-            m.matvec({0: 1, c: 1})
+    assert (m @ np.array([0, 0, 3])).tolist() == [0, 3]
+    for shape in ((2,), (4,), (0,), (2, 1), (3, 1, 1), ()):
+        with pytest.raises(ValueError, match=rf"^@: a \(2, 3\) matrix and a {re.escape(str(shape))} "
+                                             "array do not compose$"):
+            m @ np.zeros(shape, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_matmul_with_arrays_and_the_transpose_match_dense_products(p):
+    # 1-d and 2-d arrays, unreduced and negative, and every empty shape
+    rng = np.random.default_rng(p)
+    for rows, cols, width in [(5, 7, 3), (1, 9, 1), (0, 4, 2), (4, 0, 2), (0, 0, 0), (6, 5, 0)]:
+        a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.4)
+        sa = to_sparse(a, p)
+        for x in (rng.integers(-3 * p, 3 * p, size=(cols, width)),
+                  rng.integers(-3 * p, 3 * p, size=cols)):
+            want = np.asarray(a.astype(object) @ x.astype(object) % p, dtype=np.int64)
+            got = sa @ x
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+        t = sa.T
+        assert isinstance(t, SparseMatrix) and t.p == p and t.shape == (cols, rows)
+        assert np.array_equal(np.asarray(t), a.T) and np.array_equal(np.asarray(t.T), a)
+        assert_column_pointers(t)
+    # one row of 5000 products (p-1)^2 sums past 2^32 and stays exact
+    n = 5000
+    row = SparseMatrix((1, n), np.zeros(n, np.int64), np.arange(n), np.full(n, p - 1), p)
+    x = np.full((n, 2), p - 1)
+    assert n * (p - 1) ** 2 > 2**32 or p < 65521
+    assert (row @ x).tolist() == [[n * (p - 1) ** 2 % p] * 2]
+    assert (row @ x[:, 0]).tolist() == [n * (p - 1) ** 2 % p]
 
 
 def assert_column_pointers(m):
@@ -223,16 +246,16 @@ def test_sparse_matrix_arrays_are_read_only():
 
 
 def test_a_complex_keeps_read_only_maps_and_groups():
-    # a plain Complex over a dense build, as the dualized resolution and the
-    # formal complex make: its callers share what it keeps
+    # a plain Complex over a build of SparseMatrix maps, as the dualized
+    # resolution and the formal complex make: its callers share what it keeps
     p = 3
     maps = {0: [[1, 0], [0, 0], [0, 0]], 1: [[0, 1, 0]]}
-    cx = Complex(lambda k: as_fp(maps[k], p) if k in maps else None, p)
+    cx = Complex(lambda k: to_sparse(maps[k], p) if k in maps else None, p)
     for k in maps:
         d = cx.delta(k)
-        assert d is cx.delta(k) and not d.flags.writeable
+        assert d is cx.delta(k) and isinstance(d, SparseMatrix)
         with pytest.raises(ValueError, match="read-only"):
-            d[0, 0] = 2
+            d.vals[0] = 2
     for k, dim in enumerate([1, 1, 0]):
         H = cx.cohomology(k)
         assert H is cx.cohomology(k) and H.dim == cx.dim(k) == dim
@@ -244,17 +267,15 @@ def test_a_complex_keeps_read_only_maps_and_groups():
 NOT_A_COMPLEX = {0: [[0, 0, 0], [0, 1, 0], [0, 0, 1]], 1: [[0, 1, 1]]}
 
 
-def complex_of(maps, p, sparse):
-    """A plain Complex over the dense or the SparseMatrix form of each map."""
-    form = to_sparse if sparse else as_fp
-    return Complex(lambda k: form(maps[k], p) if k in maps else None, p)
+def complex_of(maps, p):
+    """A plain Complex over the SparseMatrix form of each map."""
+    return Complex(lambda k: to_sparse(maps[k], p) if k in maps else None, p)
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-def test_dim_refuses_a_nonzero_composite(sparse):
+def test_dim_refuses_a_nonzero_composite():
     # the two ranks alone would read dim H^1 = 3 - 1 - 2 = 0; dim checks
     # the composite exactly first and names its first nonzero column
-    cx = complex_of(NOT_A_COMPLEX, 5, sparse)
+    cx = complex_of(NOT_A_COMPLEX, 5)
     with pytest.raises(NotAComplex, match=r"^delta\(1\) delta\(0\) is nonzero on column 1$"):
         cx.dim(1)
     with pytest.raises(NotAComplex):
@@ -268,11 +289,10 @@ import numpy as np
 from rescoh.linalg import Complex, NotAComplex, SparseMatrix, as_fp
 dense = {{k: as_fp(a, 5) for k, a in {NOT_A_COMPLEX!r}.items()}}
 sparse = {{k: SparseMatrix(a.shape, *np.nonzero(a), a[np.nonzero(a)], 5) for k, a in dense.items()}}
-for maps in (dense, sparse):
-    try:
-        Complex(maps.get, 5).dim(1)
-    except NotAComplex as exc:
-        print(exc)
+try:
+    Complex(sparse.get, 5).dim(1)
+except NotAComplex as exc:
+    print(exc)
 print("optimize", sys.flags.optimize)
 """
 
@@ -283,11 +303,11 @@ def test_dim_refuses_a_nonzero_composite_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", REFUSE_A_NONZERO_COMPOSITE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "delta(1) delta(0) is nonzero on column 1\n" * 2 + "optimize 1\n"
+    assert proc.stdout == "delta(1) delta(0) is nonzero on column 1\n" + "optimize 1\n"
 
 
 def test_dim_without_a_map_is_refused_like_the_group():
-    cx = complex_of(NOT_A_COMPLEX, 5, False)
+    cx = complex_of(NOT_A_COMPLEX, 5)
     for k in (-1, 3):
         for read in (cx.dim, cx.cohomology):
             with pytest.raises(ValueError, match="need at least one map to fix the middle dimension"):
@@ -722,12 +742,15 @@ def test_kron_sum_branches_agree(p, blocks, op_shape, n_ops, n_terms, pile, seed
         if pile:
             ops[0] = np.full(op_shape, p - 1)
             terms += [(0, 0, -1, 0)] * pile
+    # dense and SparseMatrix ops give the same SparseMatrix
     dense = kron_sum(blocks, terms, ops, p)
     sparse = kron_sum(blocks, terms, [to_sparse(op, p) for op in ops], p)
     want = kron_reference(blocks, terms, ops, p)
-    assert isinstance(sparse, SparseMatrix) and sparse.shape == want.shape
-    assert dense.dtype == want.dtype and np.array_equal(dense, want)
-    assert np.array_equal(np.asarray(sparse), want)
+    for got in (dense, sparse):
+        assert isinstance(got, SparseMatrix) and got.shape == want.shape and got.p == p
+        assert np.array_equal(np.asarray(got), want)
+    assert all(np.array_equal(getattr(dense, x), getattr(sparse, x))
+               for x in ("rows", "cols", "vals", "ptr"))
 
 
 def test_kron_sum_refuses_a_large_modulus():
@@ -739,23 +762,39 @@ def test_kron_sum_refuses_a_large_modulus():
         kron_sum((1, 1), [(0, 0, 1, 0)], [to_sparse(identity(2), p)], p)
 
 
-def test_kron_sum_refuses_a_dense_result_above_the_bound(monkeypatch):
-    # a 2 x 3 grid of 2 x 2 blocks has 24 cells
-    terms, ops = [(1, 2, 1, 0)], [identity(2)]
-    monkeypatch.setattr(linalg, "DENSE_CELLS", 24)
-    assert kron_sum((2, 3), terms, ops, 5).shape == (4, 6)
-    monkeypatch.setattr(linalg, "DENSE_CELLS", 23)
-    with pytest.raises(TooLarge, match="^kron_sum: a dense 4 x 6 matrix exceeds 23 cells$"):
-        kron_sum((2, 3), terms, ops, 5)
-    # the sparse branch allocates no dense matrix, so the bound is not its
-    sparse = kron_sum((2, 3), terms, [to_sparse(identity(2), 5)], 5)
-    assert np.array_equal(np.asarray(sparse), kron_reference((2, 3), terms, ops, 5))
+def test_dense_cells_bounds_kron_sum_entries_and_rref(monkeypatch):
+    # kron_sum counts its terms' entries, each term the nnz of its op:
+    # here 3 terms of 2 and one of 1 on a 2 x 3 grid of 2 x 2 blocks
+    terms = [(1, 2, 1, 0), (0, 0, 2, 0), (0, 0, -2, 0), (1, 1, 1, 1)]
+    ops = [identity(2), [[0, 0], [3, 0]]]
+    monkeypatch.setattr(linalg, "DENSE_CELLS", 7)
+    for form in (lambda op: op, lambda op: to_sparse(op, 5)):
+        got = kron_sum((2, 3), terms, [form(op) for op in ops], 5)
+        assert np.array_equal(np.asarray(got), kron_reference((2, 3), terms, ops, 5))
+    monkeypatch.setattr(linalg, "DENSE_CELLS", 6)
+    for form in (lambda op: op, lambda op: to_sparse(op, 5)):
+        with pytest.raises(TooLarge, match="^kron_sum: 7 entries exceed 6$"):
+            kron_sum((2, 3), terms, [form(op) for op in ops], 5)
+    # rref's dense R, from the shape alone: a 2 x 3 matrix has 6 cells
+    monkeypatch.setattr(linalg, "DENSE_CELLS", 6)
+    for a in (zeros(2, 3), to_sparse(identity(2)[:, [0, 1, 1]], 5)):
+        assert rref(a, 5)[0].shape == (2, 3)
+    monkeypatch.setattr(linalg, "DENSE_CELLS", 5)
+    for a in (zeros(2, 3), to_sparse(identity(2)[:, [0, 1, 1]], 5)):
+        with pytest.raises(TooLarge, match="^rref: a dense 2 x 3 matrix exceeds 5 cells$"):
+            rref(a, 5)
+    # so every elimination that returns a basis refuses with it
+    for call in (nullspace, row_space, lambda a, p: cohomology(None, a, p)):
+        with pytest.raises(TooLarge, match="^rref: a dense 2 x 3 matrix exceeds 5 cells$"):
+            call(zeros(2, 3), 5)
 
 
 def test_dense_bound_keeps_witt_p17_adjoint_delta2():
-    # classical delta_2 of Witt p with adjoint coefficients: C(p,3) p x C(p,2) p cells
-    cells = {p: math.comb(p, 3) * p * math.comb(p, 2) * p for p in (17, 19)}
-    assert cells[17] <= linalg.DENSE_CELLS < cells[19]
+    # restricted delta_2 of Witt p with adjoint coefficients, the largest
+    # matrix rref reads on it: (C(p,3) + p^2) p rows, (C(p,2) + p) p columns
+    shape = {p: ((math.comb(p, 3) + p * p) * p, (math.comb(p, 2) + p) * p) for p in (17, 19)}
+    assert shape == {17: (16473, 2601), 19: (25270, 3610)}
+    assert math.prod(shape[17]) <= linalg.DENSE_CELLS < math.prod(shape[19])
 
 
 def test_rref_is_idempotent_and_row_equivalent():
