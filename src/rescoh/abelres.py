@@ -14,12 +14,13 @@ restricted coefficient module into finite linear algebra over GF(p).
 
 U_res is commutative here, so d is U_res-linear: d_k = Σ_i A_i ⊗ x_i +
 B ⊗ 1 + Σ_j C_j ⊗ x_j^{p-1}, small tables on the free generators times
-2n+1 right multiplications.  All 2n+1 tables are built at once from π
-by exponent arithmetic on PBW ranks, and each d_k is its list of
-generator terms summed by linalg.kron_sum into a SparseMatrix, whose
-composites the Resolution checks.  A slice carries only its dimension;
-_slice_basis builds its basis elements e^mu ⊗ e_I ⊗ r, in coordinate
-order, for the few callers that read them.  The dual complex sums the
+2n+1 right multiplications, each by some x_g^e with e in {1, 0, p-1}.
+One pass of exponent arithmetic on PBW ranks builds all 2n+1 tables
+from π, and the algebra keeps them for every construction here.  Each
+d_k is its list of generator terms summed by linalg.kron_sum into a
+SparseMatrix, whose composites the Resolution checks.  A slice carries
+only its dimension; _slice_basis builds its basis elements
+e^mu ⊗ e_I ⊗ r, in coordinate order, for the few callers that read them.  The dual complex sums the
 same terms, transposed, on the operators' matrices on the module.
 
 Two auxiliary complexes support the exactness argument and are checked
@@ -45,7 +46,7 @@ import numpy as np
 from .gmod import RestrictedModule
 from .liealg import RestrictedLieAlgebra
 from .linalg import (Complex, InvariantFailure, SparseMatrix, TooLarge, UsageError, _check, _report,
-                     _nonzeros, _summed, identity, kron_sum, mat_pow_mod, rank, zeros)
+                     _nonzeros, identity, kron_sum, mat_pow_mod, rank, zeros)
 from .ures import Ures
 
 SLICE_BOUND = 20_000
@@ -179,52 +180,51 @@ def _generator_terms(L: RestrictedLieAlgebra, src: list, dst: list) -> list[tupl
     return out
 
 
-def _times_generator(L: RestrictedLieAlgebra, rank, src, coef) -> list[np.ndarray]:
-    """(rank, src, coef) entries of coef·(monomial `rank`)·x_g, g = src // p^n, unsummed.
+def _times_generator(L: RestrictedLieAlgebra, rank, gen, exp) -> list[np.ndarray]:
+    """(rank, src, coef) entries of (monomial rank[s])·x_gen[s]^exp[s], unsummed.
 
     Ures.mono_times_gen on an abelian algebra, in vectorised rounds: an
-    exponent of x_g below p-1 is bumped; one at p-1 is cleared and the
-    entry goes on as one entry per nonzero π_gl, times x_l.  The cleared
-    monomial's degree falls every round, so the rounds end.
+    exponent of x_g below p-e rises by e; otherwise it drops by p-e and
+    the entry goes on as one entry per nonzero π_gl, times x_l with
+    e = 1.  The degree left to multiply falls every round, so they end.
     """
     p, weights = L.p, L.p ** np.arange(L.n - 1, -1, -1)
-    gen, done = src // p**L.n, []
+    src, done = np.arange(rank.size), []
+    coef = np.ones_like(src)
     while src.size:
-        bump = rank // weights[gen] % p < p - 1
-        done.append((rank[bump] + weights[gen[bump]], src[bump], coef[bump]))
-        src, gen, coef = src[~bump], gen[~bump], coef[~bump]
-        rank = rank[~bump] - (p - 1) * weights[gen]
+        low = rank // weights[gen] % p < p - exp
+        done.append((rank[low] + exp[low] * weights[gen[low]], src[low], coef[low]))
+        src, gen, exp, coef = src[~low], gen[~low], exp[~low], coef[~low]
+        rank = rank[~low] - (p - exp) * weights[gen]
         terms = coef[:, None] * L.pi[gen] % p
         which, gen = np.nonzero(terms)
-        rank, src, coef = rank[which], src[which], terms[which, gen]
+        rank, src, coef, exp = rank[which], src[which], terms[which, gen], np.ones_like(gen)
     return [np.concatenate(x) for x in zip(*done)]
 
 
 def _right_operators(U: Ures) -> list[SparseMatrix]:
     """Right multiplication on u by x_0..x_{n-1}, by 1 and by x_0^{p-1}..x_{n-1}^{p-1}.
 
-    Each operator is a SparseMatrix over PBW ranks.  All n generators go
-    through _times_generator in one batch of columns g·p^n + rank; the
-    x_j^{p-1} tables are p-1 such rounds from the identity, summed
-    between rounds.  u is commutative, so these are also the left
+    Operator o is x_g^e, e in {1, 0, p-1}, a SparseMatrix over PBW
+    ranks; all 2n+1 come from one _times_generator call on the columns
+    o·p^n + rank.  u is commutative, so they are also the left
     multiplications.
     """
     n, p, size = U.n, U.p, U.dim()
     if size > U.basis_bound:
         raise TooLarge(f"PBW basis has {size} monomials, bound is {U.basis_bound}")
+    op = np.arange((2 * n + 1) * size) // size
+    gen, exp = np.r_[:n, 0, :n][op], np.r_[[1] * n, 0, [p - 1] * n][op]
+    rank, src, coef = _times_generator(U.L, np.arange(op.size) % size, gen, exp)
+    return [SparseMatrix((size, size), rank[block], src[block] - o * size, coef[block], p)
+            for o, block in enumerate(src // size == np.arange(2 * n + 1)[:, None])]
 
-    def split(rank, src, coef) -> list[SparseMatrix]:
-        return [SparseMatrix((size, size), rank[block], src[block] - g * size, coef[block], p)
-                for g, block in enumerate(src // size == np.arange(n)[:, None])]
 
-    src = np.arange(n * size)
-    entries = _times_generator(U.L, src % size, src, np.ones_like(src))
-    xs = split(*entries)
-    for _ in range(p - 2):
-        entries = _times_generator(U.L, *_summed(size, *entries, p))
-    diagonal = np.arange(size)
-    unit = SparseMatrix((size, size), diagonal, diagonal, np.ones(size, dtype=np.int64), p)
-    return xs + [unit] + (split(*entries) if p > 2 else xs)
+def _kept_operators(L: RestrictedLieAlgebra) -> tuple[SparseMatrix, ...]:
+    """_right_operators of L, built on the first call and kept on L (read-only)."""
+    if L._operators is None:
+        L._operators = tuple(_right_operators(Ures(L)))
+    return L._operators
 
 
 def _assemble(L: RestrictedLieAlgebra, ops: list[SparseMatrix], k: int,
@@ -236,16 +236,6 @@ def _assemble(L: RestrictedLieAlgebra, ops: list[SparseMatrix], k: int,
     """
     src, dst = _formal_basis(L.n, k, wedge_only), _formal_basis(L.n, k - 1, wedge_only)
     return kron_sum((len(dst), len(src)), _generator_terms(L, src, dst), ops, L.p)
-
-
-def _build_slices(L: RestrictedLieAlgebra, U: Ures, top: int) -> list[ChainComplexSlice]:
-    dims = [len(_formal_basis(L.n, k)) * U.dim() for k in range(top + 1)]
-    for k, dim in enumerate(dims):
-        if dim > SLICE_BOUND:
-            raise TooLarge(f"degree-{k} slice has dimension {dim}")
-    ops = _right_operators(U)
-    return [ChainComplexSlice(k, dim, _assemble(L, ops, k) if k else None)
-            for k, dim in enumerate(dims)]
 
 
 def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
@@ -263,9 +253,15 @@ def build_resolution(L: RestrictedLieAlgebra, k_max: int) -> Resolution:
     if not L.is_abelian:
         raise NotAbelian("resolution is defined for abelian algebras only")
     _check_bound("k_max", k_max, L.p)
-    U = Ures(L)
-    slices = _build_slices(L, U, k_max + 1)
-    eps = SparseMatrix((1, U.dim()), [0], [U.mono_rank(U.unit_mono)], [1], L.p)
+    size = L.p**L.n
+    dims = [len(_formal_basis(L.n, k)) * size for k in range(k_max + 2)]
+    for k, dim in enumerate(dims):
+        if dim > SLICE_BOUND:
+            raise TooLarge(f"degree-{k} slice has dimension {dim}")
+    ops = _kept_operators(L)
+    slices = [ChainComplexSlice(k, dim, _assemble(L, ops, k) if k else None)
+              for k, dim in enumerate(dims)]
+    eps = SparseMatrix((1, size), [0], [0], [1], L.p)  # the unit monomial has rank 0
     return Resolution(k_max, slices[: k_max + 1], eps, slices[k_max + 1])
 
 
@@ -288,8 +284,6 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
     representatives are the products c_I of the cycles c_i, which with
     zero p-operator are (−1)^k e_I ⊗ Π x_i^{p−1}.  Both facts are
     verified, not assumed.
-    The 2n+1 right multiplications are built on the first call for L and
-    kept on it (read-only, as L._adjoint), so k = 0..n build them once.
     """
     if not L.is_abelian:
         raise NotAbelian("wedge-only complex needs an abelian algebra")
@@ -297,10 +291,7 @@ def aux_C_homology(L: RestrictedLieAlgebra, k: int):
         raise UsageError(f"k={k} outside 0..{L.n}")
     p, n = L.p, L.n
     U = Ures(L)
-    monos = U.basis()
-    if L._operators is None:
-        L._operators = tuple(_right_operators(U))
-    ops = L._operators
+    monos, ops = U.basis(), _kept_operators(L)
     cx = Complex(lambda j: _assemble(L, ops, -j, wedge_only=True) if 1 <= -j <= n else None, p)
     dim = cx.dim(-k)  # checks d_k∘d_(k+1) = 0 first
     d_out, d_in = cx.delta(-k), cx.delta(-k - 1)
@@ -417,14 +408,15 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
 
     Generators: g⁰_i = 1⊗1⊗e_i, g¹_i = 1⊗e_i⊗1, g²_i = e_i⊗1⊗1.  The
     differential must be a graded derivation; in particular d(g²_i) is
-    the cycle c_i and products of the c_i are cycles.
+    the cycle c_i and products of the c_i are cycles.  d comes from
+    build_resolution, which raises NotAComplex if d∘d or ε∘d₁ is nonzero.
     """
     if not L.is_abelian:
         raise NotAbelian("product structure needs an abelian algebra")
     _check_bound("degree_bound", degree_bound, L.p)
     p, n = L.p, L.n
     U = Ures(L)
-    slices = _build_slices(L, U, degree_bound)
+    res = build_resolution(L, max(degree_bound - 1, 0))  # d_1..d_degree_bound, checked
     monos = U.basis()
     bases = [_slice_basis(n, k, monos) for k in range(degree_bound + 1)]
     idx = [{b: i for i, b in enumerate(basis)} for basis in bases]
@@ -437,7 +429,7 @@ def dga_check(L: RestrictedLieAlgebra, degree_bound: int) -> dict:
             return {}
         v = np.zeros(len(bases[k]), dtype=np.int64)
         v[[idx[k][x] for x in elem]] = list(elem.values())
-        image = (slices[k].d @ v).tolist()
+        image = (res.delta(-k) @ v).tolist()
         return {bases[k - 1][i]: c for i, c in enumerate(image) if c}
 
     def leibniz_gap(a: dict, b: dict, ka: int) -> dict:

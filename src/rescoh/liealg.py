@@ -161,7 +161,7 @@ class RestrictedLieAlgebra:
         for table in (self.c, self._c_right, self.pi):
             table.setflags(write=False)
         self._adjoint = None  # gmod.adjoint_module's action and store
-        self._operators = None  # abelres.aux_C_homology's right multiplications
+        self._operators = None  # abelres._kept_operators: the abelian right multiplications
         if check:
             bad = self._axiom_counterexample()
             if bad is not None:

@@ -9,9 +9,9 @@ connected components of the rest together in int64 numpy stacks and
 leaves the big ones to the row dicts, which alone need the entries
 sorted by row.  Every kernel is int64 and refuses p from MODULUS_LIMIT
 up: the eliminations where they read their input, a SparseMatrix at
-construction, the products and ``kron_sum``, which read raw arrays, on
-entry.  A reduced echelon form is unique, so every basis returned here
-is reproducible.  ``cohomology`` turns a pair of composable maps into
+construction, ``mat_pow_mod`` and ``kron_sum``, which read raw arrays,
+on entry.  A reduced echelon form is unique, so every basis returned
+here is reproducible.  ``cohomology`` turns a pair of composable maps into
 their quotient ker/im with canonical representatives, eliminating each
 map once; a ``Complex``, which every complex of the package is, builds,
 ranks and checks each SparseMatrix map once; a dimension alone is two
@@ -559,24 +559,6 @@ def row_space(a, p: int) -> np.ndarray:
     """Nonzero rows of the reduced echelon form."""
     R, rk, _ = rref(a, p)
     return R[:rk]
-
-
-def matmul_mod(a, b, p: int) -> np.ndarray:
-    """(a @ b) % p, routed through float64 BLAS when exact.
-
-    Entries lie in [0, p), so every dot product is bounded by
-    (p-1)^2 * inner; below 2**53 the float64 product is exact and an
-    order of magnitude faster than int64 on big matrices.  Refused from
-    MODULUS_LIMIT up.
-    """
-    _check_modulus(p, "matmul_mod")
-    a = as_fp(a, p)
-    b = as_fp(b, p)
-    inner = a.shape[1]
-    if inner and (p - 1) * (p - 1) * inner < 2**53:
-        prod = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        return np.mod(prod, p).astype(np.int64)
-    return (a @ b) % p
 
 
 def mat_pow_mod(m, k: int, p: int) -> np.ndarray:

@@ -56,10 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Cohomology, Complex, InvariantFailure, SparseMatrix, as_fp, identity,
-                     kron_sum, mat_pow_mod, rank)
+from .linalg import (Complex, InvariantFailure, SparseMatrix, as_fp, identity, kron_sum,
+                     mat_pow_mod, rank)
 from .liealg import RestrictedLieAlgebra, _jacobson_pass, _nodes, _peel
-from .gmod import RestrictedModule, invariants
+from .gmod import RestrictedModule
 from .classical import ClassicalComplex, cochain_tuples
 
 
@@ -403,20 +403,16 @@ class RestrictedComplex(Complex):
         super().__init__(stack, L.p)
         self._maps, self._ranks, self._checked, self._groups = M._store(L, "restricted")
 
-    def cohomology(self, k: int) -> Cohomology:
-        """Restricted H^k for k in {1, 2}."""
-        if k not in (1, 2):
-            raise ValueError("restricted cohomology is defined here for k <= 2 only")
-        return super().cohomology(k)
-
     def compare(self, k: int):
         """Matrix of the induced map H^k -> H^k_cl in the representative
         bases, and its kernel dimension.
 
         The map keeps the classical coordinates, forgetting omega (k = 2);
         the class coordinates of every forgotten representative are read
-        off at once.  Like ``cohomology``, it refuses k outside {1, 2}.
+        off at once.  It refuses k outside {1, 2} with ValueError.
         """
+        if k not in (1, 2):
+            raise ValueError("the comparison map is defined here for k in {1, 2} only")
         H = self.cohomology(k)
         forgotten = H.reps[:, : self.classical.delta(k).shape[1]]
         coords = self.classical.cohomology(k).coordinates(forgotten)
@@ -427,12 +423,9 @@ class RestrictedComplex(Complex):
 
 
 def restricted_cohomology(L, M, k: int):
-    """(dimension, representative rows) of restricted H^k, k in {0, 1, 2}."""
-    cx = RestrictedComplex(L, M)  # refuses a module over another algebra
-    if k == 0:
-        inv = invariants(M)
-        return inv.dim, inv.basis
-    H = cx.cohomology(k)
+    """(dimension, representative rows) of restricted H^k, k in {0, 1, 2};
+    H^0 is the classical one, since the restricted δ(0) is δ_cl(0)."""
+    H = RestrictedComplex(L, M).cohomology(k)  # refuses a module over another algebra
     return H.dim, H.reps
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+# the oracle's own asserts, rewritten so that they also run under python -O
+pytest.register_assert_rewrite("quotients")
+
 from rescoh.gmod import adjoint_module, trivial_module
 from rescoh.linalg import SparseMatrix
 from rescoh.liealg import (

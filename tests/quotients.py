@@ -13,9 +13,10 @@ import numpy as np
 
 from rescoh.classical import cochain_tuples, delta_cl_matrix
 from rescoh.gmod import invariants
-from rescoh.linalg import NotAComplex, as_fp, matmul_mod, zeros
+from rescoh.linalg import NotAComplex, as_fp, zeros
 from rescoh.rescochain import delta1_matrix, delta2_matrix
 
+from dense_matmul import matmul_mod
 from dense_rref import nullspace, row_space, rref, solve
 
 

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescoh import abelres, linalg
 from rescoh.abelres import (
@@ -22,11 +24,12 @@ from rescoh.abelres import (
 )
 from rescoh.gmod import adjoint_module, trivial_module
 from rescoh.liealg import abelian_algebra, heisenberg_algebra, witt_algebra
-from rescoh.linalg import NotAComplex, SparseMatrix, UsageError, matmul_mod, rank
+from rescoh.linalg import NotAComplex, SparseMatrix, UsageError, rank
 from rescoh.rescochain import restricted_cohomology
 from rescoh.ures import TooLarge, Ures
 
 from conftest import ABELIAN, add_one_at_origin, coefficient_modules, nonzero_pi
+from dense_matmul import matmul_mod
 from elementwise import differential_by_element, right_operators_by_straightening
 import components
 import markowitz
@@ -80,13 +83,13 @@ DENSE_PI = [
 def test_assembly_matches_elementwise_oracle(tag, L):
     # every differential through degree min(p-1, 4)+1, bit for bit
     top = min(L.p - 1, 4) + 1
-    slices = abelres._build_slices(L, Ures(L), top)
+    res = build_resolution(L, top - 1)
     U = Ures(L)
     bases = [abelres._slice_basis(L.n, k, U.basis()) for k in range(top + 1)]
     for k in range(1, top + 1):
         index = {b: i for i, b in enumerate(bases[k - 1])}
         shape, *want = differential_by_element(L, U, bases[k], index)
-        d = slices[k].d
+        d = res.delta(-k)
         assert d.shape == shape, (tag, k)
         for got, expected in zip((d.rows, d.cols, d.vals), want):
             assert got.dtype == expected.dtype and np.array_equal(got, expected), (tag, k)
@@ -110,6 +113,25 @@ def test_right_operators_match_the_straightening_oracle(tag, L):
         assert a.shape == b.shape, (tag, op)
         for x, y in ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals)):
             assert x.dtype == y.dtype and np.array_equal(x, y), (tag, op)
+
+
+@st.composite
+def dense_abelian(draw):
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3, 5, 7]))
+    pi = draw(st.lists(st.integers(1, p - 1), min_size=n * n, max_size=n * n))
+    return abelian_algebra(n, p, pi=np.reshape(pi, (n, n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(L=dense_abelian())
+def test_right_operators_match_straightening_on_dense_tables(L):
+    got = abelres._right_operators(Ures(L))
+    want = right_operators_by_straightening(Ures(L))
+    assert len(got) == len(want) == 2 * L.n + 1
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert all(np.array_equal(x, y) for x, y in
+                   ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals)))
 
 
 def test_right_operators_keep_the_pbw_bound():
@@ -145,6 +167,16 @@ def test_corrupted_differential_is_refused(monkeypatch, degree):
     monkeypatch.setattr(abelres, "_assemble", corrupted)
     with pytest.raises(NotAComplex):
         build_resolution(L, 2)
+
+
+def test_dga_check_refuses_a_corrupted_differential(monkeypatch):
+    # dga_check reads its d_k from a checked Resolution, so it reports no
+    # Leibniz results on a map that is not a differential.
+    L = abelian_algebra(2, 3, pi=nonzero_pi(2))
+    original = abelres._assemble
+    monkeypatch.setattr(abelres, "_assemble", lambda *a: add_one_at_origin(original(*a)))
+    with pytest.raises(NotAComplex):
+        dga_check(L, 2)
 
 
 def test_corrupted_differential_is_refused_under_optimize():
@@ -306,14 +338,18 @@ def test_aux_homology_dims(abelian_entry):
 
 
 def test_aux_operators_are_built_once_per_algebra(monkeypatch):
-    # k = 0..n share the 2n+1 right multiplications kept on the algebra
-    built = []
-    original = abelres._right_operators
+    # build_resolution, dga_check and aux_C_homology at k = 0..n share the
+    # 2n+1 right multiplications kept on the algebra, made by one table pass
+    built, passes = [], []
+    original, table_pass = abelres._right_operators, abelres._times_generator
     monkeypatch.setattr(abelres, "_right_operators", lambda U: built.append(U.L) or original(U))
+    monkeypatch.setattr(abelres, "_times_generator", lambda *a: passes.append(1) or table_pass(*a))
     L = abelian_algebra(3, 3, pi=nonzero_pi(3))
+    assert resolution_homology(build_resolution(L, 2), 2) == 0
+    assert dga_check(L, 2)["pass"]
     dims = [aux_C_homology(L, k)[0] for k in range(L.n + 1)]
     assert dims == [math.comb(3, k) for k in range(4)]
-    assert built == [L]
+    assert built == [L] and passes == [1]
     ops = L._operators
     assert len(ops) == 2 * L.n + 1
     assert all(not a.flags.writeable for op in ops for a in (op.rows, op.cols, op.vals))

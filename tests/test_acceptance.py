@@ -31,7 +31,7 @@ from rescoh.interp import (
     restricted_derivations,
 )
 from rescoh.liealg import abelian_algebra, heisenberg_algebra, solvable2_algebra, witt_algebra
-from rescoh.linalg import matmul_mod, nullspace, sample_vectors
+from rescoh.linalg import nullspace, sample_vectors
 from rescoh.rescochain import (
     beta_induced,
     c2_from_vec,
@@ -48,6 +48,7 @@ from rescoh.rescochain import (
 from rescoh.ures import Ures
 
 from conftest import ABELIAN, CORPUS, coefficient_modules, nonzero_pi
+from dense_matmul import matmul_mod
 
 BUDGETS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 1, 6: 1, 7: 1, 8: 1,
            9: 2, 10: 2, 11: 1, 12: 1}

@@ -16,11 +16,12 @@ from rescoh.liealg import (
     solvable2_algebra,
     witt_algebra,
 )
-from rescoh.linalg import SparseMatrix, Subspace, matmul_mod, nullspace, rank
+from rescoh.linalg import SparseMatrix, Subspace, nullspace, rank
 from rescoh.rescochain import RestrictedComplex
 
 import cochain_loops
 from conftest import coefficient_modules
+from dense_matmul import matmul_mod
 
 
 def test_cochain_tuples():

@@ -424,7 +424,6 @@ def test_cohomology_builds_each_matrix_once(tmp_path, capsys, monkeypatch):
                         counted(classical.delta_cl_matrix, "delta_cl_matrix"))
     for name in ("_psi_tilde_block", "_beta_block"):
         monkeypatch.setattr(rescochain, name, counted(getattr(rescochain, name), name))
-    monkeypatch.setattr(linalg, "matmul_mod", counted(linalg.matmul_mod, "matmul_mod"))
     monkeypatch.setattr(linalg, "cohomology", group)
     path = write(tmp_path, "witt7.alg", emit(witt_file(7)))
     code, report, _ = run_cli(capsys, "cohomology", path, "--module", "adjoint", "--degree", "2")

@@ -22,7 +22,7 @@ from rescoh.liealg import (
     solvable2_algebra,
     witt_algebra,
 )
-from rescoh.linalg import Subspace, matmul_mod, nullspace, rank, sample_vectors
+from rescoh.linalg import Subspace, nullspace, rank, sample_vectors
 from rescoh.rescochain import (
     Cochain2,
     c2_from_vec,
@@ -32,6 +32,7 @@ from rescoh.rescochain import (
 )
 
 from conftest import nonzero_pi
+from dense_matmul import matmul_mod
 from restricted_scans import (derivation_scan_points, derivations_at, first_failing,
                               scan_verify_restricted)
 

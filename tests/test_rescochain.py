@@ -16,7 +16,7 @@ from rescoh.liealg import (
 )
 from rescoh.abelres import (abelian_cochain_cohomology, aux_C_homology, build_resolution,
                             frakC_check, resolution_homology)
-from rescoh.linalg import Complex, SparseMatrix, Subspace, matmul_mod, nullspace, sample_vectors
+from rescoh.linalg import Complex, SparseMatrix, Subspace, nullspace, sample_vectors
 from rescoh.rescochain import (
     Cochain2,
     RestrictedComplex,
@@ -46,6 +46,7 @@ import cochain_loops
 import jacobson_loops
 import quotients
 from conftest import CORPUS, coefficient_modules, nonzero_pi
+from dense_matmul import matmul_mod
 from enumerations import star_enumeration, star_star_enumeration
 
 

@@ -7,10 +7,11 @@ import pytest
 
 from rescoh import abelres
 from rescoh.liealg import abelian_algebra, solvable2_algebra, witt_algebra
-from rescoh.linalg import matmul_mod, sample_vectors
+from rescoh.linalg import sample_vectors
 from rescoh.ures import IndexOutOfRange, PBW_BOUND, TooLarge, Ures
 
 from conftest import ABELIAN, nonzero_pi
+from dense_matmul import matmul_mod
 
 
 def sample_elements(U, count, tag, support=3):
