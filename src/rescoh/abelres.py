@@ -35,6 +35,7 @@ linalg.Complex, a chain complex read as C^(-k) = C_k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -119,16 +120,12 @@ def _bidegrees(k: int) -> list[tuple[int, int]]:
     return [(t, k - 2 * t) for t in range(k // 2 + 1)]
 
 
-def _formal_basis(n: int, k: int, wedge_only: bool = False):
-    """Free generators (mu, I) of C_k, 2|mu| + |I| = k; mu = 0 only if wedge_only."""
-    out = []
-    for t, s in [(0, k)] if wedge_only else _bidegrees(k):
-        if s > n:
-            continue
-        for mu in _multidegrees(n, t):
-            for I in itertools.combinations(range(n), s):
-                out.append((mu, I))
-    return out
+@functools.lru_cache(maxsize=None)
+def _formal_basis(n: int, k: int, wedge_only: bool = False) -> tuple:
+    """Free generators (mu, I) of C_k, 2|mu| + |I| = k; mu = 0 only if
+    wedge_only.  Built once per (n, k, wedge_only) and shared."""
+    return tuple((mu, I) for t, s in ([(0, k)] if wedge_only else _bidegrees(k)) if s <= n
+                 for mu in _multidegrees(n, t) for I in itertools.combinations(range(n), s))
 
 
 def _slice_basis(n: int, k: int, monos: list[tuple]) -> list[ChainBasisElement]:

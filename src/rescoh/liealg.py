@@ -122,8 +122,9 @@ def _jacobson_pass(p: int, A: np.ndarray, R: np.ndarray, table: np.ndarray, m: i
     is zero.  Without a tail (p = 2: one node, t = 1, of weight 1) it is
     the sum of the first steps."""
     w = table.shape[-1]
+    first = table[:, m:].reshape(len(table), -1)  # the rows that [0 | a] reads
+    state = A[:, None] @ (R @ first % p).reshape(len(R), w - m, w) % p  # [v | u] at r
     table = table.reshape(len(table), w * w)
-    state = A[:, None] @ (R @ table % p).reshape(len(R), w, w)[:, m:] % p  # [v | u] at r
     if p == 2 or not np.count_nonzero(state):
         return state.sum(axis=(0, 1)) % p
     ws, xs = _nodes(p, A, R)

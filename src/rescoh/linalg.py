@@ -99,19 +99,18 @@ def _check_modulus(p: int, label: str) -> None:
         raise ModulusTooLarge(f"{label}: modulus {p} is not below {MODULUS_LIMIT}")
 
 
-def _summed(n_rows: int, rows, cols, vals, p: int):
-    """The entries as new arrays sorted by column, then row, summed mod p, zeros dropped."""
+def _keyed(n_rows: int, rows, cols, vals, p: int):
+    """The distinct keys col·n_rows + row of the entries, increasing, and
+    their values' sums, reduced mod p once, zero sums kept: exact for
+    values below 2^32 in size.  Only repeated keys cost a sum."""
     key = cols * n_rows + rows
     order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order] % p
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    if first.size < key.size:
-        key, vals = key[first], np.add.reduceat(vals, first) % p
-    if not vals.all():
-        keep = vals != 0
-        key, vals = key[keep], vals[keep]
-    cols = key // n_rows  # no entry when n_rows is 0
-    return key - cols * n_rows, cols, vals
+    key, vals = key[order], vals[order]
+    step = key[1:] != key[:-1]
+    if not step.all():  # some key repeats
+        first = np.flatnonzero(np.concatenate(([True], step)))
+        key, vals = key[first], np.add.reduceat(vals, first)
+    return key, vals % p
 
 
 class SparseMatrix:
@@ -138,8 +137,13 @@ class SparseMatrix:
         if rows.size and (min(rows.min(), cols.min()) < 0
                           or rows.max() >= n_rows or cols.max() >= n_cols):
             raise ValueError(f"an entry index lies outside the shape {shape}")
+        if vals.size and not -(1 << 32) < vals.min() <= vals.max() < 1 << 32:
+            vals = vals % p  # small enough for _keyed's exact sums
         self.shape, self.p = shape, p
-        self.rows, self.cols, self.vals = _summed(n_rows, rows, cols, vals, p)
+        key, vals = _keyed(n_rows, rows, cols, vals, p)
+        if not (keep := vals != 0).all():
+            key, vals = key[keep], vals[keep]
+        (self.cols, self.rows), self.vals = np.divmod(key, n_rows), vals  # no entry if n_rows is 0
         self.ptr = np.bincount(self.cols + 1, minlength=n_cols + 1).cumsum()
         for x in (self.rows, self.cols, self.vals, self.ptr):
             x.flags.writeable = False
@@ -161,8 +165,9 @@ class SparseMatrix:
         of another length than the column count is refused (ValueError)."""
         if isinstance(other, SparseMatrix):
             blocks = list(_product_blocks(self, other))
-            parts = [np.concatenate(x) for x in zip(*blocks)] if blocks else [(), (), ()]
-            return SparseMatrix((self.shape[0], other.shape[1]), *parts, self.p)
+            key, vals = map(np.concatenate, zip(*blocks)) if blocks else ((), ())
+            cols, rows = np.divmod(np.asarray(key, dtype=np.int64), self.shape[0])
+            return SparseMatrix((self.shape[0], other.shape[1]), rows, cols, vals, self.p)
         x = as_fp(other, self.p)
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise ValueError(f"@: a {self.shape} matrix and a {x.shape} array do not compose")
@@ -173,42 +178,44 @@ class SparseMatrix:
     def check_composite(self, inner: SparseMatrix, label: str) -> None:
         """Raise NotAComplex unless self @ inner == 0.
 
-        Stops at the first block of the product with a nonzero entry;
-        the message names the first column whose image is nonzero.
+        Tests each block's sums by position and stops at the first block
+        with a nonzero one; the message names the first column so hit.
         """
-        for _, cols, _ in _product_blocks(self, inner, label):
-            raise NotAComplex(f"{label} is nonzero on column {cols[0]}")
+        for key, sums in _product_blocks(self, inner, label):
+            if sums.any():
+                col = key[np.flatnonzero(sums)[0]] // self.shape[0]
+                raise NotAComplex(f"{label} is nonzero on column {col}")
 
 
 _PRODUCT_BLOCK = 1 << 18
 
 
 def _product_blocks(a: SparseMatrix, b: SparseMatrix, label: str = "product"):
-    """The nonzero entries of a @ b as (rows, cols, vals) arrays, block by block.
+    """a @ b block by block, as ``_keyed`` gives it: each block's sorted
+    keys j·rows(a) + i and the sums mod p at them, zeros kept.
 
     Each entry (k, j, v) of b meets column k of a and gives the products
     (i, j, a_ik·v) (Gustavson, ACM TOMS 4(3), 1978, column by column),
-    generated by index arithmetic.  Each product is below p² < 2^32 and
-    is reduced mod p before the sums by position.  A block covers whole
-    columns of b, in order, and about _PRODUCT_BLOCK products, which
-    bounds the memory held at once; only blocks with a nonzero entry are
-    yielded, each sorted by column, then row.
+    generated by index arithmetic.  Each product is below p² < 2^32, so
+    the sums by position are exact before their one reduction mod p.  A
+    block covers whole columns of b, in order, and about _PRODUCT_BLOCK
+    products, which bounds the memory held at once.  ``@`` splits the
+    keys into rows and columns; ``check_composite`` only tests the sums.
     """
     if a.shape[1] != b.shape[0] or a.p != b.p:
         raise ValueError(f"{label}: GF({a.p}) {a.shape} and GF({b.p}) {b.shape} do not compose")
     a_start = a.ptr[b.rows]  # column b.rows[e] of a starts here
     counts = a.ptr[b.rows + 1] - a_start
-    work = np.concatenate(([0], np.cumsum(counts)))[b.ptr]  # products before each column of b
+    before = np.concatenate(([0], np.cumsum(counts)))  # products before each entry of b
+    work = before[b.ptr]  # and before each column of b
     lo = 0
     while lo < b.shape[1]:
         hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _PRODUCT_BLOCK, side="right")) - 1)
         span = slice(b.ptr[lo], b.ptr[hi])  # the entries of b's columns lo..hi-1
         run = counts[span]
-        src = np.repeat(np.arange(span.start, span.stop), run)
-        at = np.repeat(a_start[span] - np.cumsum(run) + run, run) + np.arange(src.size)
-        block = _summed(a.shape[0], a.rows[at], b.cols[src], a.vals[at] * b.vals[src], a.p)
-        if block[2].size:  # a nonzero entry
-            yield block
+        at = np.repeat(a_start[span] - before[span], run) + np.arange(work[lo], work[hi])
+        yield _keyed(a.shape[0], a.rows[at], np.repeat(b.cols[span], run),
+                     a.vals[at] * np.repeat(b.vals[span], run), a.p)
         lo = hi
 
 
@@ -238,10 +245,10 @@ def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int) -> SparseMatrix:
     package; terms may repeat a block and carry any integer coefficient.
 
     The ops' entries are read once, an array stack's by one ``np.nonzero``;
-    each term gathers those of its op, offset to its block, by index
-    arithmetic, and the constructor sums them.  Refused from MODULUS_LIMIT
-    up, and with TooLarge when the terms hold more than DENSE_CELLS entries
-    together, before any index array is made.
+    each term gathers those of its op by index arithmetic, its block offset
+    and coefficient repeated over them, and the constructor sums them.
+    Refused from MODULUS_LIMIT up, and with TooLarge when the terms hold
+    more than DENSE_CELLS entries together, before any index array is made.
     """
     _check_modulus(p, "kron_sum")
     if isinstance(ops[0], SparseMatrix):
@@ -257,10 +264,9 @@ def kron_sum(blocks: tuple[int, int], terms, ops: list, p: int) -> SparseMatrix:
     count = sizes[o]
     if (total := int(count.sum())) > DENSE_CELLS:
         raise TooLarge(f"kron_sum: {total} entries exceed {DENSE_CELLS}")
-    t = np.repeat(np.arange(o.size), count)
-    at = np.repeat(np.cumsum(sizes)[o] - np.cumsum(count), count) + np.arange(t.size)
-    return SparseMatrix((blocks[0] * a, blocks[1] * b), r[t] * a + er[at], c[t] * b + ec[at],
-                        cf[t] % p * ev[at], p)
+    at = np.repeat(np.cumsum(sizes)[o] - np.cumsum(count), count) + np.arange(total)
+    return SparseMatrix((blocks[0] * a, blocks[1] * b), np.repeat(r * a, count) + er[at],
+                        np.repeat(c * b, count) + ec[at], np.repeat(cf % p, count) * ev[at], p)
 
 
 def _nonzeros(a, p: int):
@@ -270,9 +276,9 @@ def _nonzeros(a, p: int):
     elimination starts here, so this refuses p from MODULUS_LIMIT up."""
     _check_modulus(p, "elimination")
     if isinstance(a, SparseMatrix):
-        if a.p == p:
-            return a.shape, a.rows, a.cols, a.vals
-        return a.shape, *_summed(a.shape[0], a.rows, a.cols, a.vals, p)
+        if a.p != p:
+            a = SparseMatrix(a.shape, a.rows, a.cols, a.vals, p)
+        return a.shape, a.rows, a.cols, a.vals
     A = as_fp(a, p)
     if A.ndim != 2:
         raise ValueError("expected a 2-d array")
@@ -380,10 +386,12 @@ def _stacked_rank(shape, r, c, v, p):
     A small component, renumbered and turned to have no more columns than
     rows, is one matrix of the dense stack for its power of two of
     columns, held as A[matrix, column, row] so that a step multiplies
-    contiguous rows.  The fraction-free step takes the pivot in column 0
-    reduced, col = A[:, 0, :] mod p, and sets A ← piv · A[:, 1:, :] −
-    A[:, 1:, pivot row] ⊗ col: the pivot row clears itself, column 0 is
-    dropped and each matrix with a pivot adds 1.  With |A| ≤ B the step
+    contiguous rows.  The fraction-free step reduces column 0, col =
+    A[:, 0, :] mod p, takes its argmax (a nonzero entry, if any) as pivot
+    row and sets A ← piv · A[:, 1:, :] − A[:, 1:, pivot row] ⊗ col: the
+    pivot row clears itself and column 0 is dropped.  The nonzero pivots
+    count the rank; piv is 1 only where a column is empty, and the last
+    column is only counted.  With |A| ≤ B the step
     gives at most 2(p − 1)B, from products below (p − 1)B; the stack is
     reduced mod p, back to B = p − 1, only when (p − 1)B reaches 2^62
     and the next step could leave int64.  So it is reduced every 62
@@ -405,14 +413,16 @@ def _stacked_rank(shape, r, c, v, p):
         A = np.zeros((np.count_nonzero(mine), wide[mine].max(), tall[mine].max()), np.int64)
         A[(np.cumsum(mine) - 1)[comp[e]], short[e], long[e]] = v[e]
         at, bound = np.arange(len(A)), p - 1
-        while A.shape[1]:
+        while True:
             col = A[:, 0, :] % p
-            nz = col != 0
-            row = nz.argmax(axis=1)
-            has = nz.any(axis=1)
-            piv = np.where(has, col[at, row], 1)
+            row = col.argmax(axis=1)  # a nonzero entry, if the column has one
+            piv = col[at, row]
+            rank += (found := int(np.count_nonzero(piv)))
+            if A.shape[1] == 1:
+                break
+            if found < len(A):
+                piv[piv == 0] = 1  # an empty column: the step only drops it
             A = piv[:, None, None] * A[:, 1:, :] - A[at, 1:, row][:, :, None] * col[:, None, :]
-            rank += int(np.count_nonzero(has))
             bound *= 2 * (p - 1)
             if bound >= cap:
                 A, bound = A % p, p - 1
@@ -485,7 +495,8 @@ def rank(a, p: int) -> int:
     and 704 components of at most 10 rows plus columns, all stacked.  The
     job's ranks took 44 ms in Markowitz alone, 25 peeled, 4.9 stacked and
     3.8 reducing only before int64 overflow; numbering nodes, not entries,
-    took them from 2.9 to 2.4 (2-core host, Python 3.11, numpy 2.4).
+    took them from 2.9 to 2.4, and argmax pivots (no step after the last
+    column) 6 % lower again, 9-10 % with π ≠ 0 (2-core host, numpy 2.4).
 
     Markowitz eliminates the components too big to stack on row dicts,
     pivoting on a row of least weight and, within it, on the column held

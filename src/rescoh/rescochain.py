@@ -186,11 +186,15 @@ def star_correction(L, M, phi: np.ndarray, A: np.ndarray, R: np.ndarray):
     tail (p = 2: one node, t = 1, of weight 1) the pair is the sums of
     the phi(a, r) and of the [a, r].
     """
-    m = M.m
+    return _star_pass(L, M, _chain_table(L, M, phi), A, R)
+
+
+def _star_pass(L, M, table: np.ndarray, A: np.ndarray, R: np.ndarray):
+    """star_correction's pair, for its step table _chain_table(L, M, phi)."""
     if not len(A):
-        return np.zeros(m, dtype=np.int64), L.zero()
-    out = _jacobson_pass(L.p, A, R, _chain_table(L, M, phi), m)
-    return out[:m], out[m:]
+        return np.zeros(M.m, dtype=np.int64), L.zero()
+    out = _jacobson_pass(L.p, A, R, table, M.m)
+    return out[:M.m], out[M.m:]
 
 
 def star_star_correction(L, M, alpha: np.ndarray, g, H1: np.ndarray, H2: np.ndarray) -> np.ndarray:
@@ -283,17 +287,18 @@ def beta_induced(L, M, c2: Cochain2, g, h) -> np.ndarray:
     phi(g, h^[p]) - sum_a (-1)^a rho(h)^a phi([g, h, ..., h], h), with
     p - 1 - a brackets, + rho(g) omega(h).
 
-    h is peeled once, and one star_correction of its stacks gives the
+    h is peeled once, and one star_correction pass of its stacks gives the
     corrections of omega(h) and of h^[p].  The a-sum is a Horner pass at
-    the one point h, [v | u] stepping from [0 | g] by _chain_table,
+    the one point h, [v | u] stepping from [0 | g] by the same step table,
     stopped once it vanishes; rho(g) is one product with M._act."""
     p, n, m = L.p, L.n, M.m
     g = L._check_vec(g)
     h = L._check_vec(h)
-    omega_corr, power_corr = star_correction(L, M, c2.phi, *_peel(h))
+    table = _chain_table(L, M, c2.phi)
+    omega_corr, power_corr = _star_pass(L, M, table, *_peel(h))
     omega_h = (h @ c2.omega_basis + omega_corr) % p
     h_p = (h @ L.pi + power_corr) % p
-    step = (h @ _chain_table(L, M, c2.phi).reshape(n, -1) % p).reshape(m + n, m + n)
+    step = (h @ table.reshape(n, -1) % p).reshape(m + n, m + n)
     state = g @ step[m:] % p  # [phi(g, h) | [g, h]]
     for _ in range(p - 1):
         if not np.count_nonzero(state):

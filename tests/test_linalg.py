@@ -214,6 +214,9 @@ def constructor_cases(p):
         ("duplicates, some cancel", (6, 7), np.r_[at, at[:8]] // 7, np.r_[at, at[:8]] % 7,
          np.r_[units, p - units[:4], units[4:8]]),
         ("all zero", (6, 7), at // 7, at % 7, p * rng.integers(-2, 3, size=20)),
+        ("duplicates past 2^32, sums past int64", (6, 7), twice // 7, twice % 7,
+         rng.integers(1 << 62, (1 << 63) - 1, size=16)),
+        ("the int64 minimum twice", (3, 2), [2, 2], [1, 1], [-(1 << 63)] * 2),
         ("single", (3, 2), [2], [1], [p + 1]),
         ("0 x 5", (0, 5), [], [], []),
         ("5 x 0", (5, 0), [], [], []),
@@ -412,6 +415,13 @@ def test_sparse_product_in_small_blocks_matches_dense(monkeypatch):
         assert sparse_verdict(a, b, p) == dense_verdict(a, b, p)
         a, b = kernel_pair(rng, p, (6, 10), 12, 0.5)
         assert sparse_verdict(a, b, p) is None and dense_verdict(a, b, p) is None
+        # blocks whose products all cancel, then one nonzero sum in the last block
+        basis = nullspace(a, p)
+        b = basis.T @ rng.integers(1, p, size=(len(basis), 12)) % p
+        b[:, -1] = 0
+        b[np.flatnonzero(a.any(axis=0))[0], -1] = 1
+        assert (np.asarray(to_sparse(a, p) @ to_sparse(b, p)) == matmul_mod(a, b, p)).all()
+        assert sparse_verdict(a, b, p) == dense_verdict(a, b, p) == "on column 11"
 
 
 def read_off(a, b, p: int):
@@ -600,7 +610,10 @@ def test_stacked_rank_exact_across_the_deferred_reductions(p):
     dependent[5] = dependent[1] * (p - 1) % p
     dependent[9] = (dependent[1] + dependent[2]) % p
     low = near_top(31, 20) @ near_top(20, 31) % p
-    a = block_diagonal([full, dependent, low], rng, 2, 3)
+    # widths 17 and 20 share the 17..32 stack, so their padding columns come
+    # up empty; a one-column block's only pivot is in its last column
+    narrow = [near_top(24, 17), near_top(20, 26), np.full((3, 1), p - 1)]
+    a = block_diagonal([full, dependent, low, *narrow], rng, 2, 3)
     want = markowitz.rank(a, p)
     assert want == dense_rref.rref(a, p)[1]
     for m in (a, to_sparse(a, p)):  # entries by row, then by column
